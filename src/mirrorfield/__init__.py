@@ -27,8 +27,8 @@ from .oracle import (OracleReport, QuadratureSpec, angular_bracket_quadrature,
                      hfield_mode_sum_check, levelshift_contour_eval,
                      reset_rate_quadrature)
 from .mastereq import (AtomChannel, DensityMatrix, Trajectory, UnravelResult,
-                       analytic_solution, channel_from_mirror, evolve,
-                       jump_unravel)
+                       analytic_solution, channel_at, channel_from_mirror,
+                       evolve, jump_unravel)
 
 __all__ = [
     "__version__",
@@ -46,5 +46,6 @@ __all__ = [
     "OracleReport", "QuadratureSpec", "angular_bracket_quadrature",
     "hfield_mode_sum_check", "levelshift_contour_eval", "reset_rate_quadrature",
     "AtomChannel", "DensityMatrix", "Trajectory", "UnravelResult",
-    "analytic_solution", "channel_from_mirror", "evolve", "jump_unravel",
+    "analytic_solution", "channel_at", "channel_from_mirror", "evolve",
+    "jump_unravel",
 ]

@@ -75,7 +75,11 @@ def mirror_field_1d_perfect(packets, x, t: float, medium: Medium = Medium()):
 
 @dataclass(frozen=True)
 class ScatterScene:
-    """Mirror, media and the packets approaching it from both sides."""
+    """Mirror, media and the packets approaching it from both sides.
+
+    The packets are GaussianPacket for the 1D fields or PlaneWavePacket3D
+    for the 3D field; each carries the side it starts on.
+    """
 
     mirror: MirrorSpec
     packets_a: tuple = ()
@@ -93,56 +97,53 @@ class ScatterScene:
                 raise ValueError("packets_b contains a packet tagged side a")
 
 
-def _side_sums(packets, x, t, medium, phase_refl, phase_trans):
-    """Complex (incoming, reflected, transmitted) sums for one packet group."""
-    x = np.asarray(x, dtype=float)
-    inc = np.zeros(x.shape, dtype=complex)
-    refl = np.zeros(x.shape, dtype=complex)
-    trans = np.zeros(x.shape, dtype=complex)
-    inc_b = np.zeros(x.shape, dtype=complex)
-    refl_b = np.zeros(x.shape, dtype=complex)
-    trans_b = np.zeros(x.shape, dtype=complex)
-    c = medium.c
-    for p in packets:
-        sign = 1.0 if p.k0_carrier > 0 else -1.0
-        f_here = packet_complex_field(p, x, t, medium)
-        f_refl = packet_complex_field(p, -x, t, medium, extra_phase=phase_refl)
-        f_trans = packet_complex_field(p, x, t, medium, extra_phase=phase_trans)
-        inc += f_here
-        refl += f_refl
-        trans += f_trans
-        # Magnetic field of a free solution evaluated at the image point;
-        # reflected magnetic contributions later enter with a minus sign.
-        inc_b += sign * f_here / c
-        refl_b += sign * f_refl / c
-        trans_b += sign * f_trans / c
-    return (inc, refl, trans), (inc_b, refl_b, trans_b)
+ScatterScene3D = ScatterScene
 
 
-def mirror_fields_1d(scene: ScatterScene, x, t: float):
-    """(E, B) of the two-sided scattered field; defined for t >= 0 only."""
+def _sides(scene: ScatterScene, x, t: float):
+    """Per side: (packets, reflection rate, transmission rate, reflection
+    phase, transmission phase, mask of the half-space the light starts in)."""
     if t < 0.0:
         raise NegativeTime(
             "scattered superpositions are invalid for t < 0: amplitudes would "
             "need to grow when crossing the mirror backwards"
         )
     m = scene.mirror
+    plus = heaviside(x)  # the surface belongs to side a
+    return ((scene.packets_a, m.r_a, m.t_a, m.phi_1, m.phi_4, plus),
+            (scene.packets_b, m.r_b, m.t_b, m.phi_3, m.phi_2, 1.0 - plus))
+
+
+def _side_fields_1d(scene: ScatterScene, x, t: float):
+    """Complex (E, B) of the light from each side, as ((E_a, B_a), (E_b, B_b)).
+
+    A reflected copy is the free field at -x with the reflection phase; its
+    B enters with a minus sign. A transmitted copy is the free field at x
+    with the transmission phase on the carrier.
+    """
     x = np.asarray(x, dtype=float)
-    plus = heaviside(x)
-    minus = 1.0 - plus  # complementary half-space; the surface belongs to side a
-    (a_inc, a_refl, a_trans), (a_inc_b, a_refl_b, a_trans_b) = _side_sums(
-        scene.packets_a, x, t, scene.medium, m.phi_1, m.phi_4)
-    (b_inc, b_refl, b_trans), (b_inc_b, b_refl_b, b_trans_b) = _side_sums(
-        scene.packets_b, x, t, scene.medium, m.phi_3, m.phi_2)
-    e_complex = (
-        (a_inc + m.r_a * a_refl + m.t_b * b_trans) * plus
-        + (b_inc + m.r_b * b_refl + m.t_a * a_trans) * minus
-    )
-    b_complex = (
-        (a_inc_b - m.r_a * a_refl_b + m.t_b * b_trans_b) * plus
-        + (b_inc_b - m.r_b * b_refl_b + m.t_a * a_trans_b) * minus
-    )
-    return 2.0 * e_complex.real, 2.0 * b_complex.real
+    c = scene.medium.c
+    out = []
+    for packets, r, tr, phase_refl, phase_trans, own in _sides(scene, x, t):
+        other = 1.0 - own
+        trans = tr * np.exp(1j * phase_trans)
+        e_side = np.zeros(x.shape, dtype=complex)
+        b_side = np.zeros(x.shape, dtype=complex)
+        for p in packets:
+            sign = 1.0 if p.k0_carrier > 0 else -1.0
+            here = packet_complex_field(p, x, t, scene.medium)
+            refl = r * packet_complex_field(p, -x, t, scene.medium, phase_refl)
+            through = trans * here * other
+            e_side += (here + refl) * own + through
+            b_side += (sign / c) * ((here - refl) * own + through)
+        out.append((e_side, b_side))
+    return out
+
+
+def mirror_fields_1d(scene: ScatterScene, x, t: float):
+    """(E, B) of the two-sided scattered field; defined for t >= 0 only."""
+    (e_a, b_a), (e_b, b_b) = _side_fields_1d(scene, x, t)
+    return 2.0 * (e_a + e_b).real, 2.0 * (b_a + b_b).real
 
 
 def mirror_field_1d(scene: ScatterScene, x, t: float):
@@ -152,19 +153,8 @@ def mirror_field_1d(scene: ScatterScene, x, t: float):
 
 def mirror_field_1d_by_side(scene: ScatterScene, x, t: float):
     """Electric field split by the side the light originated from."""
-    if t < 0.0:
-        raise NegativeTime("scattered superpositions are invalid for t < 0")
-    m = scene.mirror
-    x = np.asarray(x, dtype=float)
-    plus = heaviside(x)
-    minus = 1.0 - plus
-    (a_inc, a_refl, a_trans), _ = _side_sums(
-        scene.packets_a, x, t, scene.medium, m.phi_1, m.phi_4)
-    (b_inc, b_refl, b_trans), _ = _side_sums(
-        scene.packets_b, x, t, scene.medium, m.phi_3, m.phi_2)
-    from_a = (a_inc + m.r_a * a_refl) * plus + m.t_a * a_trans * minus
-    from_b = (b_inc + m.r_b * b_refl) * minus + m.t_b * b_trans * plus
-    return 2.0 * from_a.real, 2.0 * from_b.real
+    (e_a, _), (e_b, _) = _side_fields_1d(scene, x, t)
+    return 2.0 * e_a.real, 2.0 * e_b.real
 
 
 @dataclass(frozen=True)
@@ -211,20 +201,6 @@ class PlaneWavePacket3D:
                    side=packet.side, xi_init=packet.xi_init)
 
 
-@dataclass(frozen=True)
-class ScatterScene3D:
-    """Three-dimensional analogue of ScatterScene."""
-
-    mirror: MirrorSpec
-    packets_a: tuple = ()
-    packets_b: tuple = ()
-    medium: Medium = Medium()
-
-    def __post_init__(self):
-        object.__setattr__(self, "packets_a", tuple(self.packets_a))
-        object.__setattr__(self, "packets_b", tuple(self.packets_b))
-
-
 def packet_complex_field_3d(packet: PlaneWavePacket3D, r, t: float,
                             medium: Medium, extra_phase: float = 0.0) -> np.ndarray:
     """Analytic-signal vector field of a 3D packet at positions r (..., 3)."""
@@ -252,7 +228,7 @@ def free_field_3d(packet: PlaneWavePacket3D, r, t: float,
     return 2.0 * packet_complex_field_3d(packet, r, t, medium).real
 
 
-def mirror_field_3d(scene: ScatterScene3D, r, t: float) -> np.ndarray:
+def mirror_field_3d(scene: ScatterScene, r, t: float) -> np.ndarray:
     """Electric field vector near the mirror for arbitrary incidence.
 
     Reflected contributions are the free solutions evaluated at the image
@@ -260,27 +236,19 @@ def mirror_field_3d(scene: ScatterScene3D, r, t: float) -> np.ndarray:
     remaining reflection sign convention lives in the surface phases, so the
     perfect preset (phases pi) makes tangential components vanish at x = 0.
     """
-    if t < 0.0:
-        raise NegativeTime("scattered superpositions are invalid for t < 0")
-    m = scene.mirror
     r = np.asarray(r, dtype=float)
     r_tilde = r.copy()
     r_tilde[..., 0] = -r_tilde[..., 0]
-    x = r[..., 0]
-    plus = heaviside(x)[..., None]
-    minus = 1.0 - plus
     med = scene.medium
     total = np.zeros(r.shape, dtype=complex)
-    for p in scene.packets_a:
-        inc = packet_complex_field_3d(p, r, t, med)
-        refl = _flip_x(packet_complex_field_3d(p, r_tilde, t, med, m.phi_1))
-        trans = packet_complex_field_3d(p, r, t, med, m.phi_4)
-        total += (inc + m.r_a * refl) * plus + m.t_a * trans * minus
-    for p in scene.packets_b:
-        inc = packet_complex_field_3d(p, r, t, med)
-        refl = _flip_x(packet_complex_field_3d(p, r_tilde, t, med, m.phi_3))
-        trans = packet_complex_field_3d(p, r, t, med, m.phi_2)
-        total += (inc + m.r_b * refl) * minus + m.t_b * trans * plus
+    for packets, refl_rate, trans_rate, phase_refl, phase_trans, own in _sides(
+            scene, r[..., 0], t):
+        own = own[..., None]
+        trans = trans_rate * np.exp(1j * phase_trans)
+        for p in packets:
+            here = packet_complex_field_3d(p, r, t, med)
+            refl = _flip_x(packet_complex_field_3d(p, r_tilde, t, med, phase_refl))
+            total += (here + refl_rate * refl) * own + trans * here * (1.0 - own)
     return 2.0 * total.real
 
 

@@ -79,27 +79,8 @@ def _meta(command: str, parameters: dict, tolerances: dict | None = None) -> dic
 
 def _parse_mirror(data: dict) -> MirrorSpec:
     if "preset" in data:
-        data = dict(data)
-        preset = data.pop("preset")
-        r = data.pop("r", None)
-        t = data.pop("t", None)
-        if preset == "perfect":
-            mirror = MirrorSpec.perfect()
-        elif preset == "free":
-            mirror = MirrorSpec.free_space()
-        elif preset == "absorbing":
-            mirror = MirrorSpec.absorbing()
-        elif preset == "symmetric":
-            mirror = MirrorSpec.symmetric(r=float(r), t=float(t), **data)
-            data = {}
-        elif preset == "lossless":
-            mirror = MirrorSpec.lossless(r=float(r), **data)
-            data = {}
-        else:
-            raise CliError(2, f"unknown mirror preset {preset!r}")
-        if data:
-            raise CliError(2, f"unexpected mirror keys: {sorted(data)}")
-        return validate_mirror(mirror)
+        params = dict(data)
+        return MirrorSpec.from_preset(params.pop("preset"), **params)
     return validate_mirror(MirrorSpec.from_dict(data))
 
 
@@ -134,12 +115,9 @@ def cmd_fig2(config: dict) -> int:
             e0=float(config["e0"]), x0=x0, sigma=sigma,
             k0_carrier=float(config["k0x0"]) / x0, side="a",
         )
-    if config["mirror"] == "perfect":
-        mirror = MirrorSpec.perfect()
-    elif config["mirror"] == "free":
-        mirror = MirrorSpec.free_space()
-    else:
+    if config["mirror"] not in ("perfect", "free"):
         raise CliError(2, f"fig2 mirror must be 'perfect' or 'free', got {config['mirror']!r}")
+    mirror = MirrorSpec.from_preset(config["mirror"])
     scene = classical.ScatterScene(mirror=mirror, packets_a=(packet,), medium=medium)
     times = [float(v) * x0 / medium.c for v in config["t"]]
     if config["frames"] is not None:
@@ -178,33 +156,27 @@ RATES_SCAN_DEFAULTS = {
 
 
 def _scan_rates(config: dict):
-    k0x_min = float(config["k0x_min"])
-    k0x_step = float(config["k0x_step"])
-    n_points = int(math.floor((float(config["k0x_max"]) - k0x_min) / k0x_step + 1.5))
+    k0x_min, k0x_max, k0x_step = (
+        float(config[key]) for key in ("k0x_min", "k0x_max", "k0x_step"))
+    if not all(map(math.isfinite, (k0x_min, k0x_max, k0x_step))) or k0x_step <= 0.0:
+        raise CliError(2, "k0x bounds must be finite and k0x_step positive")
+    n_points = int(math.floor((k0x_max - k0x_min) / k0x_step + 1.5))
+    if n_points < 1:
+        raise CliError(2, f"empty k0x grid: k0x_max {k0x_max} < k0x_min {k0x_min}")
     k0x = k0x_min + k0x_step * np.arange(n_points)
     z = 2.0 * k0x
     mu = float(config["mu"])
     preset = config["preset"]
-    if preset == "lossless":
-        if config["r"] is None:
-            raise CliError(2, "lossless preset needs --r")
-        r = float(config["r"])
-        t = math.sqrt(max(0.0, 1.0 - r * r))
-        validate_mirror(MirrorSpec.symmetric(r=r, t=t))
-        result = rates.preset_rates("symmetric", mu, z, r=r, t=t, side=config["side"])
-        mirror_desc = {"preset": "lossless", "r": r, "t": t}
-    elif preset == "symmetric":
-        if config["r"] is None or config["t"] is None:
-            raise CliError(2, "symmetric preset needs --r and --t")
-        r, t = float(config["r"]), float(config["t"])
-        validate_mirror(MirrorSpec.symmetric(r=r, t=t))
-        result = rates.preset_rates("symmetric", mu, z, r=r, t=t, side=config["side"])
-        mirror_desc = {"preset": "symmetric", "r": r, "t": t}
-    elif preset in ("perfect", "absorbing"):
+    mirror = MirrorSpec.from_preset(preset, r=config["r"], t=config["t"])
+    if preset in ("perfect", "absorbing"):
         result = rates.preset_rates(preset, mu, z, side=config["side"])
         mirror_desc = {"preset": preset}
+    elif preset in ("symmetric", "lossless"):
+        result = rates.preset_rates("symmetric", mu, z, r=mirror.r_a, t=mirror.t_a,
+                                    side=config["side"])
+        mirror_desc = {"preset": preset, "r": mirror.r_a, "t": mirror.t_a}
     else:
-        raise CliError(2, f"unknown preset {preset!r}")
+        raise CliError(2, f"rates-scan does not take preset {preset!r}")
     return k0x, result, mirror_desc
 
 
@@ -289,27 +261,10 @@ def _evolve_channel(config: dict) -> mastereq.AtomChannel:
     if config["from_mirror"] is not None:
         if config["k0x"] is None:
             raise CliError(2, "--from-mirror needs --k0x")
-        preset = config["from_mirror"]
-        if preset == "lossless":
-            if config["r"] is None:
-                raise CliError(2, "--from-mirror lossless needs --r")
-            mirror = MirrorSpec.lossless(r=float(config["r"]))
-        elif preset == "symmetric":
-            if config["r"] is None or config["t_rate"] is None:
-                raise CliError(2, "--from-mirror symmetric needs --r and --t-rate")
-            mirror = MirrorSpec.symmetric(r=float(config["r"]), t=float(config["t_rate"]))
-        elif preset == "perfect":
-            mirror = MirrorSpec.perfect()
-        elif preset == "absorbing":
-            mirror = MirrorSpec.absorbing()
-        else:
-            raise CliError(2, f"unknown mirror preset {preset!r}")
-        validate_mirror(mirror)
-        z = 2.0 * float(config["k0x"])
-        g_free = float(config["gamma_free"])
-        gamma = rates.gamma_mirr(mirror, float(config["mu"]), z) * g_free
-        delta = rates.delta_mirr(mirror, float(config["mu"]), z) * g_free
-        return mastereq.AtomChannel(gamma=gamma, delta=delta)
+        mirror = MirrorSpec.from_preset(config["from_mirror"], r=config["r"],
+                                        t=config["t_rate"])
+        return mastereq.channel_at(mirror, float(config["mu"]), 2.0 * float(config["k0x"]),
+                                   float(config["gamma_free"]))
     gamma = 1.0 if config["gamma"] is None else float(config["gamma"])
     delta = 0.0 if config["delta"] is None else float(config["delta"])
     return mastereq.AtomChannel(gamma=gamma, delta=delta)
@@ -372,10 +327,10 @@ def _load_scene(path: str) -> classical.ScatterScene:
     def packets(entries, side):
         out = []
         for entry in entries:
-            entry = dict(entry)
-            entry.setdefault("side", side)
-            k0 = float(entry["k0_carrier"])
-            entry.setdefault("direction", "right" if k0 > 0 else "left")
+            entry = {"side": side, **entry}
+            if "k0_carrier" in entry:
+                k0 = float(entry["k0_carrier"])
+                entry.setdefault("direction", "right" if k0 > 0 else "left")
             out.append(GaussianPacket.from_dict(entry))
         return tuple(out)
 

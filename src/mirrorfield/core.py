@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .errors import AbsorptionViolation, RateOutOfRange
 
@@ -19,8 +19,35 @@ TWO_PI = 2.0 * math.pi
 _RATE_TOL = 1e-9
 
 
+def _check_keys(what: str, given, allowed, required=()) -> None:
+    """Raise ValueError naming any key outside ``allowed`` or missing from
+    ``required``."""
+    unknown = sorted(set(given) - set(allowed))
+    if unknown:
+        raise ValueError(f"{what}: unknown {', '.join(unknown)}")
+    missing = [key for key in required if key not in given]
+    if missing:
+        raise ValueError(f"{what}: missing {', '.join(missing)}")
+
+
+class _Record:
+    """Dict round trip shared by the parameter records."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Build from a dict keyed by field name; fields with a default may be
+        left out, any other key missing or extra raises ValueError."""
+        names = [f.name for f in fields(cls)]
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        _check_keys(f"{cls.__name__} keys", data, names, required)
+        return cls(**data)
+
+
 @dataclass(frozen=True)
-class Medium:
+class Medium(_Record):
     """Homogeneous, non-dispersive medium surrounding the mirror.
 
     The light speed is always derived from permittivity and permeability,
@@ -41,16 +68,17 @@ class Medium:
     def c(self) -> float:
         return 1.0 / math.sqrt(self.epsilon * self.mu_p)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Medium":
-        return cls(**data)
+# Each named preset: its constructor and the rate parameters it takes.
+# Presets with rates also take optional phases.
+_PRESETS = {"perfect": ("perfect", ()), "free": ("free_space", ()),
+            "absorbing": ("absorbing", ()), "lossless": ("lossless", ("r",)),
+            "symmetric": ("symmetric", ("r", "t"))}
+_PHASES = ("phi_1", "phi_2", "phi_3", "phi_4")
 
 
 @dataclass(frozen=True)
-class MirrorSpec:
+class MirrorSpec(_Record):
     """Transmission/reflection rates and the four surface phases.
 
     Rates are real and non-negative; all complex structure of the mirror
@@ -104,12 +132,24 @@ class MirrorSpec:
         phases.setdefault("phi_4", math.pi / 2.0)
         return cls.symmetric(r=r, t=t, **phases)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
-    def from_dict(cls, data: dict) -> "MirrorSpec":
-        return cls(**data)
+    def from_preset(cls, name: str, /, r: float | None = None,
+                    t: float | None = None, **phases) -> "MirrorSpec":
+        """Validated spec of a named preset.
+
+        Each preset takes exactly the parameters it uses: ``perfect``,
+        ``free`` and ``absorbing`` none, ``lossless`` ``r`` and optional
+        phases, ``symmetric`` ``r``, ``t`` and optional phases. A missing or
+        extra parameter, or an unknown name, raises ValueError.
+        """
+        if name not in _PRESETS:
+            raise ValueError(f"unknown mirror preset {name!r}")
+        builder, needed = _PRESETS[name]
+        given = {key: value for key, value in (("r", r), ("t", t)) if value is not None}
+        allowed = needed + (_PHASES if needed else ())
+        _check_keys(f"mirror preset {name!r}", {**given, **phases}, allowed, needed)
+        rate_args = {key: float(given[key]) for key in needed}
+        return validate_mirror(getattr(cls, builder)(**rate_args, **phases))
 
 
 def validate_mirror(spec: MirrorSpec) -> MirrorSpec:
@@ -167,7 +207,7 @@ def phase_constraint_check(spec: MirrorSpec, tol: float = 1e-9) -> PhaseConstrai
 
 
 @dataclass(frozen=True)
-class AtomSpec:
+class AtomSpec(_Record):
     """Two-level atom with its transition data and supplied constants.
 
     The electron charge and reduced Planck constant are inputs rather than
@@ -198,16 +238,9 @@ class AtomSpec:
         """Transition wavenumber omega_0 / c in the given medium."""
         return self.omega_0 / medium.c
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AtomSpec":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class GaussianPacket:
+class GaussianPacket(_Record):
     """Classical Gaussian wave packet travelling along the x axis.
 
     The real field at t = 0 is
@@ -263,10 +296,3 @@ class GaussianPacket:
         """Envelope centre after free propagation for a time t."""
         sign = 1.0 if self.k0_carrier > 0 else -1.0
         return self.x0 + sign * medium.c * t
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GaussianPacket":
-        return cls(**data)

@@ -285,6 +285,18 @@ def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
                          stderr_rho22=stderr, n_traj=n_traj, seed=seed)
 
 
+def channel_at(mirror: MirrorSpec, mu_orient: float, z, gamma_free: float,
+               side: str = "a") -> AtomChannel:
+    """Channel at scaled distance z = 2 k0 |x| on one side of the mirror.
+
+    The mirror-modified rate ratios are scaled by the free-space decay rate
+    ``gamma_free``.
+    """
+    gamma_ratio = rates.gamma_mirr(mirror, mu_orient, z, side=side)
+    delta_ratio = rates.delta_mirr(mirror, mu_orient, z, side=side)
+    return AtomChannel(gamma=gamma_ratio * gamma_free, delta=delta_ratio * gamma_free)
+
+
 def channel_from_mirror(mirror: MirrorSpec, atom: AtomSpec, medium: Medium) -> AtomChannel:
     """Channel of an atom at its stored position near the given mirror.
 
@@ -295,7 +307,4 @@ def channel_from_mirror(mirror: MirrorSpec, atom: AtomSpec, medium: Medium) -> A
     if z <= 0.0:
         raise ZeroDistance("atom sits on the mirror surface")
     side = "a" if atom.x > 0 else "b"
-    g_free = rates.gamma_free(atom, medium)
-    gamma_ratio = rates.gamma_mirr(mirror, atom.mu_orient, z, side=side)
-    delta_ratio = rates.delta_mirr(mirror, atom.mu_orient, z, side=side)
-    return AtomChannel(gamma=gamma_ratio * g_free, delta=delta_ratio * g_free)
+    return channel_at(mirror, atom.mu_orient, z, rates.gamma_free(atom, medium), side)

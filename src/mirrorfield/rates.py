@@ -133,6 +133,11 @@ def delta_bracket(z, mu_orient: float):
     return out if out.shape else float(out)
 
 
+def _check_orientation(mu_orient: float) -> None:
+    if not 0.0 <= mu_orient <= 1.0:  # also false for NaN
+        raise ValueError(f"mu_orient must lie in [0, 1], got {mu_orient}")
+
+
 def _side_params(mirror: MirrorSpec, eta: EtaFactors, side: str):
     """(r, eta**2, distance-independent constant) for the requested side."""
     if side == "a":
@@ -149,6 +154,7 @@ def gamma_mirr(mirror: MirrorSpec, mu_orient: float, z, side: str = "a"):
 
     z >= 0 is allowed; the z -> 0 limit is taken through the series branch.
     """
+    _check_orientation(mu_orient)
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
         raise ValueError("z must be non-negative")
@@ -164,6 +170,7 @@ def delta_mirr(mirror: MirrorSpec, mu_orient: float, z, side: str = "a"):
     Only the mirror-dependent part is reported; the distance-independent
     self-interaction piece is absorbed into the transition frequency.
     """
+    _check_orientation(mu_orient)
     z = np.asarray(z, dtype=float)
     eta = eta_factors(mirror)
     r, eta_sq, _ = _side_params(mirror, eta, side)
@@ -192,6 +199,7 @@ def preset_rates(kind: str, mu_orient: float, z, r: float | None = None,
     general gamma_mirr/delta_mirr route. Requires z > 0 because the shift is
     part of the result.
     """
+    _check_orientation(mu_orient)
     z = np.asarray(z, dtype=float)
     if kind == "perfect":
         gamma = 1.0 - 1.5 * gamma_bracket(z, mu_orient)

@@ -1,9 +1,21 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mirrorfield.rates import symmetric_prefactor
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_subprocess_path():
+    """Let CLI subprocesses import the package whatever their cwd."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", SRC, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -137,6 +137,37 @@ def test_mirror_field_perfect_preset_matches_one_sided():
         np.testing.assert_allclose(general, reference, atol=2e-13)
 
 
+def test_mirror_fields_perfect_preset_match_image_route_pointwise():
+    # B is compared point by point while the packet overlaps the mirror;
+    # energy integrals after separation can not see a sign slip on the
+    # reflected B. c != 1 so a missing or doubled 1/c shows as well.
+    med = Medium(epsilon=4.0, mu_p=1.0)
+    p = left_packet(x0=12.0)
+    scene = ScatterScene(mirror=MirrorSpec.perfect(), packets_a=(p,), medium=med)
+    x = np.linspace(-30.0, 30.0, 2401)
+    for shift in (-1.5, 0.0, 2.0):
+        t = (p.x0 + shift * p.sigma) / med.c
+        e_field, b_field = mirror_fields_1d(scene, x, t)
+        e_ref, b_ref = mirror_field_1d_perfect([p], x, t, med)
+        for got, ref in ((e_field, e_ref), (b_field, b_ref)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_fields_by_side_sum_to_total():
+    mirror = MirrorSpec(t_a=0.5, t_b=0.3, r_a=0.6, r_b=0.7,
+                        phi_1=0.4, phi_2=1.9, phi_3=-2.2, phi_4=2.8)
+    q = GaussianPacket.moving(e0=0.5, x0=-25.0, sigma=2.5, k0_carrier=8.0,
+                              side="b", xi_init=1.1)
+    scene = ScatterScene(mirror=mirror, packets_a=(left_packet(xi=0.3),),
+                         packets_b=(q,), medium=Medium(epsilon=2.0))
+    x = np.linspace(-60.0, 60.0, 1201)
+    for t in (0.0, 25.0, 40.0):
+        from_a, from_b = classical.mirror_field_1d_by_side(scene, x, t)
+        total = mirror_field_1d(scene, x, t)
+        assert np.abs(from_a).max() > 0.1 and np.abs(from_b).max() > 0.1
+        np.testing.assert_allclose(from_a + from_b, total, rtol=0.0, atol=1e-12)
+
+
 def test_mirror_field_rejects_negative_time():
     scene = ScatterScene(mirror=MirrorSpec.perfect(), packets_a=(left_packet(),),
                          medium=MED)

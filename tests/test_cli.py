@@ -295,3 +295,53 @@ def test_scatter_missing_scene_file_is_io_error(tmp_path):
     result = run_cli("scatter", "--scene", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "x.csv"))
     assert result.returncode == 4
+
+
+# ------------------------------------------------------------- rejected input
+
+SCENE_REJECTS = [
+    ({"mirror": {"preset": "symmetric", "r": 0.5, "t": 0.5, "bogus": 1}}, "bogus"),
+    ({"mirror": {"t_a": 1}}, "missing t_b"),
+    ({"mirror": {"preset": "perfect", "r": 0.5}}, "unknown r"),
+    ({"mirror": {"preset": "symmetric", "t": 0.5}}, "missing r"),
+    ({"mirror": {"preset": "lossless"}}, "missing r"),
+    ({"medium": {"bogus": 1}}, "bogus"),
+    ({"packets_a": [{"e0": 1.0, "x0": 30.0, "sigma": 3.0}]}, "k0_carrier"),
+    ({"packets_a": [{"e0": 1.0, "x0": 30.0, "sigma": 3.0, "k0_carrier": -10.0,
+                     "bogus": 1}]}, "bogus"),
+]
+
+
+@pytest.mark.parametrize("patch, needle", SCENE_REJECTS)
+def test_scatter_rejects_bad_scene_records(tmp_path, patch, needle):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({**scene_payload(), **patch}))
+    out = tmp_path / "x.csv"
+    result = run_cli("scatter", "--scene", str(scene), "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert needle in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+ARGV_REJECTS = [
+    ["rates-scan", "--preset", "perfect", "--r", "0.5"],
+    ["rates-scan", "--preset", "lossless", "--r", "0.5", "--t", "0.5"],
+    ["rates-scan", "--k0x-step", "0"],
+    ["rates-scan", "--k0x-step", "-0.1"],
+    ["rates-scan", "--k0x-step", "nan"],
+    ["rates-scan", "--k0x-min", "5", "--k0x-max", "1"],
+    ["rates-scan", "--mu", "2"],
+    ["rates-scan", "--mu", "nan"],
+    ["evolve", "--from-mirror", "perfect", "--r", "0.5", "--k0x", "1"],
+    ["evolve", "--from-mirror", "perfect", "--k0x", "1", "--mu", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_REJECTS, ids=" ".join)
+def test_out_of_domain_arguments_exit_2(tmp_path, argv):
+    out = tmp_path / "x.csv"
+    result = run_cli(*argv, "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()

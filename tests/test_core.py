@@ -127,3 +127,39 @@ def test_json_round_trip_snake_case_fields():
     assert set(packet.to_dict()) == {
         "e0", "x0", "sigma", "k0_carrier", "side", "direction", "xi_init"}
     assert GaussianPacket.from_dict(packet.to_dict()) == packet
+
+
+@pytest.mark.parametrize("name, params, expected", [
+    ("perfect", {}, MirrorSpec.perfect()),
+    ("free", {}, MirrorSpec.free_space()),
+    ("absorbing", {}, MirrorSpec.absorbing()),
+    ("lossless", {"r": 0.6}, MirrorSpec.lossless(r=0.6)),
+    ("lossless", {"r": 0.6, "phi_2": 0.1}, MirrorSpec.lossless(r=0.6, phi_2=0.1)),
+    ("symmetric", {"r": 0.3, "t": 0.5}, MirrorSpec.symmetric(r=0.3, t=0.5)),
+    ("symmetric", {"r": 0.3, "t": 0.5, "phi_1": math.pi, "phi_4": 0.2},
+     MirrorSpec.symmetric(r=0.3, t=0.5, phi_1=math.pi, phi_4=0.2)),
+])
+def test_from_preset_equals_named_constructor(name, params, expected):
+    assert MirrorSpec.from_preset(name, **params) == expected
+
+
+@pytest.mark.parametrize("name, params", [
+    ("perfect", {"r": 0.5}),
+    ("free", {"t": 0.5}),
+    ("absorbing", {"phi_1": 1.0}),
+    ("lossless", {}),
+    ("lossless", {"r": 0.5, "t": 0.5}),
+    ("symmetric", {"r": 0.5}),
+    ("symmetric", {"t": 0.5}),
+    ("symmetric", {"r": 0.5, "t": 0.5, "bogus": 1.0}),
+    ("symmetric", {"r": 0.5, "t": 0.5, "name": "perfect"}),
+    ("beamsplitter", {}),
+])
+def test_from_preset_rejects_wrong_parameters(name, params):
+    with pytest.raises(ValueError):
+        MirrorSpec.from_preset(name, **params)
+
+
+def test_from_preset_validates_rates():
+    with pytest.raises(AbsorptionViolation):
+        MirrorSpec.from_preset("symmetric", r=0.9, t=0.9)

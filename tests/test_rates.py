@@ -229,3 +229,16 @@ def test_rate_result_gamma_nonnegative_for_admissible_mirrors(rng):
             continue
         vals = rates.gamma_mirr(MirrorSpec.symmetric(r=r, t=t), rng.random(), z)
         assert np.min(vals) >= -1e-12
+
+
+@pytest.mark.parametrize("mu", [-0.1, 1.5, math.nan, math.inf])
+def test_rates_reject_orientation_outside_unit_interval(mu):
+    z = np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="mu_orient"):
+        rates.gamma_mirr(PERFECT, mu, z)
+    with pytest.raises(ValueError, match="mu_orient"):
+        rates.delta_mirr(PERFECT, mu, z)
+    for kind, params in (("perfect", {}), ("absorbing", {}),
+                         ("symmetric", {"r": 0.5, "t": 0.5})):
+        with pytest.raises(ValueError, match="mu_orient"):
+            rates.preset_rates(kind, mu, z, **params)
