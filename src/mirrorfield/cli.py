@@ -84,6 +84,18 @@ def _parse_mirror(data: dict) -> MirrorSpec:
     return validate_mirror(MirrorSpec.from_dict(data))
 
 
+def _x_grid(config: dict) -> np.ndarray:
+    """The frame grid from x_min, x_max and nx; rejects an empty grid and
+    non-finite bounds."""
+    nx = int(config["nx"])
+    x_min, x_max = float(config["x_min"]), float(config["x_max"])
+    if nx < 1:
+        raise CliError(2, f"nx must be at least 1, got {nx}")
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise CliError(2, f"x_min and x_max must be finite, got {x_min}, {x_max}")
+    return np.linspace(x_min, x_max, nx)
+
+
 # ---------------------------------------------------------------- fig2
 
 FIG2_DEFAULTS = {
@@ -122,7 +134,7 @@ def cmd_fig2(config: dict) -> int:
     times = [float(v) * x0 / medium.c for v in config["t"]]
     if config["frames"] is not None:
         times = times[: int(config["frames"])]
-    x_grid = np.linspace(float(config["x_min"]), float(config["x_max"]), int(config["nx"]))
+    x_grid = _x_grid(config)
 
     def fields(t):
         total = classical.mirror_field_1d(scene, x_grid, t)
@@ -342,10 +354,10 @@ def _load_scene(path: str) -> classical.ScatterScene:
 
 
 def cmd_scatter(config: dict) -> int:
+    x_grid = _x_grid(config)
     if config["scene"] is None:
         raise CliError(2, "scatter needs --scene")
     scene = _load_scene(config["scene"])
-    x_grid = np.linspace(float(config["x_min"]), float(config["x_max"]), int(config["nx"]))
     times = [float(v) for v in config["times"]]
 
     def fields(t):

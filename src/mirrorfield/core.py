@@ -30,6 +30,14 @@ def _check_keys(what: str, given, allowed, required=()) -> None:
         raise ValueError(f"{what}: missing {', '.join(missing)}")
 
 
+def _check_finite(record) -> None:
+    """Raise ValueError naming the first float field that is NaN or inf."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ValueError(f"{type(record).__name__}.{f.name} must be finite, got {value}")
+
+
 class _Record:
     """Dict round trip shared by the parameter records."""
 
@@ -59,6 +67,7 @@ class Medium(_Record):
     mu_p: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.epsilon <= 0.0:
             raise ValueError(f"permittivity must be positive, got {self.epsilon}")
         if self.mu_p <= 0.0:
@@ -225,6 +234,7 @@ class AtomSpec(_Record):
     hbar: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.omega_0 <= 0.0:
             raise ValueError(f"omega_0 must be positive, got {self.omega_0}")
         if not 0.0 <= self.mu_orient <= 1.0:
@@ -261,6 +271,7 @@ class GaussianPacket(_Record):
     xi_init: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.side not in ("a", "b"):

@@ -86,82 +86,112 @@ def _cos_weight_integrand(s, z, r_a, eta_a_sq, tb2_over_etab2, mu_orient):
     return 0.75 * ((perp + par) / eta_a_sq + trans)
 
 
-def angular_bracket_quadrature(z: float, r_a: float, eta_a_sq: float,
+def _z_column(z) -> tuple[np.ndarray, np.ndarray]:
+    """z as an array and as a column to broadcast against the s nodes."""
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0.0):
+        raise ValueError("z must be non-negative")
+    return z, z.reshape(-1, 1)
+
+
+def _per_z(z: np.ndarray, values: np.ndarray):
+    """Flat per-z values in the shape of z; a float for scalar z."""
+    return float(values[0]) if z.ndim == 0 else values.reshape(z.shape)
+
+
+def _first_unconverged(z: np.ndarray, coarse: np.ndarray, fine: np.ndarray,
+                       quad: QuadratureSpec):
+    """(z, |fine - coarse|) at the first z in grid order where doubling the
+    order moved the result by more than the tolerance, else None."""
+    moved = np.abs(fine - coarse)
+    bad = np.flatnonzero(moved > quad.tolerance * np.maximum(1.0, np.abs(fine)))
+    if bad.size == 0:
+        return None
+    return float(z.reshape(-1)[bad[0]]), float(moved[bad[0]])
+
+
+def angular_bracket_quadrature(z, r_a: float, eta_a_sq: float,
                                tb2_over_etab2: float, mu_orient: float,
-                               quad: QuadratureSpec = QuadratureSpec()) -> float:
+                               quad: QuadratureSpec = QuadratureSpec()):
     """Decay-rate ratio by direct quadrature of the angular integral.
 
-    Doubles the quadrature order and raises QuadratureNotConverged when the
-    two results differ by more than the requested tolerance.
+    ``z`` is a scalar (float result) or an array (result of its shape).
+    Doubles the quadrature order and raises QuadratureNotConverged, naming
+    the first such z in grid order, when the two results differ by more
+    than the requested tolerance.
     """
-    if z < 0.0:
-        raise ValueError("z must be non-negative")
+    z, column = _z_column(z)
     results = []
     for order in (quad.order, 2 * quad.order):
         s, w = _gl_nodes(order)
-        results.append(float(np.dot(w, _cos_weight_integrand(
-            s, z, r_a, eta_a_sq, tb2_over_etab2, mu_orient))))
-    if abs(results[1] - results[0]) > quad.tolerance * max(1.0, abs(results[1])):
+        results.append(_cos_weight_integrand(
+            s, column, r_a, eta_a_sq, tb2_over_etab2, mu_orient) @ w)
+    failed = _first_unconverged(z, *results, quad)
+    if failed is not None:
         raise QuadratureNotConverged(
             f"order {quad.order} -> {2 * quad.order} moved the result by "
-            f"{abs(results[1] - results[0]):.3e} at z={z}"
+            f"{failed[1]:.3e} at z={failed[0]}"
         )
-    return results[1]
+    return _per_z(z, results[1])
 
 
-def levelshift_contour_eval(z: float, mu_orient: float, r_a: float,
-                            eta_a_sq: float) -> float:
+def levelshift_contour_eval(z, mu_orient: float, r_a: float, eta_a_sq: float):
     """Level-shift ratio from the contour-integration form.
 
     Evaluates the imaginary part of the complex expression directly, which
     is an algebraically independent route to the same analytic function as
-    the trigonometric closed form.
+    the trigonometric closed form. ``z`` is a scalar or an array.
     """
-    if z <= 0.0:
+    z = np.asarray(z, dtype=float)
+    if np.any(z <= 0.0):
         raise ZeroDistance("level shift requires z > 0")
     w = np.exp(1j * z)
     expr = (1j / z) * w * (1.0 - mu_orient) - w * (1.0 / z**2 + 1j / z**3) * (
         1.0 + mu_orient
     )
-    return float(3.0 * r_a / (2.0 * eta_a_sq) * expr.imag)
+    return _per_z(z, np.ravel(3.0 * r_a / (2.0 * eta_a_sq) * expr.imag))
 
 
-def _emission_integrand(s, phi, z, r_use, mu_orient):
-    """Polarisation-summed emission amplitude on the (cos theta, phi) mesh.
+def _emission_integrand(s, z, r_use, mu_orient, n_phi):
+    """Polarisation-summed emission amplitudes, summed over the phi mesh.
 
     Built from the explicit dipole vectors of atom and image: the squared
     projection orthogonal to the propagation direction, summed over the two
-    polarisations, equals |u|**2 - |u . k_hat|**2.
+    polarisations, equals |u|**2 - |u . k_hat|**2. The dipole has no
+    y-component, so only the x and z parts of k_hat enter, and the phi sum
+    needs only the sums of kx**2, kz**2 and kx kz over the n_phi azimuths.
+    Returns the atom-and-image sum, shape (z, s), and the atom-only sum,
+    shape (s,).
     """
     d_perp = math.sqrt(mu_orient)
     d_par = math.sqrt(1.0 - mu_orient)
     phase = np.exp(-1j * z * s)
     ux = d_perp * (1.0 + r_use * phase)
     uz = d_par * (1.0 - r_use * phase)
+    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     sin_t = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
-    # The dipole has no y-component, so only the x and z parts of k_hat
-    # enter the projections.
-    kx = np.broadcast_to(s[:, None], (s.size, phi.size))
+    kx = np.broadcast_to(s[:, None], (s.size, n_phi))
     kz = sin_t[:, None] * np.sin(phi)[None, :]
-    u_norm_sq = (np.abs(ux) ** 2 + np.abs(uz) ** 2)[:, None]
-    u_dot_k = ux[:, None] * kx + uz[:, None] * kz
-    f_atom_image = u_norm_sq - np.abs(u_dot_k) ** 2
-    d_dot_k = d_perp * kx + d_par * kz
-    f_atom_only = 1.0 - d_dot_k**2
+    kxx, kzz, kxz = (kx * kx).sum(axis=1), (kz * kz).sum(axis=1), (kx * kz).sum(axis=1)
+    ux_sq, uz_sq = np.abs(ux) ** 2, np.abs(uz) ** 2
+    f_atom_image = n_phi * (ux_sq + uz_sq) - (
+        ux_sq * kxx + uz_sq * kzz + 2.0 * (ux * uz.conj()).real * kxz)
+    f_atom_only = n_phi - (mu_orient * kxx + (1.0 - mu_orient) * kzz
+                           + 2.0 * d_perp * d_par * kxz)
     return f_atom_image, f_atom_only
 
 
-def reset_rate_quadrature(z: float, mirror: MirrorSpec, mu_orient: float,
+def reset_rate_quadrature(z, mirror: MirrorSpec, mu_orient: float,
                           quad: QuadratureSpec = QuadratureSpec(),
-                          side: str = "a", n_phi: int = 32) -> float:
+                          side: str = "a", n_phi: int = 32):
     """Decay-rate ratio assembled from the photon-emission route.
 
     Integrates the polarisation-summed emission amplitudes over the full
     solid angle (azimuth by periodic trapezoid, polar cosine by
-    Gauss-Legendre). Must agree with angular_bracket_quadrature.
+    Gauss-Legendre). ``z`` is a scalar or an array. Must agree with
+    angular_bracket_quadrature.
     """
-    if z < 0.0:
-        raise ValueError("z must be non-negative")
+    z, column = _z_column(z)
     eta = rates.eta_factors(mirror)
     if side == "a":
         r_use, eta_use_sq = mirror.r_a, eta.eta_a_sq
@@ -169,21 +199,19 @@ def reset_rate_quadrature(z: float, mirror: MirrorSpec, mu_orient: float,
     else:
         r_use, eta_use_sq = mirror.r_b, eta.eta_b_sq
         t_other_sq, eta_other_sq = mirror.t_a**2, eta.eta_a_sq
-    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     results = []
     for order in (quad.order, 2 * quad.order):
         s, w = _gl_nodes(order)
-        f_ai, f_a = _emission_integrand(s, phi, z, r_use, mu_orient)
-        over_phi = f_ai.sum(axis=1) / eta_use_sq + (
-            t_other_sq / eta_other_sq
-        ) * f_a.sum(axis=1)
-        total = float(np.dot(w, over_phi)) * (2.0 * math.pi / n_phi)
+        f_ai, f_a = _emission_integrand(s, column, r_use, mu_orient, n_phi)
+        over_phi = f_ai / eta_use_sq + (t_other_sq / eta_other_sq) * f_a
+        total = (over_phi @ w) * (2.0 * math.pi / n_phi)
         results.append(3.0 / (8.0 * math.pi) * total)
-    if abs(results[1] - results[0]) > quad.tolerance * max(1.0, abs(results[1])):
+    failed = _first_unconverged(z, *results, quad)
+    if failed is not None:
         raise QuadratureNotConverged(
-            f"emission-route quadrature not converged at z={z}"
+            f"emission-route quadrature not converged at z={failed[0]}"
         )
-    return results[1]
+    return _per_z(z, results[1])
 
 
 def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGrid,
@@ -194,13 +222,21 @@ def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGr
     The spatial route integrates the energy density of the boundary-matched
     field over the symmetric doubled domain (the squared field is even, so
     half the full-line integral equals the half-space energy). Requires a
-    uniform, symmetric x_grid with 4m+1 points.
+    uniform, ascending x_grid with 4m+1 points, symmetric about 0; any
+    other grid raises ValueError.
     """
     from .classical import simpson_with_check
     from .core import Medium
 
     medium = medium if medium is not None else Medium()
     x_grid = np.asarray(x_grid, dtype=float)
+    if x_grid.ndim != 1 or x_grid.size < 5 or x_grid.size % 4 != 1:
+        raise ValueError("x_grid needs 4m+1 points")
+    dx = x_grid[1] - x_grid[0]
+    slack = 1e-12 * np.abs(x_grid).max()
+    if not (dx > 0.0 and np.allclose(np.diff(x_grid), dx, rtol=1e-9, atol=0.0)
+            and np.allclose(x_grid, -x_grid[::-1], rtol=0.0, atol=slack)):
+        raise ValueError("x_grid must be uniform, ascending and symmetric about 0")
     mode_sum = modespace.expect_H_field_one_sided(amps, grid, medium,
                                                   hbar=hbar, side=side)
     e_plus = modespace.expect_E_free(amps, grid, medium, x_grid, side=side, hbar=hbar)
@@ -210,7 +246,6 @@ def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGr
     e_odd = (e_plus - e_minus) / math.sqrt(2.0)
     b_even = (b_plus + b_minus) / math.sqrt(2.0)
     density = medium.epsilon * e_odd**2 + b_even**2 / medium.mu_p
-    dx = x_grid[1] - x_grid[0]
     # A/2 times the half-line integral, written as A/4 times the full line.
     spatial = 0.25 * grid.area * simpson_with_check(density, dx)
     scale = max(abs(mode_sum), abs(spatial))
@@ -231,89 +266,74 @@ def _check_mirrors() -> list[tuple[str, MirrorSpec]]:
     ]
 
 
+def _worst_point_report(name: str, z_grid, mu_values, tolerance: float, routes,
+                        scale_by_both: bool = False) -> OracleReport:
+    """Compare two routes over the z grid for every checked mirror and mu.
+
+    ``routes(mirror, mu, z_grid)`` returns (oracle, reference) arrays. The
+    deviation is |oracle - reference| over |reference| (over the larger of
+    the two when ``scale_by_both``); the report keeps, per z, the worst
+    deviation and the values behind it.
+    """
+    z_grid = _default_z_grid() if z_grid is None else np.asarray(z_grid, float)
+    worst = np.zeros_like(z_grid)
+    oracle_vals = np.zeros_like(z_grid)
+    reference_vals = np.zeros_like(z_grid)
+    for _, mirror in _check_mirrors():
+        for mu in mu_values:
+            got, reference = routes(mirror, mu, z_grid)
+            scale = np.abs(reference)
+            if scale_by_both:
+                scale = np.maximum(scale, np.abs(got))
+            dev = np.abs(got - reference) / np.maximum(scale, 1e-12)
+            better = dev > worst
+            worst = np.where(better, dev, worst)
+            oracle_vals = np.where(better, got, oracle_vals)
+            reference_vals = np.where(better, reference, reference_vals)
+    return OracleReport(name=name, z=z_grid, oracle=oracle_vals,
+                        closed_form=reference_vals, rel_dev=worst,
+                        max_rel_dev=float(worst.max()), tolerance=tolerance)
+
+
+def _angular(mirror: MirrorSpec, mu: float, z_grid, quad: QuadratureSpec):
+    eta = rates.eta_factors(mirror)
+    return angular_bracket_quadrature(z_grid, mirror.r_a, eta.eta_a_sq,
+                                      mirror.t_b**2 / eta.eta_b_sq, mu, quad)
+
+
 def gamma_quadrature_report(z_grid=None, mu_values=(0.0, 0.5, 1.0),
                             quad: QuadratureSpec = QuadratureSpec(),
                             tolerance: float = 1e-8) -> OracleReport:
     """Angular quadrature vs closed-form decay rate over the default grid."""
-    z_grid = _default_z_grid() if z_grid is None else np.asarray(z_grid, float)
-    worst = np.zeros_like(z_grid)
-    oracle_vals = np.zeros_like(z_grid)
-    closed_vals = np.zeros_like(z_grid)
-    for _, mirror in _check_mirrors():
-        eta = rates.eta_factors(mirror)
-        tb2 = mirror.t_b**2 / eta.eta_b_sq
-        for mu in mu_values:
-            closed = rates.gamma_mirr(mirror, mu, z_grid)
-            quad_vals = np.array([
-                angular_bracket_quadrature(z, mirror.r_a, eta.eta_a_sq, tb2, mu, quad)
-                for z in z_grid
-            ])
-            dev = np.abs(quad_vals - closed) / np.maximum(np.abs(closed), 1e-12)
-            better = dev > worst
-            worst = np.where(better, dev, worst)
-            oracle_vals = np.where(better, quad_vals, oracle_vals)
-            closed_vals = np.where(better, closed, closed_vals)
-    return OracleReport(name="gamma_angular_quadrature", z=z_grid,
-                        oracle=oracle_vals, closed_form=closed_vals,
-                        rel_dev=worst, max_rel_dev=float(worst.max()),
-                        tolerance=tolerance)
+    def routes(mirror, mu, z):
+        return _angular(mirror, mu, z, quad), rates.gamma_mirr(mirror, mu, z)
+
+    return _worst_point_report("gamma_angular_quadrature", z_grid, mu_values,
+                               tolerance, routes)
 
 
 def delta_contour_report(z_grid=None, mu_values=(0.0, 0.5, 1.0),
                          tolerance: float = 1e-8) -> OracleReport:
     """Contour-form level shift vs the trigonometric closed form."""
-    z_grid = _default_z_grid() if z_grid is None else np.asarray(z_grid, float)
-    worst = np.zeros_like(z_grid)
-    oracle_vals = np.zeros_like(z_grid)
-    closed_vals = np.zeros_like(z_grid)
-    for _, mirror in _check_mirrors():
+    def routes(mirror, mu, z):
         eta = rates.eta_factors(mirror)
-        for mu in mu_values:
-            closed = rates.delta_mirr(mirror, mu, z_grid)
-            contour = np.array([
-                levelshift_contour_eval(z, mu, mirror.r_a, eta.eta_a_sq)
-                for z in z_grid
-            ])
-            scale = np.maximum(np.maximum(np.abs(closed), np.abs(contour)), 1e-12)
-            dev = np.abs(contour - closed) / scale
-            better = dev > worst
-            worst = np.where(better, dev, worst)
-            oracle_vals = np.where(better, contour, oracle_vals)
-            closed_vals = np.where(better, closed, closed_vals)
-    return OracleReport(name="delta_contour_form", z=z_grid,
-                        oracle=oracle_vals, closed_form=closed_vals,
-                        rel_dev=worst, max_rel_dev=float(worst.max()),
-                        tolerance=tolerance)
+        return (levelshift_contour_eval(z, mu, mirror.r_a, eta.eta_a_sq),
+                rates.delta_mirr(mirror, mu, z))
+
+    return _worst_point_report("delta_contour_form", z_grid, mu_values,
+                               tolerance, routes, scale_by_both=True)
 
 
 def route_consistency_report(z_grid=None, mu_values=(0.0, 0.5, 1.0),
                              quad: QuadratureSpec = QuadratureSpec(),
                              tolerance: float = 1e-10) -> OracleReport:
     """No-emission route vs emission route for the decay rate."""
-    z_grid = _default_z_grid() if z_grid is None else np.asarray(z_grid, float)
-    worst = np.zeros_like(z_grid)
-    cond_vals = np.zeros_like(z_grid)
-    reset_vals = np.zeros_like(z_grid)
-    for _, mirror in _check_mirrors():
-        eta = rates.eta_factors(mirror)
-        tb2 = mirror.t_b**2 / eta.eta_b_sq
-        for mu in mu_values:
-            cond = np.array([
-                angular_bracket_quadrature(z, mirror.r_a, eta.eta_a_sq, tb2, mu, quad)
-                for z in z_grid
-            ])
-            reset = np.array([
-                reset_rate_quadrature(z, mirror, mu, quad) for z in z_grid
-            ])
-            dev = np.abs(cond - reset) / np.maximum(np.abs(cond), 1e-12)
-            better = dev > worst
-            worst = np.where(better, dev, worst)
-            cond_vals = np.where(better, cond, cond_vals)
-            reset_vals = np.where(better, reset, reset_vals)
-    return OracleReport(name="decay_route_consistency", z=z_grid,
-                        oracle=reset_vals, closed_form=cond_vals,
-                        rel_dev=worst, max_rel_dev=float(worst.max()),
-                        tolerance=tolerance)
+    def routes(mirror, mu, z):
+        conditional = _angular(mirror, mu, z, quad)
+        return reset_rate_quadrature(z, mirror, mu, quad), conditional
+
+    return _worst_point_report("decay_route_consistency", z_grid, mu_values,
+                               tolerance, routes)
 
 
 def field_energy_report(tolerance: float = 1e-3) -> dict:

@@ -309,6 +309,10 @@ SCENE_REJECTS = [
     ({"packets_a": [{"e0": 1.0, "x0": 30.0, "sigma": 3.0}]}, "k0_carrier"),
     ({"packets_a": [{"e0": 1.0, "x0": 30.0, "sigma": 3.0, "k0_carrier": -10.0,
                      "bogus": 1}]}, "bogus"),
+    ({"medium": {"epsilon": math.nan}}, "epsilon must be finite"),
+    ({"medium": {"mu_p": math.inf}}, "mu_p must be finite"),
+    ({"packets_a": [{"e0": math.nan, "x0": 30.0, "sigma": 3.0,
+                     "k0_carrier": -10.0}]}, "e0 must be finite"),
 ]
 
 
@@ -335,6 +339,11 @@ ARGV_REJECTS = [
     ["rates-scan", "--mu", "nan"],
     ["evolve", "--from-mirror", "perfect", "--r", "0.5", "--k0x", "1"],
     ["evolve", "--from-mirror", "perfect", "--k0x", "1", "--mu", "3"],
+    ["fig2", "--nx", "0"],
+    ["fig2", "--x-min", "nan"],
+    # The grid is checked before the scene is read: a missing scene would
+    # exit 4.
+    ["scatter", "--scene", "no-such-scene.json", "--nx", "0"],
 ]
 
 

@@ -95,6 +95,21 @@ def test_atom_spec_validation_and_k0():
         AtomSpec(omega_0=1.0, dipole_norm=1.0, mu_orient=1.5, x=1.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Medium(epsilon=math.nan),
+    lambda: Medium(mu_p=math.inf),
+    lambda: GaussianPacket(e0=math.nan, x0=30.0, sigma=3.0, k0_carrier=-5.0),
+    lambda: GaussianPacket(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-5.0,
+                           xi_init=-math.inf),
+    lambda: AtomSpec(omega_0=1.0, dipole_norm=1.0, mu_orient=0.5, x=math.inf),
+    lambda: AtomSpec(omega_0=1.0, dipole_norm=math.nan, mu_orient=0.5, x=1.0),
+], ids=["medium-epsilon", "medium-mu_p", "packet-e0", "packet-xi_init",
+        "atom-x", "atom-dipole_norm"])
+def test_records_reject_non_finite_fields(build):
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
 def test_packet_direction_consistency():
     with pytest.raises(ValueError):
         GaussianPacket(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=5.0, direction="left")

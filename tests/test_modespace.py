@@ -247,3 +247,61 @@ def test_e_mirr_matches_classical_image_construction(packet, grid, amps):
     classical_route, _ = mirror_field_1d_perfect([packet], x, 0.0, MED)
     assert np.abs(mode_route - classical_route / math.sqrt(2.0)).max() \
         < 1e-6 * packet.e0
+
+
+# ------------------------------------------------------------- chirp-z field sum
+
+def _random_weights(rng, size):
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def _uniform_x(rng, n, descending, with_zero):
+    """n samples at a random step; off-centre when they avoid x = 0."""
+    dx = rng.uniform(0.005, 0.05)
+    if with_zero:
+        x = dx * (np.arange(n) - rng.integers(1, n - 1))
+    else:
+        x = rng.uniform(2.0, 40.0) + dx * np.arange(n)
+    return -x if descending else x
+
+
+@pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+@pytest.mark.parametrize("n", [4097, 3000], ids=["odd", "even"])
+@pytest.mark.parametrize("with_zero", [True, False], ids=["with-zero", "off-centre"])
+def test_chirp_field_sum_matches_dense(monkeypatch, descending, n, with_zero):
+    rng = np.random.default_rng([n, descending, with_zero])
+    grid = ms.ModeGrid.symmetric(k_max=rng.uniform(5.0, 15.0), n_half=512)
+    weights = _random_weights(rng, grid.k.size)
+    x = _uniform_x(rng, n, descending, with_zero)
+    assert (0.0 in x) == with_zero
+    ref = ms._dense_field_sum(weights, grid.k, x)
+    monkeypatch.setattr(ms, "_dense_field_sum", None)  # the chirp path must serve
+    got = ms._field_sum(weights, grid.k, x)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_chirp_field_sum_matches_dense_off_centre_k(monkeypatch, rng):
+    # A full lattice away from k = 0, so the k centre does not vanish.
+    k = 3.0 + 0.01 * np.arange(700)
+    weights = _random_weights(rng, k.size)
+    x = np.linspace(-20.0, 92.0, 8193)
+    ref = ms._dense_field_sum(weights, k, x)
+    monkeypatch.setattr(ms, "_dense_field_sum", None)
+    got = ms._field_sum(weights, k, x)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("x", [
+    0.7,
+    np.linspace(-5.0, 5.0, 200).reshape(10, 20),
+    np.geomspace(0.1, 50.0, 500),
+    np.linspace(-5.0, 5.0, 500) + 1e-6 * np.sin(np.arange(500)),
+    np.linspace(-5.0, 5.0, 20),
+], ids=["scalar", "2-D", "non-uniform", "jittered", "short"])
+def test_field_sum_dense_fallback(monkeypatch, rng, grid, x):
+    weights = _random_weights(rng, grid.k.size)
+    ref = ms._dense_field_sum(weights, grid.k, x)
+    monkeypatch.setattr(ms, "_chirp_field_sum", None)  # the dense path must serve
+    got = ms._field_sum(weights, grid.k, x)
+    assert np.shape(got) == np.shape(x)
+    np.testing.assert_array_equal(got, ref)

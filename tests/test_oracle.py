@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,3 +185,124 @@ def test_report_dict_shape():
     payload = report.to_dict()
     assert set(payload) == {"name", "grid", "max_rel_dev", "tolerance", "pass"}
     assert payload["pass"] is True
+
+
+# ------------------------------------------------------- array z
+
+Z_SAMPLES = np.array([0.0, 0.1, math.pi, 12.3, 50.0])
+ROUTE_MIRRORS = [PERFECT, MirrorSpec.symmetric(r=2**-0.5, t=2**-0.5),
+                 MirrorSpec(t_a=0.2, t_b=0.6, r_a=0.5, r_b=0.3)]
+
+
+@pytest.mark.parametrize("mirror", ROUTE_MIRRORS)
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
+def test_angular_quadrature_array_z_equals_scalar_calls(mirror, mu):
+    eta = rates.eta_factors(mirror)
+    args = (mirror.r_a, eta.eta_a_sq, mirror.t_b**2 / eta.eta_b_sq, mu)
+    vals = oracle.angular_bracket_quadrature(Z_SAMPLES, *args)
+    assert vals.shape == Z_SAMPLES.shape
+    for z, val in zip(Z_SAMPLES, vals):
+        scalar = oracle.angular_bracket_quadrature(float(z), *args)
+        assert isinstance(scalar, float)
+        assert val == pytest.approx(scalar, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("mirror", ROUTE_MIRRORS)
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_reset_quadrature_array_z_equals_scalar_calls(mirror, mu, side):
+    vals = oracle.reset_rate_quadrature(Z_SAMPLES, mirror, mu, side=side)
+    assert vals.shape == Z_SAMPLES.shape
+    for z, val in zip(Z_SAMPLES, vals):
+        scalar = oracle.reset_rate_quadrature(float(z), mirror, mu, side=side)
+        assert isinstance(scalar, float)
+        assert val == pytest.approx(scalar, rel=1e-13, abs=1e-13)
+
+
+def _reset_on_full_mesh(z, mirror, mu, order=128, n_phi=32):
+    """Emission route summed term by term on the (cos theta, phi) mesh."""
+    s, w = np.polynomial.legendre.leggauss(order)
+    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+    eta = rates.eta_factors(mirror)
+    phase = np.exp(-1j * z * s)[:, None]
+    d = np.array([math.sqrt(mu), math.sqrt(1.0 - mu)])
+    ux = d[0] * (1.0 + mirror.r_a * phase)
+    uz = d[1] * (1.0 - mirror.r_a * phase)
+    kx = s[:, None]
+    kz = np.sqrt(1.0 - s**2)[:, None] * np.sin(phi)[None, :]
+    f_ai = np.abs(ux) ** 2 + np.abs(uz) ** 2 - np.abs(ux * kx + uz * kz) ** 2
+    f_a = 1.0 - (d[0] * kx + d[1] * kz) ** 2
+    over_phi = (f_ai / eta.eta_a_sq + mirror.t_b**2 / eta.eta_b_sq * f_a).sum(axis=1)
+    return 3.0 / (8.0 * math.pi) * np.dot(w, over_phi) * (2.0 * math.pi / n_phi)
+
+
+@pytest.mark.parametrize("mirror", ROUTE_MIRRORS)
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
+def test_reset_quadrature_matches_full_mesh_sum(mirror, mu):
+    vals = oracle.reset_rate_quadrature(Z_SAMPLES, mirror, mu)
+    for z, val in zip(Z_SAMPLES, vals):
+        assert val == pytest.approx(_reset_on_full_mesh(z, mirror, mu),
+                                    rel=1e-13, abs=1e-13)
+
+
+def test_contour_array_z_equals_scalar_calls():
+    z_grid = Z_SAMPLES[1:]
+    vals = oracle.levelshift_contour_eval(z_grid, 0.4, 0.6, 1.7)
+    for z, val in zip(z_grid, vals):
+        assert val == pytest.approx(
+            oracle.levelshift_contour_eval(float(z), 0.4, 0.6, 1.7), rel=1e-13)
+    with pytest.raises(ZeroDistance):
+        oracle.levelshift_contour_eval(Z_SAMPLES, 0.4, 0.6, 1.7)
+
+
+def test_array_z_rejects_any_negative_distance():
+    with pytest.raises(ValueError):
+        oracle.angular_bracket_quadrature(np.array([1.0, -0.1]), 1.0, 2.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        oracle.reset_rate_quadrature(np.array([1.0, -0.1]), PERFECT, 0.0)
+
+
+def test_array_z_names_first_unconverged_z_in_grid_order():
+    quad = oracle.QuadratureSpec(order=16, tolerance=1e-12)
+    z_grid = np.array([1.0, 45.0, 2.0, 40.0])
+    messages = []
+    for z in z_grid:
+        try:
+            oracle.angular_bracket_quadrature(float(z), 1.0, 2.0, 0.0, 0.0, quad)
+        except QuadratureNotConverged as exc:
+            messages.append(str(exc))
+    assert len(messages) >= 2 and "z=45.0" in messages[0]
+    with pytest.raises(QuadratureNotConverged, match=re.escape(messages[0]) + "$"):
+        oracle.angular_bracket_quadrature(z_grid, 1.0, 2.0, 0.0, 0.0, quad)
+
+
+def test_default_checks_pass_fail_set_at_1e_15():
+    # The energy check sits near 1e-16 and must stay below 1e-15; the
+    # other three sit above it. A field sum that rounds its chirp phases
+    # to their own ulp lands near 2e-15 and flips the energy check.
+    checks = oracle.run_default_checks(tol_gamma=1e-15, tol_delta=1e-15,
+                                       tol_route=1e-15, tol_energy=1e-15)
+    assert {c["name"]: c["pass"] for c in checks} == {
+        "gamma_angular_quadrature": False, "delta_contour_form": False,
+        "decay_route_consistency": False, "field_energy_mode_sum": True}
+
+
+def test_coarse_default_checks_name_first_unconverged_z():
+    with pytest.raises(QuadratureNotConverged) as info:
+        oracle.run_default_checks(oracle.QuadratureSpec(order=16))
+    assert str(info.value) == "order 16 -> 32 moved the result by 1.150e-10 at z=12.3"
+
+
+# ------------------------------------------------------- field energy grid
+
+@pytest.mark.parametrize("x_grid", [
+    np.linspace(-20.0, 92.0, 8193),
+    np.concatenate([np.linspace(-56.0, 0.0, 4097), np.linspace(0.0, 28.0, 4097)[1:]]),
+    np.linspace(-56.0, 56.0, 8192),
+    np.linspace(56.0, -56.0, 8193),
+], ids=["off-centre", "step-change-at-0", "even-count", "descending"])
+def test_hfield_check_rejects_unsuitable_grid(x_grid):
+    grid = ms.ModeGrid.symmetric(k_max=10.0, n_half=128)
+    amps = ms.ModeAmplitudes.vacuum(grid)
+    with pytest.raises(ValueError, match="x_grid"):
+        oracle.hfield_mode_sum_check(amps, grid, x_grid, medium=MED)
