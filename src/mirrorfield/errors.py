@@ -39,3 +39,13 @@ class QuadratureNotConverged(MirrorFieldError):
 
 class StepTooLarge(MirrorFieldError):
     """Integrator time step too large for the requested rates."""
+
+
+class IntegratorInvariantBroken(MirrorFieldError):
+    """The integrated density matrix lost unit trace, hermiticity or
+    positivity; names the invariant and the first step that broke it."""
+
+    def __init__(self, invariant: str, step: int):
+        super().__init__(f"{invariant} lost beyond tolerance at step {step}")
+        self.invariant = invariant
+        self.step = step

@@ -13,14 +13,13 @@ row, excited column) rotates as exp(+i delta t).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rates
 from .core import AtomSpec, Medium, MirrorSpec
-from .errors import StepTooLarge, ZeroDistance
+from .errors import IntegratorInvariantBroken, StepTooLarge, ZeroDistance
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |1><2|
 SIGMA_PLUS = SIGMA_MINUS.conj().T
@@ -38,6 +37,8 @@ class AtomChannel:
     delta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.gamma) and math.isfinite(self.delta)):
+            raise ValueError(f"gamma and delta must be finite, got {self.gamma}, {self.delta}")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be non-negative, got {self.gamma}")
 
@@ -72,6 +73,8 @@ class DensityMatrix:
 
     def validate(self, trace_tol: float = _TRACE_TOL, pos_tol: float = _POS_TOL) -> "DensityMatrix":
         m = self.matrix
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has a non-finite entry")
         if abs(m[1, 0] - np.conj(m[0, 1])) > 1e-10:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > trace_tol or abs(np.trace(m).imag) > trace_tol:
@@ -81,12 +84,13 @@ class DensityMatrix:
         return self
 
 
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smaller eigenvalue of a Hermitian 2x2 matrix, in closed form."""
-    a = m[0, 0].real
-    d = m[1, 1].real
+def min_eigenvalue(m: np.ndarray):
+    """Smaller eigenvalue of a Hermitian 2x2 matrix, in closed form; for a
+    stack of shape (..., 2, 2) one eigenvalue per matrix."""
+    a = m[..., 0, 0].real
+    d = m[..., 1, 1].real
     half_diff = 0.5 * (a - d)
-    radius = math.hypot(half_diff, abs(m[0, 1]))
+    radius = np.hypot(half_diff, np.abs(m[..., 0, 1]))
     return 0.5 * (a + d) - radius
 
 
@@ -124,39 +128,76 @@ def _as_matrix(rho0) -> np.ndarray:
     return np.asarray(rho0, dtype=complex)
 
 
+def _check_grid(t_final: float, dt: float) -> None:
+    if not (math.isfinite(dt) and math.isfinite(t_final)):
+        raise ValueError(f"need finite dt and t_final, got {dt}, {t_final}")
+    if dt <= 0.0 or t_final < 0.0:
+        raise ValueError("need dt > 0 and t_final >= 0")
+
+
+def _rk4_increment(gamma: float, delta: float, dt: float) -> np.ndarray:
+    """Increment of one classical RK4 step as a 4x4 matrix A acting on
+    rho.ravel(), so that a step maps rho to rho + A rho.
+
+    For the constant linear right-hand side L the four stages add up to
+    the Taylor polynomial sum_{k<=4} (dt L)^k / k!; A is that sum without
+    its k = 0 term. Adding A rho to rho, instead of multiplying by I + A,
+    keeps the rounding of the matrix entries relative to |dt L|: over 5000
+    steps the trajectory stays within about 1e-16 of the stage-wise step,
+    where iterating I + A drifts by about 5e-14.
+    """
+    basis = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    step_l = dt * np.stack([_rhs(b, gamma, delta).ravel() for b in basis], axis=1)
+    term = np.eye(4, dtype=complex)
+    increment = np.zeros((4, 4), dtype=complex)
+    for k in range(1, 5):
+        term = term @ step_l / k
+        increment = increment + term
+    return increment
+
+
+def _check_invariants(rho: np.ndarray) -> None:
+    """Raise for the first step (then the first invariant in the order
+    trace, hermiticity, positivity) where rho[step], step >= 1, breaks one."""
+    rho = rho[1:]
+    trace = rho[:, 0, 0] + rho[:, 1, 1]
+    broken = (
+        ("trace", (np.abs(trace.real - 1.0) > _TRACE_TOL) | (np.abs(trace.imag) > _TRACE_TOL)),
+        ("hermiticity", np.abs(rho[:, 1, 0] - np.conj(rho[:, 0, 1])) > _TRACE_TOL),
+        ("positivity", min_eigenvalue(rho) < -_POS_TOL),
+    )
+    first = None
+    for invariant, bad in broken:
+        hits = np.flatnonzero(bad)
+        if hits.size and (first is None or hits[0] + 1 < first[1]):
+            first = (invariant, int(hits[0]) + 1)
+    if first is not None:
+        raise IntegratorInvariantBroken(*first)
+
+
 def evolve(rho0, channel: AtomChannel, t_final: float, dt: float) -> Trajectory:
     """Fixed-step classical 4th-order integration of the master equation.
 
     The step must satisfy dt <= 1e-2 / max(gamma, |delta|). Hermiticity,
-    unit trace and positivity are verified at every step.
+    unit trace and positivity are verified at every step; the first step
+    that breaks one raises IntegratorInvariantBroken.
     """
+    _check_grid(t_final, dt)
     scale = max(channel.gamma, abs(channel.delta), 1e-300)
     if dt > 1e-2 / scale:
         raise StepTooLarge(
             f"dt = {dt} exceeds 1e-2 / max(gamma, |delta|) = {1e-2 / scale}"
         )
-    if dt <= 0.0 or t_final < 0.0:
-        raise ValueError("need dt > 0 and t_final >= 0")
     rho = _as_matrix(rho0)
     DensityMatrix.from_matrix(rho).validate()
     n_steps = int(round(t_final / dt))
+    increment = _rk4_increment(channel.gamma, channel.delta, dt)
     out = np.empty((n_steps + 1, 2, 2), dtype=complex)
-    out[0] = rho
-    g, d = channel.gamma, channel.delta
+    flat = out.reshape(n_steps + 1, 4)
+    flat[0] = rho.ravel()
     for step in range(1, n_steps + 1):
-        k1 = _rhs(rho, g, d)
-        k2 = _rhs(rho + 0.5 * dt * k1, g, d)
-        k3 = _rhs(rho + 0.5 * dt * k2, g, d)
-        k4 = _rhs(rho + dt * k3, g, d)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        trace = np.trace(rho)
-        if abs(trace.real - 1.0) > _TRACE_TOL or abs(trace.imag) > _TRACE_TOL:
-            raise RuntimeError(f"trace drifted beyond tolerance at step {step}")
-        if abs(rho[1, 0] - np.conj(rho[0, 1])) > _TRACE_TOL:
-            raise RuntimeError(f"hermiticity lost at step {step}")
-        if min_eigenvalue(rho) < -_POS_TOL:
-            raise RuntimeError(f"positivity lost at step {step}")
-        out[step] = rho
+        flat[step] = flat[step - 1] + increment @ flat[step - 1]
+    _check_invariants(out)
     t = dt * np.arange(n_steps + 1)
     return Trajectory(t=t, rho=out)
 
@@ -201,86 +242,99 @@ def _pure_state_from(rho0) -> np.ndarray:
     return vecs[:, int(np.argmax(vals))].astype(complex)
 
 
-def _unravel_chunk(start: int, count: int, psi0: np.ndarray, gamma: float,
-                   delta: float, dt: float, n_steps: int, seed: int):
-    """Simulate trajectories [start, start+count) and return running sums.
+def _no_jump_path(psi0: np.ndarray, gamma: float, delta: float, dt: float,
+                  n_steps: int):
+    """Amplitudes (c1, c2) after each of the n_steps steps of the renormalised
+    no-emission evolution, with c1[0], c2[0] the initial state, and the
+    jump probability p_jump[j] of step j from the state after j steps.
 
-    Each trajectory owns a counter-based random stream keyed by
-    (seed, trajectory index), so results do not depend on how trajectories
-    are grouped into chunks or threads.
+    Without a drive every trajectory follows this one path until it jumps,
+    and stays in the ground state after. Length-1 arrays run the same numpy
+    loops as the per-trajectory arrays of a step-by-step unraveling, so
+    every p_jump is bit-equal to what such a loop compares its draws with.
     """
-    draws = np.empty((count, n_steps))
-    for row in range(count):
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, start + row], dtype=np.uint64)
-        draws[row] = np.random.Generator(np.random.Philox(key=key)).random(n_steps)
-    c1 = np.full(count, psi0[0], dtype=complex)
-    c2 = np.full(count, psi0[1], dtype=complex)
+    c1_path = np.empty(n_steps + 1, dtype=complex)
+    c2_path = np.empty(n_steps + 1, dtype=complex)
+    p_jump = np.empty(n_steps)
+    c1 = psi0[:1].copy()
+    c2 = psi0[1:].copy()
+    c1_path[0], c2_path[0] = c1[0], c2[0]
     survive = math.exp(-gamma * dt)
     no_jump_phase = np.exp(complex(-0.5 * gamma * dt, -delta * dt))
-    sums = {
-        "rho11": np.empty(n_steps + 1),
-        "rho22": np.empty(n_steps + 1),
-        "rho22_sq": np.empty(n_steps + 1),
-        "rho12": np.empty(n_steps + 1, dtype=complex),
-    }
-
-    def record(j):
-        p2 = np.abs(c2) ** 2
-        sums["rho11"][j] = np.sum(np.abs(c1) ** 2)
-        sums["rho22"][j] = np.sum(p2)
-        sums["rho22_sq"][j] = np.sum(p2 * p2)
-        sums["rho12"][j] = np.sum(c1 * np.conj(c2))
-
-    record(0)
     for j in range(n_steps):
-        p_jump = np.abs(c2) ** 2 * (1.0 - survive)
-        jumped = draws[:, j] < p_jump
+        p_jump[j] = (np.abs(c2) ** 2 * (1.0 - survive))[0]
         c2 = c2 * no_jump_phase
         norm = np.sqrt(np.abs(c1) ** 2 + np.abs(c2) ** 2)
         c1 = c1 / norm
         c2 = c2 / norm
-        c1[jumped] = 1.0
-        c2[jumped] = 0.0
-        record(j + 1)
-    return sums
+        c1_path[j + 1], c2_path[j + 1] = c1[0], c2[0]
+    return c1_path, c2_path, p_jump
+
+
+def _first_jump_steps(p_jump: np.ndarray, n_traj: int, seed: int,
+                      block: int) -> np.ndarray:
+    """Step at which each trajectory jumps, or len(p_jump) if it never does.
+
+    Trajectory i jumps at the first step j whose draw is below p_jump[j].
+    Its draws come from a counter-based stream keyed by (seed, i), so the
+    result does not depend on how trajectories are grouped; ``block``
+    streams are held in memory at a time.
+    """
+    n_steps = len(p_jump)
+    first = np.full(n_traj, n_steps)
+    if n_steps == 0:
+        return first
+    draws = np.empty((min(block, n_traj), n_steps))
+    for start in range(0, n_traj, block):
+        count = min(block, n_traj - start)
+        for row in range(count):
+            key = np.array([seed & 0xFFFFFFFFFFFFFFFF, start + row], dtype=np.uint64)
+            np.random.Generator(np.random.Philox(key=key)).random(out=draws[row])
+        hit = draws[:count] < p_jump
+        jumped = hit.any(axis=1)
+        first[start:start + count][jumped] = hit[jumped].argmax(axis=1)
+    return first
 
 
 def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
                  n_traj: int, seed: int, n_workers: int = 1,
-                 chunk_size: int = 256) -> UnravelResult:
+                 chunk_size: int = 64) -> UnravelResult:
     """Quantum-jump unraveling of the channel, averaged over trajectories.
 
     Per step, each trajectory either emits (probability |c2|^2 per-step
     branching with the exact exponential survival weight) and collapses to
     the ground state, or continues under the no-emission evolution and is
-    renormalised. Averages converge to the deterministic solution as
-    n_traj grows. Fixed seeds give bit-identical results independent of
-    worker count.
+    renormalised. Without a drive a trajectory jumps at most once, so only
+    its first jump step is drawn; the averages and the standard error of
+    rho22 follow from how many trajectories have jumped by each step.
+    Averages converge to the deterministic solution as n_traj grows.
+
+    Fixed seeds give bit-identical results. ``n_workers`` must be positive
+    and does not change the result; the work runs in the calling thread.
+    ``chunk_size`` trajectories draw their random streams together.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be positive")
+    if n_workers < 1 or chunk_size < 1:
+        raise ValueError("n_workers and chunk_size must be positive")
+    _check_grid(t_final, dt)
     psi0 = _pure_state_from(rho0)
     n_steps = int(round(t_final / dt))
-    chunks = [(start, min(chunk_size, n_traj - start))
-              for start in range(0, n_traj, chunk_size)]
-    args = [(start, count, psi0, channel.gamma, channel.delta, dt, n_steps, seed)
-            for start, count in chunks]
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            partials = list(pool.map(lambda a: _unravel_chunk(*a), args))
-    else:
-        partials = [_unravel_chunk(*a) for a in args]
-    # Reduce in chunk order so the float sums do not depend on scheduling.
-    tot = {key: sum(p[key] for p in partials) for key in partials[0]}
+    c1, c2, p_jump = _no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
+    first = _first_jump_steps(p_jump, n_traj, seed, chunk_size)
     n = float(n_traj)
+    jumped = np.zeros(n_steps + 1)
+    jumped[1:] = np.cumsum(np.bincount(first, minlength=n_steps + 1)[:n_steps])
+    # q: fraction of trajectories still on the no-jump path after each step.
+    q = (n - jumped) / n
+    p2 = np.abs(c2) ** 2
     rho = np.empty((n_steps + 1, 2, 2), dtype=complex)
-    rho[:, 0, 0] = tot["rho11"] / n
-    rho[:, 1, 1] = tot["rho22"] / n
-    rho[:, 0, 1] = tot["rho12"] / n
+    rho[:, 0, 0] = q * np.abs(c1) ** 2 + (1.0 - q)
+    rho[:, 1, 1] = q * p2
+    rho[:, 0, 1] = q * c1 * np.conj(c2)
     rho[:, 1, 0] = np.conj(rho[:, 0, 1])
-    mean22 = tot["rho22"] / n
-    var22 = np.maximum(tot["rho22_sq"] / n - mean22**2, 0.0)
-    stderr = np.sqrt(var22 / n)
+    # rho22 is p2 on a fraction q of the trajectories and 0 on the rest.
+    stderr = p2 * np.sqrt(q * (1.0 - q) / n)
     return UnravelResult(t=dt * np.arange(n_steps + 1), rho=rho,
                          stderr_rho22=stderr, n_traj=n_traj, seed=seed)
 

@@ -344,6 +344,13 @@ ARGV_REJECTS = [
     # The grid is checked before the scene is read: a missing scene would
     # exit 4.
     ["scatter", "--scene", "no-such-scene.json", "--nx", "0"],
+    ["evolve", "--gamma", "1", "--t-final", "inf"],
+    ["evolve", "--gamma", "1", "--t-final", "inf", "--unravel", "10"],
+    ["evolve", "--gamma", "nan"],
+    ["evolve", "--dt", "nan"],
+    ["evolve", "--delta", "inf"],
+    ["evolve", "--rho22", "nan"],
+    ["oracle-verify", "--order", "1025"],
 ]
 
 
@@ -353,4 +360,39 @@ def test_out_of_domain_arguments_exit_2(tmp_path, argv):
     result = run_cli(*argv, "--out", str(out))
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--gamma", "1", "--t-final", "inf"], "--t-final"),
+    (["--gamma", "nan"], "--gamma"),
+    (["--dt", "nan"], "--dt"),
+    (["--delta", "inf"], "--delta"),
+])
+def test_evolve_names_the_non_finite_flag(tmp_path, argv, flag):
+    result = run_cli("evolve", *argv, "--out", str(tmp_path / "x.csv"))
+    assert result.returncode == 2
+    assert f"{flag} must be finite" in result.stderr
+
+
+def test_oracle_order_cap_runs_no_quadrature(tmp_path, monkeypatch, capsys):
+    from mirrorfield import cli, oracle
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(oracle, "run_default_checks", forbidden)
+    out = tmp_path / "report.json"
+    assert cli.main(["oracle-verify", "--order", "1025", "--out", str(out)]) == 2
+    assert "at most 1024" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_broken_integrator_invariant_exits_3(tmp_path, monkeypatch, capsys):
+    from mirrorfield import cli, mastereq
+
+    monkeypatch.setattr(mastereq, "_TRACE_TOL", -1.0)
+    out = tmp_path / "x.csv"
+    assert cli.main(["evolve", "--gamma", "1", "--out", str(out)]) == 3
+    assert "trace lost beyond tolerance at step 1" in capsys.readouterr().err
     assert not out.exists()

@@ -6,7 +6,7 @@ import pytest
 from mirrorfield import mastereq as me
 from mirrorfield import rates
 from mirrorfield.core import AtomSpec, Medium, MirrorSpec
-from mirrorfield.errors import StepTooLarge, ZeroDistance
+from mirrorfield.errors import IntegratorInvariantBroken, StepTooLarge, ZeroDistance
 
 MED = Medium()
 
@@ -93,6 +93,52 @@ def test_gamma_scaling_covariance():
     assert np.abs(base.rho - scaled.rho).max() < 1e-10
 
 
+def _rk4_stagewise(rho, channel, t_final, dt):
+    """Reference: the classical four-stage RK4 loop on the 2x2 matrix."""
+    g, d = channel.gamma, channel.delta
+    out = [rho]
+    for _ in range(int(round(t_final / dt))):
+        k1 = me._rhs(rho, g, d)
+        k2 = me._rhs(rho + 0.5 * dt * k1, g, d)
+        k3 = me._rhs(rho + 0.5 * dt * k2, g, d)
+        k4 = me._rhs(rho + dt * k3, g, d)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(rho)
+    return np.array(out)
+
+
+def test_propagator_matches_stagewise_rk4():
+    psi = np.array([0.6, 0.8 * np.exp(0.7j)])
+    rho0 = np.outer(psi, psi.conj())
+    channel = me.AtomChannel(1.0, 0.8)
+    traj = me.evolve(rho0, channel, t_final=5.0, dt=1e-3)
+    reference = _rk4_stagewise(rho0, channel, 5.0, 1e-3)
+    assert traj.rho.shape == reference.shape == (5001, 2, 2)
+    assert np.abs(traj.rho - reference).max() < 1e-13
+
+
+def test_broken_invariant_names_first_step(monkeypatch):
+    monkeypatch.setattr(me, "_TRACE_TOL", -1.0)
+    with pytest.raises(IntegratorInvariantBroken) as info:
+        me.evolve(me.DensityMatrix.excited(), me.AtomChannel(1.0, 0.0), 1.0, 1e-3)
+    assert info.value.invariant == "trace"
+    assert info.value.step == 1
+
+
+def test_non_finite_inputs_rejected():
+    with pytest.raises(ValueError):
+        me.evolve(me.DensityMatrix.excited(), me.AtomChannel(1.0, 0.0), math.inf, 1e-3)
+    with pytest.raises(ValueError):
+        me.jump_unravel(me.DensityMatrix.excited(), me.AtomChannel(1.0, 0.0),
+                        1.0, math.nan, n_traj=4, seed=0)
+    with pytest.raises(ValueError):
+        me.AtomChannel(math.nan, 0.0)
+    with pytest.raises(ValueError):
+        me.AtomChannel(1.0, math.inf)
+    with pytest.raises(ValueError):
+        me.DensityMatrix(rho11=math.nan, rho12=0.0, rho21=0.0, rho22=1.0).validate()
+
+
 def test_evolve_rejects_invalid_initial_state():
     bad = np.array([[0.8, 0.0], [0.0, 0.1]])  # trace != 1
     with pytest.raises(ValueError):
@@ -149,6 +195,97 @@ def test_unravel_requires_pure_state():
     mixed = np.diag([0.5, 0.5]).astype(complex)
     with pytest.raises(ValueError):
         me.jump_unravel(mixed, me.AtomChannel(1.0, 0.0), 1.0, 0.01, 10, seed=0)
+
+
+def _unravel_stepwise(psi0, channel, dt, n_steps, n_traj, seed):
+    """Reference: every trajectory stepped through every step.
+
+    Returns the trajectory-averaged rho, the number of trajectories that
+    jumped in each step, and E[rho22**2] per step.
+    """
+    draws = np.empty((n_traj, n_steps))
+    for row in range(n_traj):
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, row], dtype=np.uint64)
+        draws[row] = np.random.Generator(np.random.Philox(key=key)).random(n_steps)
+    c1 = np.full(n_traj, psi0[0], dtype=complex)
+    c2 = np.full(n_traj, psi0[1], dtype=complex)
+    survive = math.exp(-channel.gamma * dt)
+    no_jump_phase = np.exp(complex(-0.5 * channel.gamma * dt, -channel.delta * dt))
+    rho = np.empty((n_steps + 1, 2, 2), dtype=complex)
+    second = np.empty(n_steps + 1)
+    jumps = np.zeros(n_steps, dtype=int)
+    alive = np.ones(n_traj, dtype=bool)
+
+    def record(j):
+        rho[j, 0, 0] = np.sum(np.abs(c1) ** 2) / n_traj
+        rho[j, 1, 1] = np.sum(np.abs(c2) ** 2) / n_traj
+        rho[j, 0, 1] = np.sum(c1 * np.conj(c2)) / n_traj
+        rho[j, 1, 0] = np.conj(rho[j, 0, 1])
+        second[j] = np.sum(np.abs(c2) ** 4) / n_traj
+
+    record(0)
+    for j in range(n_steps):
+        p_jump = np.abs(c2) ** 2 * (1.0 - survive)
+        jumped = draws[:, j] < p_jump
+        jumps[j] = np.count_nonzero(jumped & alive)
+        alive &= ~jumped
+        c2 = c2 * no_jump_phase
+        norm = np.sqrt(np.abs(c1) ** 2 + np.abs(c2) ** 2)
+        c1 = c1 / norm
+        c2 = c2 / norm
+        c1[jumped] = 1.0
+        c2[jumped] = 0.0
+        record(j + 1)
+    return rho, jumps, second
+
+
+UNRAVEL_CASES = [
+    (np.array([0.0, 1.0], dtype=complex), me.AtomChannel(1.0, 0.0)),
+    (np.array([0.0, 1.0], dtype=complex), me.AtomChannel(1.3, -0.7)),
+    (np.array([0.6, 0.8 * np.exp(2.1j)]), me.AtomChannel(0.8, 0.5)),
+]
+
+
+@pytest.mark.parametrize("psi0, channel", UNRAVEL_CASES,
+                         ids=["delta-zero", "delta-nonzero", "coherent"])
+def test_first_jump_unravel_matches_stepwise_reference(psi0, channel):
+    n_traj, n_steps, dt, seed = 300, 500, 0.005, 2024
+    ref_rho, ref_jumps, ref_second = _unravel_stepwise(
+        psi0, channel, dt, n_steps, n_traj, seed)
+    _, _, p_jump = me._no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
+    first = me._first_jump_steps(p_jump, n_traj, seed, block=64)
+    jumps = np.bincount(first, minlength=n_steps + 1)[:n_steps]
+    assert 0 < ref_jumps.sum() < n_traj
+    np.testing.assert_array_equal(jumps, ref_jumps)
+
+    result = me.jump_unravel(np.outer(psi0, psi0.conj()), channel, n_steps * dt, dt,
+                             n_traj=n_traj, seed=seed)
+    assert np.abs(result.rho - ref_rho).max() <= 1e-14 * np.abs(ref_rho).max()
+    # rho22 is the no-jump value p2 on a fraction q of the trajectories and
+    # 0 on the rest: var = q (1 - q) p2**2 with q p2 = E[rho22].
+    q = 1.0 - np.concatenate([[0], np.cumsum(ref_jumps)]) / n_traj
+    p2 = ref_rho[:, 1, 1].real / q
+    closed = np.sqrt(q * (1.0 - q) / n_traj) * p2
+    np.testing.assert_allclose(result.stderr_rho22, closed, rtol=1e-14, atol=0.0)
+    # The sample variance E[x**2] - E[x]**2 is the same quantity, up to its
+    # cancellation.
+    sample = np.sqrt(np.maximum(ref_second - ref_rho[:, 1, 1].real ** 2, 0.0) / n_traj)
+    np.testing.assert_allclose(result.stderr_rho22, sample, rtol=1e-6, atol=1e-12)
+
+
+def test_unravel_independent_of_block_size_and_validates_workers():
+    channel = me.AtomChannel(1.0, 0.4)
+    ref = me.jump_unravel(me.DensityMatrix.excited(), channel, 1.0, 0.01,
+                          n_traj=100, seed=5)
+    for chunk_size in (1, 7, 100, 1000):
+        other = me.jump_unravel(me.DensityMatrix.excited(), channel, 1.0, 0.01,
+                                n_traj=100, seed=5, chunk_size=chunk_size)
+        assert np.array_equal(ref.rho, other.rho)
+        assert np.array_equal(ref.stderr_rho22, other.stderr_rho22)
+    for bad in ({"n_workers": 0}, {"chunk_size": 0}):
+        with pytest.raises(ValueError):
+            me.jump_unravel(me.DensityMatrix.excited(), channel, 1.0, 0.01,
+                            n_traj=10, seed=5, **bad)
 
 
 # ------------------------------------------------------------- composition
