@@ -4,8 +4,8 @@ Every command reads defaults, then an optional JSON config file (keys
 mirror the flag names with dashes replaced by underscores), then explicit
 flags, in increasing priority. Unknown config keys are rejected. Exit
 codes: 0 success, 2 validation error, 3 numerical-check failure, 4 I/O
-error. The environment variable MIRRORFIELD_THREADS must be an integer if
-set; results never depend on it.
+error. The environment variable MIRRORFIELD_THREADS must be a positive
+integer if set; results never depend on it.
 """
 
 from __future__ import annotations
@@ -43,9 +43,11 @@ class CliError(Exception):
 def _thread_cap() -> int:
     raw = os.environ.get("MIRRORFIELD_THREADS", "1")
     try:
-        return max(1, int(raw))
+        if int(raw) >= 1:
+            return int(raw)
     except ValueError:
-        raise CliError(2, f"MIRRORFIELD_THREADS must be an integer, got {raw!r}")
+        pass
+    raise CliError(2, f"MIRRORFIELD_THREADS must be a positive integer, got {raw!r}")
 
 
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
@@ -438,7 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-coarse", dest="grid_coarse", action="store_const", const=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("evolve", help="integrate the atomic master equation")
+    p = sub.add_parser(
+        "evolve", help="integrate the atomic master equation",
+        description="Integrate the atomic master equation, or average --unravel "
+                    f"quantum-jump trajectories, over at most {mastereq.MAX_STEPS} "
+                    "steps t_final/dt.")
     p.add_argument("--config")
     p.add_argument("--gamma", type=float)
     p.add_argument("--delta", type=float)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 
 def format_value(value) -> str:
     if isinstance(value, float):
@@ -22,7 +24,7 @@ def write_csv(path, header, rows) -> None:
     path = Path(path)
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+        lines.append(",".join(map(format_value, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -86,14 +88,11 @@ def amplitude_rows(grid, amps):
 
 
 def trajectory_rows(t, rho, stderr_rho22=None):
-    rows = []
-    for j, tj in enumerate(t):
-        row = [float(tj), float(rho[j, 0, 0].real), float(rho[j, 1, 1].real),
-               float(rho[j, 0, 1].real), float(rho[j, 0, 1].imag)]
-        if stderr_rho22 is not None:
-            row.append(float(stderr_rho22[j]))
-        rows.append(tuple(row))
-    return rows
+    columns = [t, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1].real,
+               rho[:, 0, 1].imag]
+    if stderr_rho22 is not None:
+        columns.append(stderr_rho22)
+    return list(zip(*(np.asarray(column, dtype=float).tolist() for column in columns)))
 
 
 def sweep_rows(k0x, gamma_ratio, delta_ratio):

@@ -128,11 +128,23 @@ def _as_matrix(rho0) -> np.ndarray:
     return np.asarray(rho0, dtype=complex)
 
 
-def _check_grid(t_final: float, dt: float) -> None:
+# Largest step count round(t_final / dt) that evolve and jump_unravel take.
+# On the way to a CSV file memory grows by about 0.57 kB per step (1.0 kB
+# as JSON), so a million steps peak near 0.6 GB (1 GB); a larger count is
+# rejected before any array is allocated.
+MAX_STEPS = 1_000_000
+
+
+def _step_count(t_final: float, dt: float) -> int:
+    """Number of steps of size dt up to t_final, checked against MAX_STEPS."""
     if not (math.isfinite(dt) and math.isfinite(t_final)):
         raise ValueError(f"need finite dt and t_final, got {dt}, {t_final}")
     if dt <= 0.0 or t_final < 0.0:
         raise ValueError("need dt > 0 and t_final >= 0")
+    n_steps = int(round(t_final / dt))
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"t_final / dt = {n_steps} steps exceeds the cap of {MAX_STEPS}")
+    return n_steps
 
 
 def _rk4_increment(gamma: float, delta: float, dt: float) -> np.ndarray:
@@ -182,7 +194,7 @@ def evolve(rho0, channel: AtomChannel, t_final: float, dt: float) -> Trajectory:
     unit trace and positivity are verified at every step; the first step
     that breaks one raises IntegratorInvariantBroken.
     """
-    _check_grid(t_final, dt)
+    n_steps = _step_count(t_final, dt)
     scale = max(channel.gamma, abs(channel.delta), 1e-300)
     if dt > 1e-2 / scale:
         raise StepTooLarge(
@@ -190,7 +202,6 @@ def evolve(rho0, channel: AtomChannel, t_final: float, dt: float) -> Trajectory:
         )
     rho = _as_matrix(rho0)
     DensityMatrix.from_matrix(rho).validate()
-    n_steps = int(round(t_final / dt))
     increment = _rk4_increment(channel.gamma, channel.delta, dt)
     out = np.empty((n_steps + 1, 2, 2), dtype=complex)
     flat = out.reshape(n_steps + 1, 4)
@@ -252,6 +263,8 @@ def _no_jump_path(psi0: np.ndarray, gamma: float, delta: float, dt: float,
     and stays in the ground state after. Length-1 arrays run the same numpy
     loops as the per-trajectory arrays of a step-by-step unraveling, so
     every p_jump is bit-equal to what such a loop compares its draws with.
+    A step so large that the renormalisation would divide by 0 raises
+    ValueError.
     """
     c1_path = np.empty(n_steps + 1, dtype=complex)
     c2_path = np.empty(n_steps + 1, dtype=complex)
@@ -265,10 +278,29 @@ def _no_jump_path(psi0: np.ndarray, gamma: float, delta: float, dt: float,
         p_jump[j] = (np.abs(c2) ** 2 * (1.0 - survive))[0]
         c2 = c2 * no_jump_phase
         norm = np.sqrt(np.abs(c1) ** 2 + np.abs(c2) ** 2)
+        if not norm[0] > 0.0:
+            raise ValueError(
+                f"dt = {dt} is too large for the unraveling: the no-jump state "
+                f"underflows to 0 at step {j} (gamma * dt = {gamma * dt})")
         c1 = c1 / norm
         c2 = c2 / norm
         c1_path[j + 1], c2_path[j + 1] = c1[0], c2[0]
     return c1_path, c2_path, p_jump
+
+
+# Words read from each stream in its first segment; each later segment is
+# twice as long as the one before. Philox makes four words per counter
+# value, so every segment bound is a multiple of 4 and a stream resumes at
+# word lo by setting its counter to lo // 4.
+_FIRST_SEGMENT = 512
+
+
+def _segments(n_words: int):
+    """Bounds (lo, hi) of the doubling segments that cover n_words words."""
+    lo, length = 0, _FIRST_SEGMENT
+    while lo < n_words:
+        yield lo, min(lo + length, n_words)
+        lo, length = lo + length, 2 * length
 
 
 def _first_jump_steps(p_jump: np.ndarray, n_traj: int, seed: int,
@@ -276,23 +308,44 @@ def _first_jump_steps(p_jump: np.ndarray, n_traj: int, seed: int,
     """Step at which each trajectory jumps, or len(p_jump) if it never does.
 
     Trajectory i jumps at the first step j whose draw is below p_jump[j].
-    Its draws come from a counter-based stream keyed by (seed, i), so the
-    result does not depend on how trajectories are grouped; ``block``
-    streams are held in memory at a time.
+    Its draws are the doubles (w >> 11) * 2**-53 of the raw words w of a
+    counter-based Philox stream keyed by (seed, i), so the result does not
+    depend on how trajectories are grouped. A draw is below p exactly when
+    w < ceil(p * 2**53) << 11, which compares the raw words without making
+    doubles. A step with p >= 1 catches every trajectory that reaches it.
+    ``block`` streams are read together, in doubling segments; a stream is
+    dropped once it has jumped, so it is read only up to its first jump.
     """
-    n_steps = len(p_jump)
-    first = np.full(n_traj, n_steps)
-    if n_steps == 0:
+    sure = np.flatnonzero(p_jump >= 1.0)
+    end = int(sure[0]) if sure.size else len(p_jump)
+    first = np.full(n_traj, end)
+    if end == 0:
         return first
-    draws = np.empty((min(block, n_traj), n_steps))
+    p = p_jump[:end]
+    # Below 1 the threshold ceil(p * 2**53) is at most 2**53 - 1, so the
+    # shifted value fits in 64 bits; NaN and p <= 0 never catch a draw.
+    limit = np.ceil(np.where(p > 0.0, p, 0.0) * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+    bitgen = np.random.Philox()
+    stream = {"counter": [0, 0, 0, 0], "key": [seed & 0xFFFFFFFFFFFFFFFF, 0]}
+    state = {"bit_generator": "Philox", "state": stream, "buffer": [0, 0, 0, 0],
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    longest = max(hi - lo for lo, hi in _segments(end))
+    words = np.empty((min(block, n_traj), longest), dtype=np.uint64)
     for start in range(0, n_traj, block):
-        count = min(block, n_traj - start)
-        for row in range(count):
-            key = np.array([seed & 0xFFFFFFFFFFFFFFFF, start + row], dtype=np.uint64)
-            np.random.Generator(np.random.Philox(key=key)).random(out=draws[row])
-        hit = draws[:count] < p_jump
-        jumped = hit.any(axis=1)
-        first[start:start + count][jumped] = hit[jumped].argmax(axis=1)
+        rows = np.arange(start, min(start + block, n_traj))
+        for lo, hi in _segments(end):
+            segment = words[:rows.size, :hi - lo]
+            stream["counter"][0] = lo // 4
+            for row, index in enumerate(rows.tolist()):
+                stream["key"][1] = index
+                bitgen.state = state
+                segment[row] = bitgen.random_raw(hi - lo)
+            hit = segment < limit[lo:hi]
+            jumped = hit.any(axis=1)
+            first[rows[jumped]] = lo + hit[jumped].argmax(axis=1)
+            rows = rows[~jumped]
+            if rows.size == 0:
+                break
     return first
 
 
@@ -309,17 +362,18 @@ def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
     rho22 follow from how many trajectories have jumped by each step.
     Averages converge to the deterministic solution as n_traj grows.
 
-    Fixed seeds give bit-identical results. ``n_workers`` must be positive
-    and does not change the result; the work runs in the calling thread.
-    ``chunk_size`` trajectories draw their random streams together.
+    A step so large that the no-jump state underflows to 0 raises
+    ValueError. Fixed seeds give bit-identical results. ``n_workers`` must
+    be positive and does not change the result; the work runs in the
+    calling thread. ``chunk_size`` trajectories draw their random streams
+    together.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be positive")
     if n_workers < 1 or chunk_size < 1:
         raise ValueError("n_workers and chunk_size must be positive")
-    _check_grid(t_final, dt)
+    n_steps = _step_count(t_final, dt)
     psi0 = _pure_state_from(rho0)
-    n_steps = int(round(t_final / dt))
     c1, c2, p_jump = _no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
     first = _first_jump_steps(p_jump, n_traj, seed, chunk_size)
     n = float(n_traj)

@@ -351,6 +351,12 @@ ARGV_REJECTS = [
     ["evolve", "--delta", "inf"],
     ["evolve", "--rho22", "nan"],
     ["oracle-verify", "--order", "1025"],
+    # The no-jump renormalisation would divide by an underflowed norm.
+    ["evolve", "--gamma", "1", "--rho22", "1", "--dt", "1000", "--t-final", "3000",
+     "--unravel", "5"],
+    # 1e12 steps: rejected before anything is allocated.
+    ["evolve", "--gamma", "1", "--t-final", "1e9", "--dt", "1e-3"],
+    ["evolve", "--gamma", "1", "--t-final", "1e9", "--dt", "1e-3", "--unravel", "5"],
 ]
 
 
@@ -385,6 +391,43 @@ def test_oracle_order_cap_runs_no_quadrature(tmp_path, monkeypatch, capsys):
     out = tmp_path / "report.json"
     assert cli.main(["oracle-verify", "--order", "1025", "--out", str(out)]) == 2
     assert "at most 1024" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_step_cap_allocates_nothing(tmp_path, monkeypatch, capsys):
+    from mirrorfield import cli, mastereq
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a trajectory was allocated")
+
+    monkeypatch.setattr(mastereq, "_rk4_increment", forbidden)
+    monkeypatch.setattr(mastereq, "_no_jump_path", forbidden)
+    out = tmp_path / "x.csv"
+    too_long = str(mastereq.MAX_STEPS + 1)
+    for extra in ([], ["--unravel", "5"]):
+        argv = ["evolve", "--gamma", "1e-3", "--t-final", too_long, "--dt", "1", *extra]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert f"exceeds the cap of {mastereq.MAX_STEPS}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_unravel_underflow_names_dt(tmp_path):
+    result = run_cli("evolve", "--gamma", "1", "--rho22", "1", "--dt", "1000",
+                     "--t-final", "3000", "--unravel", "5", "--out", str(tmp_path / "x.csv"))
+    assert result.returncode == 2
+    assert "dt = 1000.0" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_thread_env_must_be_positive_integer(tmp_path, value):
+    import os
+    out = tmp_path / "x.csv"
+    result = run_cli("evolve", "--gamma", "1", "--t-final", "0.1", "--dt", "0.01",
+                     "--unravel", "5", "--out", str(out),
+                     env=dict(os.environ, MIRRORFIELD_THREADS=value))
+    assert result.returncode == 2
+    assert "MIRRORFIELD_THREADS must be a positive integer" in result.stderr
     assert not out.exists()
 
 

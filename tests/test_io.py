@@ -62,3 +62,13 @@ def test_trajectory_rows_with_stderr():
     rho[:, 0, 1] = [0.1 + 0.2j, 0.05 - 0.1j]
     rows = io.trajectory_rows(t, rho, stderr_rho22=np.array([0.0, 0.01]))
     assert rows[1] == (1.0, 0.0, 0.5, 0.05, -0.1, 0.01)
+
+
+def test_trajectory_rows_are_float_tuples():
+    t = np.arange(3)
+    rho = np.zeros((3, 2, 2), dtype=complex)
+    rho[:, 0, 0] = 1.0
+    rows = io.trajectory_rows(t, rho)
+    assert rows == [(0.0, 1.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0, 0.0),
+                    (2.0, 1.0, 0.0, 0.0, 0.0)]
+    assert all(type(v) is float for row in rows for v in row)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorfield import mastereq as me
 from mirrorfield import rates
@@ -286,6 +288,155 @@ def test_unravel_independent_of_block_size_and_validates_workers():
         with pytest.raises(ValueError):
             me.jump_unravel(me.DensityMatrix.excited(), channel, 1.0, 0.01,
                             n_traj=10, seed=5, **bad)
+
+
+def _first_jump_reference(p_jump, n_traj, seed):
+    """Reference: each trajectory draws all its doubles from a fresh
+    Generator on its Philox stream and jumps at the first draw below p."""
+    first = np.full(n_traj, len(p_jump))
+    for row in range(n_traj):
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, row], dtype=np.uint64)
+        hit = np.random.Generator(np.random.Philox(key=key)).random(len(p_jump)) < p_jump
+        if hit.any():
+            first[row] = hit.argmax()
+    return first
+
+
+# Probabilities at the edges of the raw-word comparison: exactly 0 and 1,
+# the largest double below 1, subnormals, and values whose p * 2**53 is an
+# integer, where draw < p must not count the draw equal to p.
+EDGE_P = [0.0, 1.0, 1.0 - 2.0 ** -53, 5e-324, 2.0 ** -1074 * 3, 2.0 ** -1022,
+          2.0 ** -53, 3 * 2.0 ** -53, 0.5, 0.25 + 2.0 ** -53]
+
+
+def _edge_case_p(n_steps, which):
+    rng = np.random.default_rng(n_steps)
+    if which == "small":
+        return 2e-3 * rng.random(n_steps)
+    if which == "edges":
+        # 0 is the "zero" case and 1 the "sure" case.
+        values = EDGE_P[2:]
+        p = 1e-3 * rng.random(n_steps)
+        p[rng.permutation(n_steps)[:len(values)]] = values[:n_steps]
+        return p
+    if which == "zero":
+        return np.zeros(n_steps)
+    # "sure": a certain jump a little before the end.
+    p = 1e-4 * rng.random(n_steps)
+    p[(3 * n_steps) // 4:] = 1.0
+    return p
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("n_steps", [0, 1, 3, 511, 512, 513, 1536, 5000])
+@pytest.mark.parametrize("which", ["small", "edges", "zero", "sure"])
+def test_first_jump_steps_match_reference(n_steps, block, which):
+    p_jump = _edge_case_p(n_steps, which)
+    n_traj = 70
+    first = me._first_jump_steps(p_jump, n_traj, 99, block)
+    np.testing.assert_array_equal(first, _first_jump_reference(p_jump, n_traj, 99))
+
+
+@pytest.mark.parametrize("value", EDGE_P)
+def test_first_jump_steps_edge_probabilities(value):
+    p_jump = np.full(600, value)
+    first = me._first_jump_steps(p_jump, 40, 3, 8)
+    np.testing.assert_array_equal(first, _first_jump_reference(p_jump, 40, 3))
+    if value == 1.0:
+        assert not first.any()  # every draw is below 1
+
+
+@pytest.mark.parametrize("step", [0, 700])
+def test_first_jump_steps_threshold_at_the_draw(step):
+    # p equal to a trajectory's own draw, one ulp below and one ulp above
+    # it: only the last catches that draw. Between two multiples of 2**-53
+    # the raw-word threshold must round p up, not down.
+    n_traj, seed = 24, 5
+    draws = [np.random.Generator(np.random.Philox(key=np.array([seed, row], dtype=np.uint64)))
+             .random(step + 1)[step] for row in range(n_traj)]
+    for draw in draws:
+        for value in (np.nextafter(draw, 0.0), draw, np.nextafter(draw, 1.0)):
+            p_jump = np.zeros(step + 1)
+            p_jump[step] = value
+            np.testing.assert_array_equal(me._first_jump_steps(p_jump, n_traj, seed, 7),
+                                          _first_jump_reference(p_jump, n_traj, seed))
+
+
+def test_first_jump_steps_at_segment_bounds():
+    # p is 0 except at both sides of every segment bound, so jumps land on
+    # the last word of one segment and the first word of the next.
+    bounds = [511, 512, 1535, 1536, 3583, 3584, 4999]
+    p_jump = np.zeros(5000)
+    p_jump[bounds] = 0.5
+    first = me._first_jump_steps(p_jump, 1000, 17, 64)
+    np.testing.assert_array_equal(first, _first_jump_reference(p_jump, 1000, 17))
+    assert set(bounds) <= set(first.tolist())
+    assert set(first.tolist()) <= set(bounds) | {5000}
+
+
+def test_first_jump_steps_on_a_no_jump_path():
+    psi0 = np.array([0.4, np.sqrt(0.84) * np.exp(0.3j)])
+    _, _, p_jump = me._no_jump_path(psi0, 0.9, 0.4, 1e-3 / 0.9, 5000)
+    first = me._first_jump_steps(p_jump, 300, 2127877499, 64)
+    np.testing.assert_array_equal(first, _first_jump_reference(p_jump, 300, 2127877499))
+    assert 0 < np.count_nonzero(first < 5000) < 300
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_steps=st.integers(0, 2100), level=st.floats(0.0, 0.02),
+       specials=st.lists(st.tuples(st.integers(0, 2099), st.sampled_from(EDGE_P)),
+                         max_size=4),
+       shape_seed=st.integers(0, 2 ** 32 - 1),
+       seed=st.integers(-2 ** 63, 2 ** 64 - 1),
+       n_traj=st.integers(1, 12), block=st.integers(1, 5))
+def test_first_jump_steps_property(n_steps, level, specials, shape_seed, seed,
+                                   n_traj, block):
+    p_jump = level * np.random.default_rng(shape_seed).random(n_steps)
+    for position, value in specials:
+        if position < n_steps:
+            p_jump[position] = value
+    first = me._first_jump_steps(p_jump, n_traj, seed, block)
+    np.testing.assert_array_equal(first, _first_jump_reference(p_jump, n_traj, seed))
+
+
+def test_unravel_certain_first_step_jump():
+    # gamma * dt = 40: 1 - exp(-40) rounds to 1, so every trajectory jumps
+    # in step 0, while the renormalised no-jump path stays finite.
+    psi0 = np.array([0.0, 1.0], dtype=complex)
+    channel = me.AtomChannel(1.0, 0.0)
+    c1, c2, p_jump = me._no_jump_path(psi0, channel.gamma, channel.delta, 40.0, 3)
+    assert p_jump[0] == 1.0
+    assert np.isfinite(c1).all() and np.isfinite(c2).all()
+    first = me._first_jump_steps(p_jump, 50, 1, 7)
+    assert not first.any()
+    _, ref_jumps, _ = _unravel_stepwise(psi0, channel, 40.0, 3, 50, 1)
+    np.testing.assert_array_equal(np.bincount(first, minlength=4)[:3], ref_jumps)
+    result = me.jump_unravel(me.DensityMatrix.excited(), channel, 120.0, 40.0,
+                             n_traj=50, seed=1)
+    np.testing.assert_array_equal(result.rho[1:, 0, 0], 1.0)
+    np.testing.assert_array_equal(result.rho[1:, 1, 1], 0.0)
+
+
+def test_unravel_rejects_underflowing_step():
+    with pytest.raises(ValueError, match="dt = 1000.0"):
+        me.jump_unravel(me.DensityMatrix.excited(), me.AtomChannel(1.0, 0.0),
+                        3000.0, 1000.0, n_traj=5, seed=0)
+
+
+def test_step_count_cap_checked_before_allocation(monkeypatch):
+    assert me._step_count(float(me.MAX_STEPS), 1.0) == me.MAX_STEPS
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a trajectory was allocated")
+
+    monkeypatch.setattr(me, "_rk4_increment", forbidden)
+    monkeypatch.setattr(me, "_no_jump_path", forbidden)
+    too_long = me.MAX_STEPS + 1.0
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        me.evolve(me.DensityMatrix.excited(), me.AtomChannel(1e-3, 0.0), too_long, 1.0)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        me.jump_unravel(me.DensityMatrix.excited(), me.AtomChannel(1.0, 0.0),
+                        too_long, 1.0, n_traj=4, seed=0)
 
 
 # ------------------------------------------------------------- composition
