@@ -40,11 +40,11 @@ class CliError(Exception):
         self.code = code
 
 
-def _thread_cap() -> int:
+def _check_thread_env() -> None:
     raw = os.environ.get("MIRRORFIELD_THREADS", "1")
     try:
         if int(raw) >= 1:
-            return int(raw)
+            return
     except ValueError:
         pass
     raise CliError(2, f"MIRRORFIELD_THREADS must be a positive integer, got {raw!r}")
@@ -120,6 +120,8 @@ FIG2_DEFAULTS = {
 def cmd_fig2(config: dict) -> int:
     medium = Medium()
     x0 = float(config["x0"])
+    if not (math.isfinite(x0) and x0 > 0.0):
+        raise CliError(2, f"--x0 must be positive and finite, got {x0}")
     sigma = config["sigma"]
     sigma = x0 / math.sqrt(2.0) if sigma is None else float(sigma)
     # The canonical frame-series packet is marginally localised (sigma of
@@ -170,14 +172,25 @@ RATES_SCAN_DEFAULTS = {
 }
 
 
+# Largest k0x grid rates-scan takes. Writing it costs about 0.42 kB per
+# point as CSV (0.72 kB as JSON), so the cap peaks near 0.45 GB (0.75 GB);
+# a larger grid is rejected before any array is allocated.
+MAX_SCAN_POINTS = 1_000_000
+
+
 def _scan_rates(config: dict):
     k0x_min, k0x_max, k0x_step = (
         float(config[key]) for key in ("k0x_min", "k0x_max", "k0x_step"))
     if not all(map(math.isfinite, (k0x_min, k0x_max, k0x_step))) or k0x_step <= 0.0:
         raise CliError(2, "k0x bounds must be finite and k0x_step positive")
-    n_points = int(math.floor((k0x_max - k0x_min) / k0x_step + 1.5))
-    if n_points < 1:
+    # floor(span) points; span may overflow to inf, which floor rejects.
+    span = (k0x_max - k0x_min) / k0x_step + 1.5
+    if span < 1.0:
         raise CliError(2, f"empty k0x grid: k0x_max {k0x_max} < k0x_min {k0x_min}")
+    if span >= MAX_SCAN_POINTS + 1:
+        raise CliError(2, "the grid from --k0x-min, --k0x-max and --k0x-step has more "
+                          f"than the cap of {MAX_SCAN_POINTS} points")
+    n_points = math.floor(span)
     k0x = k0x_min + k0x_step * np.arange(n_points)
     z = 2.0 * k0x
     mu = float(config["mu"])
@@ -225,6 +238,11 @@ ORACLE_MAX_ORDER = 1024
 
 
 def cmd_oracle_verify(config: dict) -> int:
+    for key in ("tolerance", "tol_gamma", "tol_delta", "tol_route", "tol_energy"):
+        value = config[key]
+        if value is not None and not (math.isfinite(float(value)) and float(value) > 0.0):
+            flag = "--" + key.replace("_", "-")
+            raise CliError(2, f"{flag} must be positive and finite, got {value}")
     tols = {k: float(config[k]) for k in ("tol_gamma", "tol_delta", "tol_route", "tol_energy")}
     if config["tolerance"] is not None:
         tols = {k: float(config["tolerance"]) for k in tols}
@@ -316,7 +334,7 @@ def cmd_evolve(config: dict) -> int:
     if config["unravel"] is not None:
         result = mastereq.jump_unravel(
             rho0, channel, t_final, dt, n_traj=int(config["unravel"]),
-            seed=int(config["seed"]), n_workers=_thread_cap())
+            seed=int(config["seed"]))
         rows = io.trajectory_rows(result.t, result.rho, result.stderr_rho22)
         header = io.TRAJECTORY_HEADER + ["stderr_rho22"]
     else:
@@ -424,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=["a", "b"])
     p.add_argument("--k0x-min", dest="k0x_min", type=float)
     p.add_argument("--k0x-max", dest="k0x_max", type=float)
-    p.add_argument("--k0x-step", dest="k0x_step", type=float)
+    p.add_argument("--k0x-step", dest="k0x_step", type=float,
+                   help=f"grid step; the grid has at most {MAX_SCAN_POINTS} points")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"])
 
@@ -461,7 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-rate", dest="t_rate", type=float,
                    help="mirror transmission for --from-mirror symmetric")
     p.add_argument("--gamma-free", dest="gamma_free", type=float)
-    p.add_argument("--unravel", type=int, help="number of quantum-jump trajectories")
+    p.add_argument("--unravel", type=int,
+                   help="number of quantum-jump trajectories, at most "
+                        f"{mastereq.MAX_TRAJECTORIES}")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"])
@@ -493,6 +514,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     defaults, runner = _COMMANDS[args.command]
     try:
+        _check_thread_env()
         config = _merged(args, defaults)
         return runner(config)
     except CliError as exc:

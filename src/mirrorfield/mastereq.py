@@ -255,127 +255,85 @@ def _pure_state_from(rho0) -> np.ndarray:
 
 def _no_jump_path(psi0: np.ndarray, gamma: float, delta: float, dt: float,
                   n_steps: int):
-    """Amplitudes (c1, c2) after each of the n_steps steps of the renormalised
-    no-emission evolution, with c1[0], c2[0] the initial state, and the
-    jump probability p_jump[j] of step j from the state after j steps.
+    """Amplitudes (c1, c2) of the renormalised no-emission evolution after
+    j = 0 .. n_steps steps, and the probability p_jumped[j] that a
+    trajectory has jumped within its first j steps.
 
     Without a drive every trajectory follows this one path until it jumps,
-    and stays in the ground state after. Length-1 arrays run the same numpy
-    loops as the per-trajectory arrays of a step-by-step unraveling, so
-    every p_jump is bit-equal to what such a loop compares its draws with.
-    A step so large that the renormalisation would divide by 0 raises
+    and stays in the ground state after. The unnormalised no-jump state
+    after j steps is (c1(0), c2(0) exp(-(gamma/2 + i delta) dt j)), and its
+    squared norm is 1 - p_jumped[j]. p_jumped = |c2(0)|^2 (1 - exp(-gamma
+    dt j)) is computed with expm1, so it is exactly 0 for gamma = 0, keeps
+    its relative precision for small gamma dt j and never decreases. From
+    the excited state, where the path is c2 = c2(0) exp(-i delta dt j), a
+    step so large that the state underflows to 0 after one step raises
     ValueError.
     """
-    c1_path = np.empty(n_steps + 1, dtype=complex)
-    c2_path = np.empty(n_steps + 1, dtype=complex)
-    p_jump = np.empty(n_steps)
-    c1 = psi0[:1].copy()
-    c2 = psi0[1:].copy()
-    c1_path[0], c2_path[0] = c1[0], c2[0]
-    survive = math.exp(-gamma * dt)
-    no_jump_phase = np.exp(complex(-0.5 * gamma * dt, -delta * dt))
-    for j in range(n_steps):
-        p_jump[j] = (np.abs(c2) ** 2 * (1.0 - survive))[0]
-        c2 = c2 * no_jump_phase
-        norm = np.sqrt(np.abs(c1) ** 2 + np.abs(c2) ** 2)
-        if not norm[0] > 0.0:
+    steps = np.arange(n_steps + 1)
+    rate = gamma * dt * steps
+    phase = np.exp(-1j * delta * dt * steps)
+    c1_sq, c2_sq = abs(psi0[0]) ** 2, abs(psi0[1]) ** 2
+    p_jumped = c2_sq * -np.expm1(-rate)
+    if c1_sq == 0.0:
+        if n_steps and c2_sq * math.exp(-gamma * dt) == 0.0:
             raise ValueError(
                 f"dt = {dt} is too large for the unraveling: the no-jump state "
-                f"underflows to 0 at step {j} (gamma * dt = {gamma * dt})")
-        c1 = c1 / norm
-        c2 = c2 / norm
-        c1_path[j + 1], c2_path[j + 1] = c1[0], c2[0]
-    return c1_path, c2_path, p_jump
+                f"underflows to 0 after one step (gamma * dt = {gamma * dt})")
+        # Renormalising c2(0) exp(-gamma dt j / 2) would give 0 / 0 once the
+        # decay underflows.
+        return np.zeros(n_steps + 1, dtype=complex), psi0[1] * phase, p_jumped
+    decay = np.exp(-rate)
+    norm = np.sqrt(c1_sq + c2_sq * decay)
+    return psi0[0] / norm, psi0[1] * np.sqrt(decay) * phase / norm, p_jumped
 
 
-# Words read from each stream in its first segment; each later segment is
-# twice as long as the one before. Philox makes four words per counter
-# value, so every segment bound is a multiple of 4 and a stream resumes at
-# word lo by setting its counter to lo // 4.
-_FIRST_SEGMENT = 512
+def _jump_steps(p_jumped: np.ndarray, n_traj: int, seed: int) -> np.ndarray:
+    """Step at which each trajectory jumps, or len(p_jumped) - 1 if it never
+    does, given the probability p_jumped[j] of a jump within j steps.
 
-
-def _segments(n_words: int):
-    """Bounds (lo, hi) of the doubling segments that cover n_words words."""
-    lo, length = 0, _FIRST_SEGMENT
-    while lo < n_words:
-        yield lo, min(lo + length, n_words)
-        lo, length = lo + length, 2 * length
-
-
-def _first_jump_steps(p_jump: np.ndarray, n_traj: int, seed: int,
-                      block: int) -> np.ndarray:
-    """Step at which each trajectory jumps, or len(p_jump) if it never does.
-
-    Trajectory i jumps at the first step j whose draw is below p_jump[j].
-    Its draws are the doubles (w >> 11) * 2**-53 of the raw words w of a
-    counter-based Philox stream keyed by (seed, i), so the result does not
-    depend on how trajectories are grouped. A draw is below p exactly when
-    w < ceil(p * 2**53) << 11, which compares the raw words without making
-    doubles. A step with p >= 1 catches every trajectory that reaches it.
-    ``block`` streams are read together, in doubling segments; a stream is
-    dropped once it has jumped, so it is read only up to its first jump.
+    Trajectory i draws one uniform u_i = (w_i >> 11) * 2**-53, the double
+    numpy's Generator.random makes of word w_i, from word i of the
+    counter-based Philox stream keyed by (seed, 0). It jumps in the first
+    step j with u_i < p_jumped[j + 1]: the waiting-time form of the
+    quantum-jump method.
     """
-    sure = np.flatnonzero(p_jump >= 1.0)
-    end = int(sure[0]) if sure.size else len(p_jump)
-    first = np.full(n_traj, end)
-    if end == 0:
-        return first
-    p = p_jump[:end]
-    # Below 1 the threshold ceil(p * 2**53) is at most 2**53 - 1, so the
-    # shifted value fits in 64 bits; NaN and p <= 0 never catch a draw.
-    limit = np.ceil(np.where(p > 0.0, p, 0.0) * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
-    bitgen = np.random.Philox()
-    stream = {"counter": [0, 0, 0, 0], "key": [seed & 0xFFFFFFFFFFFFFFFF, 0]}
-    state = {"bit_generator": "Philox", "state": stream, "buffer": [0, 0, 0, 0],
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    longest = max(hi - lo for lo, hi in _segments(end))
-    words = np.empty((min(block, n_traj), longest), dtype=np.uint64)
-    for start in range(0, n_traj, block):
-        rows = np.arange(start, min(start + block, n_traj))
-        for lo, hi in _segments(end):
-            segment = words[:rows.size, :hi - lo]
-            stream["counter"][0] = lo // 4
-            for row, index in enumerate(rows.tolist()):
-                stream["key"][1] = index
-                bitgen.state = state
-                segment[row] = bitgen.random_raw(hi - lo)
-            hit = segment < limit[lo:hi]
-            jumped = hit.any(axis=1)
-            first[rows[jumped]] = lo + hit[jumped].argmax(axis=1)
-            rows = rows[~jumped]
-            if rows.size == 0:
-                break
-    return first
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    u = (np.random.Philox(key=key).random_raw(n_traj) >> np.uint64(11)) * 2.0 ** -53
+    return np.searchsorted(p_jumped[1:], u, side="right")
+
+
+# Largest trajectory count n_traj that jump_unravel takes. Its memory grows
+# by about 16 bytes per trajectory, on top of the 0.57 kB per step of the
+# time grid, so a 10-step evolve --unravel at the cap peaks near 190 MB and
+# takes about 1 s; a larger count is rejected before any array is
+# allocated.
+MAX_TRAJECTORIES = 10_000_000
 
 
 def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
-                 n_traj: int, seed: int, n_workers: int = 1,
-                 chunk_size: int = 64) -> UnravelResult:
+                 n_traj: int, seed: int) -> UnravelResult:
     """Quantum-jump unraveling of the channel, averaged over trajectories.
 
-    Per step, each trajectory either emits (probability |c2|^2 per-step
-    branching with the exact exponential survival weight) and collapses to
-    the ground state, or continues under the no-emission evolution and is
-    renormalised. Without a drive a trajectory jumps at most once, so only
-    its first jump step is drawn; the averages and the standard error of
-    rho22 follow from how many trajectories have jumped by each step.
-    Averages converge to the deterministic solution as n_traj grows.
+    Per step, a trajectory either emits and collapses to the ground state,
+    or continues under the renormalised no-emission evolution. Without a
+    drive it jumps at most once, and the probability that it has jumped
+    within j steps is known in closed form, so one uniform per trajectory
+    fixes its jump step; the first-jump distribution is exactly that of
+    drawing per step with the per-step jump probability. The averages and
+    the standard error of rho22 follow from how many trajectories have
+    jumped by each step, and converge to the deterministic solution as
+    n_traj grows.
 
-    A step so large that the no-jump state underflows to 0 raises
-    ValueError. Fixed seeds give bit-identical results. ``n_workers`` must
-    be positive and does not change the result; the work runs in the
-    calling thread. ``chunk_size`` trajectories draw their random streams
-    together.
+    At most MAX_TRAJECTORIES trajectories. A step so large that the no-jump
+    state underflows to 0 raises ValueError. Fixed seeds give bit-identical
+    results.
     """
-    if n_traj < 1:
-        raise ValueError("n_traj must be positive")
-    if n_workers < 1 or chunk_size < 1:
-        raise ValueError("n_workers and chunk_size must be positive")
+    if not 1 <= n_traj <= MAX_TRAJECTORIES:
+        raise ValueError(f"n_traj must be between 1 and {MAX_TRAJECTORIES}, got {n_traj}")
     n_steps = _step_count(t_final, dt)
     psi0 = _pure_state_from(rho0)
-    c1, c2, p_jump = _no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
-    first = _first_jump_steps(p_jump, n_traj, seed, chunk_size)
+    c1, c2, p_jumped = _no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
+    first = _jump_steps(p_jumped, n_traj, seed)
     n = float(n_traj)
     jumped = np.zeros(n_steps + 1)
     jumped[1:] = np.cumsum(np.bincount(first, minlength=n_steps + 1)[:n_steps])

@@ -357,6 +357,14 @@ ARGV_REJECTS = [
     # 1e12 steps: rejected before anything is allocated.
     ["evolve", "--gamma", "1", "--t-final", "1e9", "--dt", "1e-3"],
     ["evolve", "--gamma", "1", "--t-final", "1e9", "--dt", "1e-3", "--unravel", "5"],
+    # 1e12 trajectories: rejected before anything is allocated.
+    ["evolve", "--gamma", "1", "--rho22", "1", "--unravel", "1000000000000"],
+    ["fig2", "--x0", "0"],
+    # The grid size overflows to inf.
+    ["rates-scan", "--preset", "perfect", "--mu", "0", "--k0x-min", "1e-300",
+     "--k0x-max", "1e300", "--k0x-step", "1e-300"],
+    ["oracle-verify", "--tolerance", "nan"],
+    ["oracle-verify", "--tolerance", "-1"],
 ]
 
 
@@ -423,11 +431,72 @@ def test_evolve_unravel_underflow_names_dt(tmp_path):
 def test_thread_env_must_be_positive_integer(tmp_path, value):
     import os
     out = tmp_path / "x.csv"
-    result = run_cli("evolve", "--gamma", "1", "--t-final", "0.1", "--dt", "0.01",
-                     "--unravel", "5", "--out", str(out),
-                     env=dict(os.environ, MIRRORFIELD_THREADS=value))
-    assert result.returncode == 2
-    assert "MIRRORFIELD_THREADS must be a positive integer" in result.stderr
+    for argv in (["evolve", "--gamma", "1", "--t-final", "0.1", "--dt", "0.01",
+                  "--unravel", "5"],
+                 ["evolve", "--gamma", "1", "--t-final", "0.1", "--dt", "0.01"],
+                 ["rates-scan"]):
+        result = run_cli(*argv, "--out", str(out),
+                         env=dict(os.environ, MIRRORFIELD_THREADS=value))
+        assert result.returncode == 2
+        assert "MIRRORFIELD_THREADS must be a positive integer" in result.stderr
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fig2", "--x0", "0"], "--x0 must be positive and finite"),
+    (["rates-scan", "--k0x-min", "1e-300", "--k0x-max", "1e300", "--k0x-step", "1e-300"],
+     "--k0x-step has more than the cap of"),
+    (["oracle-verify", "--tolerance", "nan"], "--tolerance must be positive and finite"),
+    (["oracle-verify", "--tolerance", "-1"], "--tolerance must be positive and finite"),
+    (["oracle-verify", "--tol-energy", "0"], "--tol-energy must be positive and finite"),
+    (["oracle-verify", "--tolerance", "1e-3", "--tol-route", "inf"],
+     "--tol-route must be positive and finite"),
+])
+def test_rejected_flag_is_named(tmp_path, monkeypatch, capsys, argv, flag):
+    from mirrorfield import cli, oracle
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(oracle, "run_default_checks", forbidden)
+    out = tmp_path / "x.out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rates_scan_grid_cap(tmp_path, monkeypatch, capsys):
+    from mirrorfield import cli, rates
+
+    monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 10)
+    out = tmp_path / "scan.csv"
+    argv = ["rates-scan", "--k0x-min", "0.5", "--k0x-step", "0.5", "--out", str(out)]
+    assert cli.main([*argv, "--k0x-max", "5"]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 10
+    out.unlink()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a rate was computed")
+
+    monkeypatch.setattr(rates, "preset_rates", forbidden)
+    assert cli.main([*argv, "--k0x-max", "5.5"]) == 2
+    assert "more than the cap of 10 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_unravel_cap_allocates_nothing(tmp_path, monkeypatch, capsys):
+    from mirrorfield import cli, mastereq
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a trajectory was allocated")
+
+    monkeypatch.setattr(mastereq, "_no_jump_path", forbidden)
+    monkeypatch.setattr(mastereq, "_jump_steps", forbidden)
+    out = tmp_path / "x.csv"
+    too_many = str(mastereq.MAX_TRAJECTORIES + 1)
+    assert cli.main(["evolve", "--gamma", "1", "--rho22", "1", "--unravel", too_many,
+                     "--out", str(out)]) == 2
+    assert f"between 1 and {mastereq.MAX_TRAJECTORIES}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from mirrorfield import io
 from mirrorfield import modespace as ms
@@ -22,6 +23,18 @@ def test_write_csv_and_sidecar(tmp_path):
     assert text.splitlines()[1] == "1.0,2.5"
     meta = json.loads((tmp_path / "table.csv.json").read_text())
     assert meta["command"] == "test"
+
+
+@pytest.mark.parametrize("n_rows", [0, io.CSV_CHUNK_ROWS, 2 * io.CSV_CHUNK_ROWS + 1])
+def test_write_csv_in_chunks_equals_joined_text(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    rows = [(float(j), float(v), -float(v) * 1e-300, 7) for j, v in
+            enumerate(rng.standard_normal(n_rows))]
+    header = ["a", "b", "c", "d"]
+    path = tmp_path / "table.csv"
+    io.write_csv(path, header, iter(rows))
+    lines = [",".join(header)] + [",".join(map(io.format_value, row)) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_amplitude_dump_schema(tmp_path):

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mirrorfield import mastereq as me
 from mirrorfield import rates
@@ -184,12 +182,14 @@ def test_unravel_fixed_seed_reproducible():
     assert not np.array_equal(a.rho, c.rho)
 
 
-def test_unravel_independent_of_worker_count_and_chunking():
+def test_unravel_independent_of_worker_count_and_chunking(monkeypatch):
     channel = me.AtomChannel(1.0, 0.0)
+    monkeypatch.setenv("MIRRORFIELD_THREADS", "1")
     ref = me.jump_unravel(me.DensityMatrix.excited(), channel, 1.5, 0.01,
-                          n_traj=500, seed=11, n_workers=1)
+                          n_traj=500, seed=11)
+    monkeypatch.setenv("MIRRORFIELD_THREADS", "4")
     threaded = me.jump_unravel(me.DensityMatrix.excited(), channel, 1.5, 0.01,
-                               n_traj=500, seed=11, n_workers=4)
+                               n_traj=500, seed=11)
     assert np.array_equal(ref.rho, threaded.rho)
 
 
@@ -248,155 +248,157 @@ UNRAVEL_CASES = [
 ]
 
 
+def _uniforms(n_traj, seed):
+    """Reference: the doubles numpy's Generator.random makes of the first
+    n_traj words of the Philox stream keyed by (seed, 0)."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(n_traj).tolist()
+
+
+def _jump_steps_walk(p_jumped, n_traj, seed):
+    """Reference: inverse-CDF walk, one trajectory and one step at a time.
+    A trajectory jumps in the first step j whose jump-within-j+1-steps
+    probability exceeds its uniform, and never if none does."""
+    p = [float(v) for v in p_jumped]
+    first = []
+    for u in _uniforms(n_traj, seed):
+        j = 0
+        while j + 1 < len(p) and not u < p[j + 1]:
+            j += 1
+        first.append(j)
+    return np.array(first)
+
+
+def _no_jump_stepwise(psi0, gamma, delta, dt, n_steps):
+    """Reference: the no-jump state renormalised step by step, with the
+    probability of a jump within j steps accumulated per step."""
+    c1, c2 = complex(psi0[0]), complex(psi0[1])
+    per_step = -math.expm1(-gamma * dt)
+    phase = np.exp(complex(-0.5 * gamma * dt, -delta * dt))
+    c1_path, c2_path, p_jumped = [c1], [c2], [0.0]
+    for _ in range(n_steps):
+        p_jumped.append(p_jumped[-1] + (1.0 - p_jumped[-1]) * abs(c2) ** 2 * per_step)
+        c2 = c2 * phase
+        norm = math.sqrt(abs(c1) ** 2 + abs(c2) ** 2)
+        c1, c2 = c1 / norm, c2 / norm
+        c1_path.append(c1)
+        c2_path.append(c2)
+    return np.array(c1_path), np.array(c2_path), np.array(p_jumped)
+
+
+PATH_CASES = [
+    (np.array([0.6, 0.8 * np.exp(2.1j)]), 0.8, 0.5, 1e-3 / 0.8),
+    (np.array([0.0, 1.0], dtype=complex), 1.3, -0.7, 1e-3),
+    (np.array([0.4, np.sqrt(0.84) * np.exp(0.3j)]), 0.9, 0.4, 1e-2),
+    # gamma dt = 1e-6: 1 - (norm of the no-jump state) would keep only
+    # about 1e-10 of p_jumped's relative precision.
+    (np.array([0.4, np.sqrt(0.84) * np.exp(0.3j)]), 1.0, 0.4, 1e-6),
+]
+
+
+@pytest.mark.parametrize("psi0, gamma, delta, dt", PATH_CASES,
+                         ids=["coherent", "excited", "coherent-long", "small-gamma-dt"])
+def test_no_jump_path_matches_stepwise_path(psi0, gamma, delta, dt):
+    c1, c2, p_jumped = me._no_jump_path(psi0, gamma, delta, dt, 5000)
+    ref_c1, ref_c2, ref_p = _no_jump_stepwise(psi0, gamma, delta, dt, 5000)
+    assert np.abs(c1 - ref_c1).max() <= 1e-12
+    assert np.abs(c2 - ref_c2).max() <= 1e-12
+    assert p_jumped[0] == 0.0
+    assert np.all(np.abs(p_jumped[1:] - ref_p[1:]) <= 1e-12 * ref_p[1:])
+    assert np.all(np.diff(p_jumped) >= 0.0)
+
+
 @pytest.mark.parametrize("psi0, channel", UNRAVEL_CASES,
                          ids=["delta-zero", "delta-nonzero", "coherent"])
-def test_first_jump_unravel_matches_stepwise_reference(psi0, channel):
-    n_traj, n_steps, dt, seed = 300, 500, 0.005, 2024
-    ref_rho, ref_jumps, ref_second = _unravel_stepwise(
-        psi0, channel, dt, n_steps, n_traj, seed)
-    _, _, p_jump = me._no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
-    first = me._first_jump_steps(p_jump, n_traj, seed, block=64)
-    jumps = np.bincount(first, minlength=n_steps + 1)[:n_steps]
-    assert 0 < ref_jumps.sum() < n_traj
-    np.testing.assert_array_equal(jumps, ref_jumps)
+def test_jump_steps_match_inverse_cdf_walk(psi0, channel):
+    _, _, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, 0.005, 500)
+    for seed in (2024, -5, 2 ** 64 - 1):
+        first = me._jump_steps(p_jumped, 300, seed)
+        np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, 300, seed))
+        assert 0 < np.count_nonzero(first < 500) < 300
 
+
+def test_jump_steps_at_the_draw_and_at_certain_and_impossible_steps():
+    # p_jumped one ulp below, at and one ulp above a trajectory's own
+    # uniform: only the last catches it, since a jump needs u < p_jumped.
+    n_traj, seed = 24, 5
+    for u in _uniforms(n_traj, seed):
+        p_jumped = np.array([0.0, np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)])
+        first = me._jump_steps(p_jumped, n_traj, seed)
+        np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, n_traj, seed))
+        assert 2 in first.tolist()
+    certain = np.array([0.0, 0.0, 1e-3, 1.0, 1.0])
+    np.testing.assert_array_equal(me._jump_steps(certain, 50, 3),
+                                  _jump_steps_walk(certain, 50, 3))
+    assert set(me._jump_steps(certain, 50, 3).tolist()) <= {1, 2}
+    np.testing.assert_array_equal(me._jump_steps(np.zeros(7), 50, 3), 6)
+
+
+# The 0.999 quantile of chi-squared with 20 degrees of freedom. Two correct
+# samplers give a larger statistic with probability 1e-3 for one case and
+# seed pair, so the three cases together raise a false alarm with
+# probability about 3e-3 at seeds chosen at random.
+CHI2_20_Q999 = 45.315
+
+
+@pytest.mark.parametrize("psi0, channel", UNRAVEL_CASES,
+                         ids=["delta-zero", "delta-nonzero", "coherent"])
+def test_jump_step_histogram_matches_per_step_scheme(psi0, channel):
+    # Two-sample chi-squared over 20 bins of 20 steps plus a never-jumped
+    # bin. The streams do not overlap: (2024, i) per trajectory for the
+    # per-step scheme, (2025, 0) for the waiting-time sampler.
+    n_traj, n_steps, dt = 4000, 400, 0.005
+    _, ref_jumps, _ = _unravel_stepwise(psi0, channel, dt, n_steps, n_traj, 2024)
+    _, _, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
+    first = me._jump_steps(p_jumped, n_traj, 2025)
+    ref_hist = np.append(ref_jumps.reshape(20, 20).sum(axis=1), n_traj - ref_jumps.sum())
+    hist = np.bincount(first // 20, minlength=21)
+    assert hist.sum() == ref_hist.sum() == n_traj and ref_hist.min() > 20
+    chi2 = np.sum((hist - ref_hist) ** 2 / (hist + ref_hist))
+    assert chi2 < CHI2_20_Q999
+
+
+@pytest.mark.parametrize("psi0, channel", UNRAVEL_CASES,
+                         ids=["delta-zero", "delta-nonzero", "coherent"])
+def test_unravel_averages_the_walked_trajectories(psi0, channel):
+    n_traj, n_steps, dt, seed = 300, 500, 0.005, 2024
+    c1, c2, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
+    first = _jump_steps_walk(p_jumped, n_traj, seed)
+    # A trajectory that jumps in step j is on the no-jump path after 0..j
+    # steps and in the ground state after.
+    on_path = np.arange(n_steps + 1)[:, None] <= first[None, :]
+    a1 = np.where(on_path, c1[:, None], 1.0)
+    a2 = np.where(on_path, c2[:, None], 0.0)
     result = me.jump_unravel(np.outer(psi0, psi0.conj()), channel, n_steps * dt, dt,
                              n_traj=n_traj, seed=seed)
-    assert np.abs(result.rho - ref_rho).max() <= 1e-14 * np.abs(ref_rho).max()
-    # rho22 is the no-jump value p2 on a fraction q of the trajectories and
-    # 0 on the rest: var = q (1 - q) p2**2 with q p2 = E[rho22].
-    q = 1.0 - np.concatenate([[0], np.cumsum(ref_jumps)]) / n_traj
-    p2 = ref_rho[:, 1, 1].real / q
-    closed = np.sqrt(q * (1.0 - q) / n_traj) * p2
-    np.testing.assert_allclose(result.stderr_rho22, closed, rtol=1e-14, atol=0.0)
-    # The sample variance E[x**2] - E[x]**2 is the same quantity, up to its
-    # cancellation.
-    sample = np.sqrt(np.maximum(ref_second - ref_rho[:, 1, 1].real ** 2, 0.0) / n_traj)
-    np.testing.assert_allclose(result.stderr_rho22, sample, rtol=1e-6, atol=1e-12)
+    assert np.abs(result.rho[:, 0, 0] - np.mean(np.abs(a1) ** 2, axis=1)).max() <= 1e-14
+    assert np.abs(result.rho[:, 1, 1] - np.mean(np.abs(a2) ** 2, axis=1)).max() <= 1e-14
+    assert np.abs(result.rho[:, 0, 1] - np.mean(a1 * np.conj(a2), axis=1)).max() <= 1e-14
+    np.testing.assert_array_equal(result.rho[:, 1, 0], np.conj(result.rho[:, 0, 1]))
+    np.testing.assert_allclose(result.stderr_rho22,
+                               np.std(np.abs(a2) ** 2, axis=1) / math.sqrt(n_traj),
+                               rtol=1e-9, atol=1e-15)
 
 
-def test_unravel_independent_of_block_size_and_validates_workers():
-    channel = me.AtomChannel(1.0, 0.4)
-    ref = me.jump_unravel(me.DensityMatrix.excited(), channel, 1.0, 0.01,
-                          n_traj=100, seed=5)
-    for chunk_size in (1, 7, 100, 1000):
-        other = me.jump_unravel(me.DensityMatrix.excited(), channel, 1.0, 0.01,
-                                n_traj=100, seed=5, chunk_size=chunk_size)
-        assert np.array_equal(ref.rho, other.rho)
-        assert np.array_equal(ref.stderr_rho22, other.stderr_rho22)
-    for bad in ({"n_workers": 0}, {"chunk_size": 0}):
-        with pytest.raises(ValueError):
-            me.jump_unravel(me.DensityMatrix.excited(), channel, 1.0, 0.01,
-                            n_traj=10, seed=5, **bad)
+@pytest.mark.parametrize("psi0", [np.array([0.6, 0.8 * np.exp(2.1j)]),
+                                  np.array([0.0, 1.0], dtype=complex),
+                                  np.array([1.0, 0.0], dtype=complex)])
+def test_zero_gamma_never_jumps(psi0):
+    _, _, p_jumped = me._no_jump_path(psi0, 0.0, 1.2, 0.01, 300)
+    np.testing.assert_array_equal(p_jumped, 0.0)
+    np.testing.assert_array_equal(me._jump_steps(p_jumped, 1000, 8), 300)
 
 
-def _first_jump_reference(p_jump, n_traj, seed):
-    """Reference: each trajectory draws all its doubles from a fresh
-    Generator on its Philox stream and jumps at the first draw below p."""
-    first = np.full(n_traj, len(p_jump))
-    for row in range(n_traj):
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, row], dtype=np.uint64)
-        hit = np.random.Generator(np.random.Philox(key=key)).random(len(p_jump)) < p_jump
-        if hit.any():
-            first[row] = hit.argmax()
-    return first
-
-
-# Probabilities at the edges of the raw-word comparison: exactly 0 and 1,
-# the largest double below 1, subnormals, and values whose p * 2**53 is an
-# integer, where draw < p must not count the draw equal to p.
-EDGE_P = [0.0, 1.0, 1.0 - 2.0 ** -53, 5e-324, 2.0 ** -1074 * 3, 2.0 ** -1022,
-          2.0 ** -53, 3 * 2.0 ** -53, 0.5, 0.25 + 2.0 ** -53]
-
-
-def _edge_case_p(n_steps, which):
-    rng = np.random.default_rng(n_steps)
-    if which == "small":
-        return 2e-3 * rng.random(n_steps)
-    if which == "edges":
-        # 0 is the "zero" case and 1 the "sure" case.
-        values = EDGE_P[2:]
-        p = 1e-3 * rng.random(n_steps)
-        p[rng.permutation(n_steps)[:len(values)]] = values[:n_steps]
-        return p
-    if which == "zero":
-        return np.zeros(n_steps)
-    # "sure": a certain jump a little before the end.
-    p = 1e-4 * rng.random(n_steps)
-    p[(3 * n_steps) // 4:] = 1.0
-    return p
-
-
-@pytest.mark.parametrize("block", [1, 7, 64])
-@pytest.mark.parametrize("n_steps", [0, 1, 3, 511, 512, 513, 1536, 5000])
-@pytest.mark.parametrize("which", ["small", "edges", "zero", "sure"])
-def test_first_jump_steps_match_reference(n_steps, block, which):
-    p_jump = _edge_case_p(n_steps, which)
-    n_traj = 70
-    first = me._first_jump_steps(p_jump, n_traj, 99, block)
-    np.testing.assert_array_equal(first, _first_jump_reference(p_jump, n_traj, 99))
-
-
-@pytest.mark.parametrize("value", EDGE_P)
-def test_first_jump_steps_edge_probabilities(value):
-    p_jump = np.full(600, value)
-    first = me._first_jump_steps(p_jump, 40, 3, 8)
-    np.testing.assert_array_equal(first, _first_jump_reference(p_jump, 40, 3))
-    if value == 1.0:
-        assert not first.any()  # every draw is below 1
-
-
-@pytest.mark.parametrize("step", [0, 700])
-def test_first_jump_steps_threshold_at_the_draw(step):
-    # p equal to a trajectory's own draw, one ulp below and one ulp above
-    # it: only the last catches that draw. Between two multiples of 2**-53
-    # the raw-word threshold must round p up, not down.
-    n_traj, seed = 24, 5
-    draws = [np.random.Generator(np.random.Philox(key=np.array([seed, row], dtype=np.uint64)))
-             .random(step + 1)[step] for row in range(n_traj)]
-    for draw in draws:
-        for value in (np.nextafter(draw, 0.0), draw, np.nextafter(draw, 1.0)):
-            p_jump = np.zeros(step + 1)
-            p_jump[step] = value
-            np.testing.assert_array_equal(me._first_jump_steps(p_jump, n_traj, seed, 7),
-                                          _first_jump_reference(p_jump, n_traj, seed))
-
-
-def test_first_jump_steps_at_segment_bounds():
-    # p is 0 except at both sides of every segment bound, so jumps land on
-    # the last word of one segment and the first word of the next.
-    bounds = [511, 512, 1535, 1536, 3583, 3584, 4999]
-    p_jump = np.zeros(5000)
-    p_jump[bounds] = 0.5
-    first = me._first_jump_steps(p_jump, 1000, 17, 64)
-    np.testing.assert_array_equal(first, _first_jump_reference(p_jump, 1000, 17))
-    assert set(bounds) <= set(first.tolist())
-    assert set(first.tolist()) <= set(bounds) | {5000}
-
-
-def test_first_jump_steps_on_a_no_jump_path():
-    psi0 = np.array([0.4, np.sqrt(0.84) * np.exp(0.3j)])
-    _, _, p_jump = me._no_jump_path(psi0, 0.9, 0.4, 1e-3 / 0.9, 5000)
-    first = me._first_jump_steps(p_jump, 300, 2127877499, 64)
-    np.testing.assert_array_equal(first, _first_jump_reference(p_jump, 300, 2127877499))
-    assert 0 < np.count_nonzero(first < 5000) < 300
-
-
-@settings(max_examples=150, deadline=None)
-@given(n_steps=st.integers(0, 2100), level=st.floats(0.0, 0.02),
-       specials=st.lists(st.tuples(st.integers(0, 2099), st.sampled_from(EDGE_P)),
-                         max_size=4),
-       shape_seed=st.integers(0, 2 ** 32 - 1),
-       seed=st.integers(-2 ** 63, 2 ** 64 - 1),
-       n_traj=st.integers(1, 12), block=st.integers(1, 5))
-def test_first_jump_steps_property(n_steps, level, specials, shape_seed, seed,
-                                   n_traj, block):
-    p_jump = level * np.random.default_rng(shape_seed).random(n_steps)
-    for position, value in specials:
-        if position < n_steps:
-            p_jump[position] = value
-    first = me._first_jump_steps(p_jump, n_traj, seed, block)
-    np.testing.assert_array_equal(first, _first_jump_reference(p_jump, n_traj, seed))
+@pytest.mark.parametrize("rho22", [1.0, 1.0 - 1e-12, 0.5])
+def test_unravel_long_decay_stays_finite(rho22):
+    # gamma t_final = 800: exp(-gamma t) underflows to 0 from step 7451 on.
+    rho12 = math.sqrt(rho22 * (1.0 - rho22))
+    rho0 = np.array([[1.0 - rho22, rho12], [rho12, rho22]], dtype=complex)
+    result = me.jump_unravel(rho0, me.AtomChannel(1.0, 0.3), 800.0, 0.1,
+                             n_traj=200, seed=4)
+    assert np.isfinite(result.rho).all() and np.isfinite(result.stderr_rho22).all()
+    np.testing.assert_allclose(np.trace(result.rho, axis1=1, axis2=2), 1.0, atol=1e-12)
+    assert result.rho[-1, 1, 1] == 0.0
 
 
 def test_unravel_certain_first_step_jump():
@@ -404,10 +406,10 @@ def test_unravel_certain_first_step_jump():
     # in step 0, while the renormalised no-jump path stays finite.
     psi0 = np.array([0.0, 1.0], dtype=complex)
     channel = me.AtomChannel(1.0, 0.0)
-    c1, c2, p_jump = me._no_jump_path(psi0, channel.gamma, channel.delta, 40.0, 3)
-    assert p_jump[0] == 1.0
+    c1, c2, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, 40.0, 3)
+    assert p_jumped[1] == 1.0
     assert np.isfinite(c1).all() and np.isfinite(c2).all()
-    first = me._first_jump_steps(p_jump, 50, 1, 7)
+    first = me._jump_steps(p_jumped, 50, 1)
     assert not first.any()
     _, ref_jumps, _ = _unravel_stepwise(psi0, channel, 40.0, 3, 50, 1)
     np.testing.assert_array_equal(np.bincount(first, minlength=4)[:3], ref_jumps)
