@@ -23,15 +23,7 @@ import numpy as np
 from . import __version__, classical, io, mastereq, oracle, rates
 from .core import GaussianPacket, Medium, MirrorSpec, validate_mirror
 from .errors import (GridTooCoarse, IntegratorInvariantBroken, MirrorFieldError,
-                     QuadratureNotConverged, StepTooLarge, ZeroDistance)
-
-# Documented SI defaults for callers that want physical units in configs.
-SI_CONSTANTS = {
-    "e": 1.602176634e-19,         # C
-    "hbar": 1.054571817e-34,      # J s
-    "epsilon": 8.8541878128e-12,  # F / m
-    "mu_p": 1.25663706212e-6,     # H / m
-}
+                     QuadratureNotConverged)
 
 
 class CliError(Exception):
@@ -48,6 +40,14 @@ def _check_thread_env() -> None:
     except ValueError:
         pass
     raise CliError(2, f"MIRRORFIELD_THREADS must be a positive integer, got {raw!r}")
+
+
+def _positive(config: dict, key: str) -> float:
+    """config[key] as a float, which must be positive and finite."""
+    value = float(config[key])
+    if not (math.isfinite(value) and value > 0.0):
+        raise CliError(2, f"--{key.replace('_', '-')} must be positive and finite, got {value}")
+    return value
 
 
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
@@ -119,9 +119,7 @@ FIG2_DEFAULTS = {
 
 def cmd_fig2(config: dict) -> int:
     medium = Medium()
-    x0 = float(config["x0"])
-    if not (math.isfinite(x0) and x0 > 0.0):
-        raise CliError(2, f"--x0 must be positive and finite, got {x0}")
+    x0 = _positive(config, "x0")
     sigma = config["sigma"]
     sigma = x0 / math.sqrt(2.0) if sigma is None else float(sigma)
     # The canonical frame-series packet is marginally localised (sigma of
@@ -172,8 +170,8 @@ RATES_SCAN_DEFAULTS = {
 }
 
 
-# Largest k0x grid rates-scan takes. Writing it costs about 0.42 kB per
-# point as CSV (0.72 kB as JSON), so the cap peaks near 0.45 GB (0.75 GB);
+# Largest k0x grid rates-scan takes. Writing it costs about 0.2 kB per
+# point as CSV (0.72 kB as JSON), so the cap peaks near 0.23 GB (0.75 GB);
 # a larger grid is rejected before any array is allocated.
 MAX_SCAN_POINTS = 1_000_000
 
@@ -185,11 +183,9 @@ def _scan_rates(config: dict):
         raise CliError(2, "k0x bounds must be finite and k0x_step positive")
     # floor(span) points; span may overflow to inf, which floor rejects.
     span = (k0x_max - k0x_min) / k0x_step + 1.5
-    if span < 1.0:
-        raise CliError(2, f"empty k0x grid: k0x_max {k0x_max} < k0x_min {k0x_min}")
-    if span >= MAX_SCAN_POINTS + 1:
-        raise CliError(2, "the grid from --k0x-min, --k0x-max and --k0x-step has more "
-                          f"than the cap of {MAX_SCAN_POINTS} points")
+    if not 1.0 <= span < MAX_SCAN_POINTS + 1:
+        raise CliError(2, f"--k0x-min {k0x_min}, --k0x-max {k0x_max} and --k0x-step "
+                          f"{k0x_step} must give 1 to {MAX_SCAN_POINTS} grid points")
     n_points = math.floor(span)
     k0x = k0x_min + k0x_step * np.arange(n_points)
     z = 2.0 * k0x
@@ -238,14 +234,9 @@ ORACLE_MAX_ORDER = 1024
 
 
 def cmd_oracle_verify(config: dict) -> int:
-    for key in ("tolerance", "tol_gamma", "tol_delta", "tol_route", "tol_energy"):
-        value = config[key]
-        if value is not None and not (math.isfinite(float(value)) and float(value) > 0.0):
-            flag = "--" + key.replace("_", "-")
-            raise CliError(2, f"{flag} must be positive and finite, got {value}")
-    tols = {k: float(config[k]) for k in ("tol_gamma", "tol_delta", "tol_route", "tol_energy")}
+    tols = {k: _positive(config, k) for k in ("tol_gamma", "tol_delta", "tol_route", "tol_energy")}
     if config["tolerance"] is not None:
-        tols = {k: float(config["tolerance"]) for k in tols}
+        tols = dict.fromkeys(tols, _positive(config, "tolerance"))
     order = 16 if config["grid_coarse"] else int(config["order"])
     if order > ORACLE_MAX_ORDER:
         raise CliError(2, f"--order must be at most {ORACLE_MAX_ORDER}, got {order}")
@@ -318,8 +309,7 @@ _EVOLVE_FLOATS = ("gamma", "delta", "rho22", "rho12_re", "rho12_im", "t_final", 
 def cmd_evolve(config: dict) -> int:
     for key in _EVOLVE_FLOATS:
         if config[key] is not None and not math.isfinite(float(config[key])):
-            flag = "--" + key.replace("_", "-")
-            raise CliError(2, f"{flag} must be finite, got {config[key]}")
+            raise CliError(2, f"--{key.replace('_', '-')} must be finite, got {config[key]}")
     channel = _evolve_channel(config)
     scale = max(channel.gamma, abs(channel.delta), 1e-12)
     t_final = 5.0 / scale if config["t_final"] is None else float(config["t_final"])
@@ -480,9 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-rate", dest="t_rate", type=float,
                    help="mirror transmission for --from-mirror symmetric")
     p.add_argument("--gamma-free", dest="gamma_free", type=float)
-    p.add_argument("--unravel", type=int,
-                   help="number of quantum-jump trajectories, at most "
-                        f"{mastereq.MAX_TRAJECTORIES}")
+    p.add_argument("--unravel", type=int, help="number of quantum-jump trajectories, "
+                   f"at most {mastereq.MAX_TRAJECTORIES}")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"])
@@ -523,7 +512,7 @@ def main(argv=None) -> int:
     except (QuadratureNotConverged, GridTooCoarse, IntegratorInvariantBroken) as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return 3
-    except (StepTooLarge, ZeroDistance, MirrorFieldError, ValueError) as exc:
+    except (MirrorFieldError, ValueError) as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -129,9 +129,9 @@ def _as_matrix(rho0) -> np.ndarray:
 
 
 # Largest step count round(t_final / dt) that evolve and jump_unravel take.
-# On the way to a CSV file memory grows by about 0.57 kB per step (1.0 kB
-# as JSON), so a million steps peak near 0.6 GB (1 GB); a larger count is
-# rejected before any array is allocated.
+# On the way to a CSV file memory grows by about 0.34 kB per step (0.42 kB
+# for an unraveling, 1.0 kB as JSON), so a million steps peak near 0.4 GB
+# (1 GB); a larger count is rejected before any array is allocated.
 MAX_STEPS = 1_000_000
 
 
@@ -303,10 +303,9 @@ def _jump_steps(p_jumped: np.ndarray, n_traj: int, seed: int) -> np.ndarray:
 
 
 # Largest trajectory count n_traj that jump_unravel takes. Its memory grows
-# by about 16 bytes per trajectory, on top of the 0.57 kB per step of the
-# time grid, so a 10-step evolve --unravel at the cap peaks near 190 MB and
-# takes about 1 s; a larger count is rejected before any array is
-# allocated.
+# by about 16 bytes per trajectory, on top of the cost per step, so a
+# 10-step evolve --unravel at the cap peaks near 190 MB and takes about
+# 1 s; a larger count is rejected before any array is allocated.
 MAX_TRAJECTORIES = 10_000_000
 
 

@@ -445,7 +445,7 @@ def test_thread_env_must_be_positive_integer(tmp_path, value):
 @pytest.mark.parametrize("argv, flag", [
     (["fig2", "--x0", "0"], "--x0 must be positive and finite"),
     (["rates-scan", "--k0x-min", "1e-300", "--k0x-max", "1e300", "--k0x-step", "1e-300"],
-     "--k0x-step has more than the cap of"),
+     "--k0x-step 1e-300 must give 1 to 1000000 grid points"),
     (["oracle-verify", "--tolerance", "nan"], "--tolerance must be positive and finite"),
     (["oracle-verify", "--tolerance", "-1"], "--tolerance must be positive and finite"),
     (["oracle-verify", "--tol-energy", "0"], "--tol-energy must be positive and finite"),
@@ -480,7 +480,7 @@ def test_rates_scan_grid_cap(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(rates, "preset_rates", forbidden)
     assert cli.main([*argv, "--k0x-max", "5.5"]) == 2
-    assert "more than the cap of 10 points" in capsys.readouterr().err
+    assert "must give 1 to 10 grid points" in capsys.readouterr().err
     assert not out.exists()
 
 
