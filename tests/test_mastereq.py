@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorfield import mastereq as me
 from mirrorfield import rates
@@ -308,25 +310,104 @@ def test_no_jump_path_matches_stepwise_path(psi0, gamma, delta, dt):
     assert np.all(np.diff(p_jumped) >= 0.0)
 
 
-@pytest.mark.parametrize("psi0, channel", UNRAVEL_CASES,
-                         ids=["delta-zero", "delta-nonzero", "coherent"])
-def test_jump_steps_match_inverse_cdf_walk(psi0, channel):
-    _, _, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, 0.005, 500)
-    for seed in (2024, -5, 2 ** 64 - 1):
-        first = me._jump_steps(p_jumped, 300, seed)
-        np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, 300, seed))
-        assert 0 < np.count_nonzero(first < 500) < 300
+def test_first_jump_steps_on_a_no_jump_path():
+    psi0 = np.array([0.4, np.sqrt(0.84) * np.exp(0.3j)])
+    _, _, p_jumped = me._no_jump_path(psi0, 0.9, 0.4, 1e-3 / 0.9, 5000)
+    first = me._jump_steps(p_jumped, 300, 2127877499)
+    np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, 300, 2127877499))
+    assert 0 < np.count_nonzero(first < 5000) < 300
+    for psi0, channel in UNRAVEL_CASES:
+        _, _, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, 0.005, 500)
+        for seed in (2024, -5, 2 ** 64 - 1):
+            first = me._jump_steps(p_jumped, 300, seed)
+            np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, 300, seed))
+            assert 0 < np.count_nonzero(first < 500) < 300
 
 
-def test_jump_steps_at_the_draw_and_at_certain_and_impossible_steps():
-    # p_jumped one ulp below, at and one ulp above a trajectory's own
-    # uniform: only the last catches it, since a jump needs u < p_jumped.
+# Probabilities at the edges of the comparison u < p_jumped: exactly 0 and
+# 1, the largest double below 1, subnormals, and values whose p * 2**53 is
+# an integer, where a uniform equal to p must not jump.
+EDGE_P = [0.0, 1.0, 1.0 - 2.0 ** -53, 5e-324, 2.0 ** -1074 * 3, 2.0 ** -1022,
+          2.0 ** -53, 3 * 2.0 ** -53, 0.5, 0.25 + 2.0 ** -53]
+
+
+def _edge_case_p(n_steps, which):
+    """A non-decreasing probability p_jumped[j] of a jump within j steps,
+    for j = 0 .. n_steps, that starts at 0."""
+    rng = np.random.default_rng(n_steps)
+    # "small": a random per-step jump probability below 2e-3.
+    p = -np.expm1(-np.cumsum(2e-3 * rng.random(n_steps)))
+    if which == "edges":
+        # 0 is the "zero" case and 1 the "sure" case.
+        values = EDGE_P[2:]
+        p = np.sort(np.concatenate([values, p[len(values):]]))[:n_steps]
+    elif which == "zero":
+        p = np.zeros(n_steps)
+    elif which == "sure":
+        # A certain jump a little before the end.
+        p[(3 * n_steps) // 4:] = 1.0
+    return np.concatenate([[0.0], p])
+
+
+@pytest.mark.parametrize("n_traj", [1, 7, 64])
+@pytest.mark.parametrize("n_steps", [0, 1, 3, 511, 512, 513, 1536, 5000])
+@pytest.mark.parametrize("which", ["small", "edges", "zero", "sure"])
+def test_first_jump_steps_match_reference(n_steps, n_traj, which):
+    p_jumped = _edge_case_p(n_steps, which)
+    assert np.all(np.diff(p_jumped) >= 0.0)
+    first = me._jump_steps(p_jumped, n_traj, 99)
+    np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, n_traj, 99))
+
+
+@pytest.mark.parametrize("value", EDGE_P)
+def test_first_jump_steps_edge_probabilities(value):
+    # A jump in step 0 with probability value, and none after it.
+    p_jumped = np.full(601, value)
+    p_jumped[0] = 0.0
+    first = me._jump_steps(p_jumped, 40, 3)
+    np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, 40, 3))
+    assert set(first.tolist()) <= {0, 600}
+    if value == 1.0:
+        assert not first.any()  # every uniform is below 1
+
+
+@pytest.mark.parametrize("step", [0, 700])
+def test_first_jump_steps_threshold_at_the_draw(step):
+    # p_jumped reaches one ulp below, exactly and one ulp above a
+    # trajectory's own uniform in the given step: only the last catches
+    # it, since a jump needs u < p_jumped.
     n_traj, seed = 24, 5
-    for u in _uniforms(n_traj, seed):
-        p_jumped = np.array([0.0, np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)])
-        first = me._jump_steps(p_jumped, n_traj, seed)
-        np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, n_traj, seed))
-        assert 2 in first.tolist()
+    for row, u in enumerate(_uniforms(n_traj, seed)):
+        for value in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)):
+            p_jumped = np.zeros(step + 2)
+            p_jumped[step + 1] = value
+            first = me._jump_steps(p_jumped, n_traj, seed)
+            np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, n_traj, seed))
+            assert first[row] == (step if u < value else step + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_steps=st.integers(0, 2100), level=st.floats(0.0, 0.02),
+       specials=st.lists(st.tuples(st.integers(0, 2099), st.sampled_from(EDGE_P)),
+                         max_size=4),
+       shape_seed=st.integers(0, 2 ** 32 - 1),
+       seed=st.integers(-2 ** 63, 2 ** 64 - 1),
+       n_traj=st.integers(1, 12))
+def test_first_jump_steps_property(n_steps, level, specials, shape_seed, seed, n_traj):
+    # A random per-step jump probability below level, with edge values set
+    # at some steps; the running maximum keeps p_jumped non-decreasing.
+    p_jumped = np.zeros(n_steps + 1)
+    p_jumped[1:] = -np.expm1(-np.cumsum(level * np.random.default_rng(shape_seed)
+                                        .random(n_steps)))
+    for position, value in specials:
+        if position < n_steps:
+            p_jumped[position + 1] = value
+    p_jumped = np.maximum.accumulate(p_jumped)
+    first = me._jump_steps(p_jumped, n_traj, seed)
+    np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, n_traj, seed))
+
+
+def test_jump_steps_at_certain_and_impossible_steps():
     certain = np.array([0.0, 0.0, 1e-3, 1.0, 1.0])
     np.testing.assert_array_equal(me._jump_steps(certain, 50, 3),
                                   _jump_steps_walk(certain, 50, 3))
@@ -360,7 +441,7 @@ def test_jump_step_histogram_matches_per_step_scheme(psi0, channel):
 
 @pytest.mark.parametrize("psi0, channel", UNRAVEL_CASES,
                          ids=["delta-zero", "delta-nonzero", "coherent"])
-def test_unravel_averages_the_walked_trajectories(psi0, channel):
+def test_first_jump_unravel_matches_stepwise_reference(psi0, channel):
     n_traj, n_steps, dt, seed = 300, 500, 0.005, 2024
     c1, c2, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
     first = _jump_steps_walk(p_jumped, n_traj, seed)
