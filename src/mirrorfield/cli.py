@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classical, io, mastereq, oracle, rates
-from .core import GaussianPacket, Medium, MirrorSpec, validate_mirror
+from .core import (MAX_STEPS, MAX_TRAJECTORIES, GaussianPacket, Medium, MirrorSpec,
+                   validate_mirror)
 from .errors import (GridTooCoarse, IntegratorInvariantBroken, MirrorFieldError,
                      QuadratureNotConverged)
 
@@ -87,13 +88,23 @@ def _parse_mirror(data: dict) -> MirrorSpec:
     return validate_mirror(MirrorSpec.from_dict(data))
 
 
-def _x_grid(config: dict) -> np.ndarray:
-    """The frame grid from x_min, x_max and nx; rejects an empty grid and
-    non-finite bounds."""
+# Largest frame series, nx points times the number of frame times, that
+# fig2 and scatter write. Writing it costs about 0.24 kB per row as CSV
+# (0.95 kB as JSON), so the cap peaks near 0.28 GB (0.98 GB); a larger
+# series is rejected before any array is allocated.
+MAX_FRAME_ROWS = 1_000_000
+
+
+def _x_grid(config: dict, n_times: int) -> np.ndarray:
+    """The frame grid from x_min, x_max and nx for n_times frames; rejects
+    an empty grid, non-finite bounds and more than MAX_FRAME_ROWS rows."""
     nx = int(config["nx"])
     x_min, x_max = float(config["x_min"]), float(config["x_max"])
     if nx < 1:
         raise CliError(2, f"nx must be at least 1, got {nx}")
+    if nx * n_times > MAX_FRAME_ROWS:
+        raise CliError(2, f"--nx {nx} at {n_times} frame times gives {nx * n_times} rows, "
+                          f"more than {MAX_FRAME_ROWS}")
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise CliError(2, f"x_min and x_max must be finite, got {x_min}, {x_max}")
     return np.linspace(x_min, x_max, nx)
@@ -122,6 +133,11 @@ def cmd_fig2(config: dict) -> int:
     x0 = _positive(config, "x0")
     sigma = config["sigma"]
     sigma = x0 / math.sqrt(2.0) if sigma is None else float(sigma)
+    # The packet envelope divides by sigma**2, which underflows to 0 for a
+    # tiny x0 and would fill the frames with NaN.
+    if not (math.isfinite(sigma * sigma) and sigma * sigma > 0.0):
+        raise CliError(2, f"--sigma must have a positive, finite square, got {sigma} "
+                          "(the default is --x0 / sqrt(2))")
     # The canonical frame-series packet is marginally localised (sigma of
     # order x0); silence the soft localisation warning for it.
     with warnings.catch_warnings():
@@ -136,8 +152,13 @@ def cmd_fig2(config: dict) -> int:
     scene = classical.ScatterScene(mirror=mirror, packets_a=(packet,), medium=medium)
     times = [float(v) * x0 / medium.c for v in config["t"]]
     if config["frames"] is not None:
-        times = times[: int(config["frames"])]
-    x_grid = _x_grid(config)
+        frames = int(config["frames"])
+        if frames < 1:
+            raise CliError(2, f"--frames must be at least 1, got {frames}")
+        times = times[:frames]
+    if not times:
+        raise CliError(2, "fig2 needs at least one frame time --t")
+    x_grid = _x_grid(config, len(times))
 
     def fields(t):
         total = classical.mirror_field_1d(scene, x_grid, t)
@@ -381,11 +402,13 @@ def _load_scene(path: str) -> classical.ScatterScene:
 
 
 def cmd_scatter(config: dict) -> int:
-    x_grid = _x_grid(config)
+    times = [float(v) for v in config["times"]]
+    if not times:
+        raise CliError(2, "scatter needs at least one time --times")
+    x_grid = _x_grid(config, len(times))
     if config["scene"] is None:
         raise CliError(2, "scatter needs --scene")
     scene = _load_scene(config["scene"])
-    times = [float(v) for v in config["times"]]
 
     def fields(t):
         from_a, from_b = classical.mirror_field_1d_by_side(scene, x_grid, t)
@@ -415,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float)
     p.add_argument("--x-min", dest="x_min", type=float)
     p.add_argument("--x-max", dest="x_max", type=float)
-    p.add_argument("--nx", type=int)
+    p.add_argument("--nx", type=int,
+                   help=f"grid points; nx times the frame count is at most {MAX_FRAME_ROWS}")
     p.add_argument("--t", type=float, action="append",
                    help="frame time in units of x0/c (repeatable)")
     p.add_argument("--frames", type=int, help="keep only the first N frame times")
@@ -452,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "evolve", help="integrate the atomic master equation",
         description="Integrate the atomic master equation, or average --unravel "
-                    f"quantum-jump trajectories, over at most {mastereq.MAX_STEPS} "
+                    f"quantum-jump trajectories, over at most {MAX_STEPS} "
                     "steps t_final/dt.")
     p.add_argument("--config")
     p.add_argument("--gamma", type=float)
@@ -471,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mirror transmission for --from-mirror symmetric")
     p.add_argument("--gamma-free", dest="gamma_free", type=float)
     p.add_argument("--unravel", type=int, help="number of quantum-jump trajectories, "
-                   f"at most {mastereq.MAX_TRAJECTORIES}")
+                   f"at most {MAX_TRAJECTORIES}")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"])
@@ -482,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", type=float, nargs="+")
     p.add_argument("--x-min", dest="x_min", type=float)
     p.add_argument("--x-max", dest="x_max", type=float)
-    p.add_argument("--nx", type=int)
+    p.add_argument("--nx", type=int,
+                   help=f"grid points; nx times the time count is at most {MAX_FRAME_ROWS}")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"])
 

@@ -18,6 +18,23 @@ TWO_PI = 2.0 * math.pi
 # 1 + 2e-16 which must still count as lossless.
 _RATE_TOL = 1e-9
 
+# The two caps of mastereq live here because the CLI states them in its
+# --help, which every command builds; mastereq would load for nothing.
+
+# Largest step count round(t_final / dt) that mastereq.evolve and
+# mastereq.jump_unravel take. On the way to a CSV file memory grows by about
+# 0.34 kB per step (0.42 kB for an unraveling, 1.0 kB as JSON), so a million
+# steps peak near 0.4 GB (1 GB); a larger count is rejected before any
+# array is allocated.
+MAX_STEPS = 1_000_000
+
+# Largest trajectory count n_traj that mastereq.jump_unravel takes. Its
+# memory grows by about 16 bytes per trajectory, on top of the cost per
+# step, so a 10-step evolve --unravel at the cap peaks near 190 MB and
+# takes about 1 s; a larger count is rejected before any array is
+# allocated.
+MAX_TRAJECTORIES = 10_000_000
+
 
 def _check_keys(what: str, given, allowed, required=()) -> None:
     """Raise ValueError naming any key outside ``allowed`` or missing from

@@ -67,7 +67,6 @@ def write_table(path, header, rows, meta: dict, fmt: str = "csv") -> None:
 FRAME_HEADER = ["t", "x", "E_total", "E_side_a", "E_side_b"]
 SWEEP_HEADER = ["k0x", "gamma_ratio", "delta_ratio"]
 TRAJECTORY_HEADER = ["t", "rho11", "rho22", "re_rho12", "im_rho12"]
-AMPLITUDE_HEADER = ["k", "re_alpha_a", "im_alpha_a", "re_alpha_b", "im_alpha_b"]
 
 
 def frame_rows(times, x_grid, field_fn):
@@ -81,16 +80,6 @@ def frame_rows(times, x_grid, field_fn):
         for j, x in enumerate(x_grid):
             rows.append((float(t), float(x), float(total[j]),
                          float(side_a[j]), float(side_b[j])))
-    return rows
-
-
-def amplitude_rows(grid, amps):
-    rows = []
-    for j, k in enumerate(grid.k):
-        a = amps.alpha_a[j]
-        b = amps.alpha_b[j]
-        rows.append((float(k), float(a.real), float(a.imag),
-                     float(b.real), float(b.imag)))
     return rows
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rates
-from .core import AtomSpec, Medium, MirrorSpec
+from .core import MAX_STEPS, MAX_TRAJECTORIES, AtomSpec, Medium, MirrorSpec
 from .errors import IntegratorInvariantBroken, StepTooLarge, ZeroDistance
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |1><2|
@@ -126,13 +126,6 @@ def _as_matrix(rho0) -> np.ndarray:
     if isinstance(rho0, DensityMatrix):
         return rho0.matrix
     return np.asarray(rho0, dtype=complex)
-
-
-# Largest step count round(t_final / dt) that evolve and jump_unravel take.
-# On the way to a CSV file memory grows by about 0.34 kB per step (0.42 kB
-# for an unraveling, 1.0 kB as JSON), so a million steps peak near 0.4 GB
-# (1 GB); a larger count is rejected before any array is allocated.
-MAX_STEPS = 1_000_000
 
 
 def _step_count(t_final: float, dt: float) -> int:
@@ -300,13 +293,6 @@ def _jump_steps(p_jumped: np.ndarray, n_traj: int, seed: int) -> np.ndarray:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
     u = (np.random.Philox(key=key).random_raw(n_traj) >> np.uint64(11)) * 2.0 ** -53
     return np.searchsorted(p_jumped[1:], u, side="right")
-
-
-# Largest trajectory count n_traj that jump_unravel takes. Its memory grows
-# by about 16 bytes per trajectory, on top of the cost per step, so a
-# 10-step evolve --unravel at the cap peaks near 190 MB and takes about
-# 1 s; a larger count is rejected before any array is allocated.
-MAX_TRAJECTORIES = 10_000_000
 
 
 def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,

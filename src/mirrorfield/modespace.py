@@ -326,17 +326,6 @@ def expect_E_mirr_one_sided(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium
     return out if x.shape else float(out)
 
 
-def expect_B_mirr_one_sided(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
-                            x, side: str = "a", hbar: float = 1.0):
-    """Magnetic-field expectation in front of a one-sided perfect mirror."""
-    x = np.asarray(x, dtype=float)
-    here = expect_B_free(amps, grid, medium, x, side=side, hbar=hbar)
-    image = expect_B_free(amps, grid, medium, -x, side=side, hbar=hbar)
-    mask = np.where(x >= 0.0, 1.0, 0.0)
-    out = (here + image) / math.sqrt(2.0) * mask
-    return out if x.shape else float(out)
-
-
 def expect_E_mirr_via_xi(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
                          x, side: str = "a", hbar: float = 1.0):
     """Same observable as expect_E_mirr_one_sided, summed over xi modes.

@@ -365,6 +365,12 @@ ARGV_REJECTS = [
      "--k0x-max", "1e300", "--k0x-step", "1e-300"],
     ["oracle-verify", "--tolerance", "nan"],
     ["oracle-verify", "--tolerance", "-1"],
+    # The default sigma = x0 / sqrt(2) squares to 0: the frames would be NaN.
+    ["fig2", "--x0", "1e-300", "--nx", "5"],
+    ["fig2", "--sigma", "1e200", "--nx", "5"],
+    # No frame is left, or --frames -1 would drop the last one.
+    ["fig2", "--frames", "0"],
+    ["fig2", "--frames", "-1"],
 ]
 
 
@@ -451,6 +457,8 @@ def test_thread_env_must_be_positive_integer(tmp_path, value):
     (["oracle-verify", "--tol-energy", "0"], "--tol-energy must be positive and finite"),
     (["oracle-verify", "--tolerance", "1e-3", "--tol-route", "inf"],
      "--tol-route must be positive and finite"),
+    (["fig2", "--x0", "1e-300", "--nx", "5"], "--sigma must have a positive, finite square"),
+    (["fig2", "--frames", "-1"], "--frames must be at least 1, got -1"),
 ])
 def test_rejected_flag_is_named(tmp_path, monkeypatch, capsys, argv, flag):
     from mirrorfield import cli, oracle
@@ -482,6 +490,56 @@ def test_rates_scan_grid_cap(tmp_path, monkeypatch, capsys):
     assert cli.main([*argv, "--k0x-max", "5.5"]) == 2
     assert "must give 1 to 10 grid points" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, needle", [
+    ("fig2", {"t": []}, "fig2 needs at least one frame time --t"),
+    ("scatter", {"times": []}, "scatter needs at least one time --times"),
+])
+def test_empty_frame_list_exits_2(tmp_path, capsys, command, config, needle):
+    from mirrorfield import cli
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "frames.csv"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    if command == "scatter":
+        argv += ["--scene", str(tmp_path / "no-such-scene.json")]
+    assert cli.main(argv) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_frame_row_cap(tmp_path, monkeypatch, capsys):
+    from mirrorfield import classical, cli, io
+
+    out = tmp_path / "frames.csv"
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(scene_payload()))
+    default_cap = cli.MAX_FRAME_ROWS
+    monkeypatch.setattr(cli, "MAX_FRAME_ROWS", 10)
+    for argv in (["fig2", "--nx", "5", "--t", "0", "--t", "1"],
+                 ["scatter", "--scene", str(scene), "--nx", "5", "--times", "0", "1"]):
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 10
+        out.unlink()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a frame was computed")
+
+    for name in ("mirror_field_1d", "mirror_field_1d_by_side", "packet_complex_field"):
+        monkeypatch.setattr(classical, name, forbidden)
+    monkeypatch.setattr(io, "frame_rows", forbidden)
+    for cap, argv in [
+            (10, ["fig2", "--nx", "11", "--t", "0"]),
+            (10, ["fig2", "--nx", "4", "--t", "0", "--t", "1", "--t", "2"]),
+            (10, ["scatter", "--scene", str(scene), "--nx", "6", "--times", "0", "1"]),
+            (default_cap, ["fig2", "--nx", str(default_cap // 3 + 1)]),
+            (default_cap, ["scatter", "--scene", str(scene), "--nx", str(default_cap + 1)])]:
+        monkeypatch.setattr(cli, "MAX_FRAME_ROWS", cap)
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert f"rows, more than {cap}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_evolve_unravel_cap_allocates_nothing(tmp_path, monkeypatch, capsys):

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from mirrorfield import io
-from mirrorfield import modespace as ms
-from mirrorfield.core import GaussianPacket, Medium
 
 
 def test_float_formatting_round_trips():
@@ -35,25 +33,6 @@ def test_write_csv_in_chunks_equals_joined_text(tmp_path, n_rows):
     io.write_csv(path, header, iter(rows))
     lines = [",".join(header)] + [",".join(map(io.format_value, row)) for row in rows]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def test_amplitude_dump_schema(tmp_path):
-    packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
-    grid = ms.ModeGrid.for_packet(packet, n_modes=256)
-    med = Medium()
-    # A coarse grid is fine here; only the file schema is under test.
-    try:
-        amps = ms.packet_to_amplitudes(packet, grid, med)
-    except Exception:
-        grid = ms.ModeGrid.for_packet(packet, n_modes=4096)
-        amps = ms.packet_to_amplitudes(packet, grid, med)
-    path = tmp_path / "amps.csv"
-    io.write_csv(path, io.AMPLITUDE_HEADER, io.amplitude_rows(grid, amps))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,re_alpha_a,im_alpha_a,re_alpha_b,im_alpha_b"
-    assert len(lines) == 1 + grid.k.size
-    first = lines[1].split(",")
-    assert float(first[0]) == grid.k[0]
 
 
 def test_frame_rows_row_major_ordering():

@@ -1,0 +1,75 @@
+"""What importing the package and running a command loads."""
+
+import json
+import subprocess
+import sys
+
+import mirrorfield
+
+LAYERS = ("core", "classical", "modespace", "rates", "oracle", "mastereq", "io")
+
+# Runs the CLI as ``python -m mirrorfield`` does and prints the names of the
+# package files whose code ran. The interpreter raises an "exec" audit
+# event, with the code object, for every module body the import system runs.
+PROBE = """
+import json, os, runpy, sys
+ran = set()
+def hook(event, args):
+    if event == "exec":
+        ran.add(args[0].co_filename)
+sys.addaudithook(hook)
+try:
+    runpy.run_module("mirrorfield", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+package = os.path.dirname(sys.modules["mirrorfield"].__file__)
+print(json.dumps({"code": code, "ran": sorted(
+    os.path.basename(f)[:-3] for f in ran if os.path.dirname(f) == package)}))
+"""
+
+
+def modules_run(tmp_path, *argv):
+    done = subprocess.run([sys.executable, "-c", PROBE, *argv, "--out",
+                           str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["code"] == 0, done.stderr
+    return set(result["ran"])
+
+
+def test_rates_scan_runs_no_other_layer(tmp_path):
+    ran = modules_run(tmp_path, "rates-scan")
+    assert {"__init__", "__main__", "cli", "core", "rates", "io"} <= ran
+    assert ran.isdisjoint({"classical", "modespace", "oracle", "mastereq"})
+
+
+def test_evolve_runs_no_field_layer(tmp_path):
+    ran = modules_run(tmp_path, "evolve", "--gamma", "1")
+    assert "mastereq" in ran
+    assert ran.isdisjoint({"classical", "modespace", "oracle"})
+
+
+def test_import_registers_every_layer_and_loads_none():
+    code = ("import json, sys, mirrorfield; print(json.dumps("
+            "[name for name in sys.modules if name.startswith(('mirrorfield', 'numpy'))]))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    loaded = set(json.loads(done.stdout))
+    assert {f"mirrorfield.{layer}" for layer in LAYERS} <= loaded
+    assert "numpy" not in loaded
+
+
+def test_public_names_resolve_to_their_definitions():
+    assert len(set(mirrorfield.__all__)) == len(mirrorfield.__all__)
+    for name in mirrorfield.__all__:
+        value = getattr(mirrorfield, name)
+        if name == "__version__":
+            continue
+        owner = sys.modules[value.__module__]
+        assert owner.__name__.rsplit(".", 1)[-1] in LAYERS, name
+        assert getattr(owner, name) is value, name
+    namespace = {}
+    exec("from mirrorfield import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(mirrorfield.__all__)
+    assert set(mirrorfield.__all__) <= set(dir(mirrorfield))
+    assert not hasattr(mirrorfield, "no_such_name")
