@@ -90,7 +90,7 @@ def _parse_mirror(data: dict) -> MirrorSpec:
 
 # Largest frame series, nx points times the number of frame times, that
 # fig2 and scatter write. Writing it costs about 0.24 kB per row as CSV
-# (0.95 kB as JSON), so the cap peaks near 0.28 GB (0.98 GB); a larger
+# (0.95 kB as JSON), so the cap peaks near 0.28 GB (1.0 GB); a larger
 # series is rejected before any array is allocated.
 MAX_FRAME_ROWS = 1_000_000
 
@@ -103,7 +103,7 @@ def _x_grid(config: dict, n_times: int) -> np.ndarray:
     if nx < 1:
         raise CliError(2, f"nx must be at least 1, got {nx}")
     if nx * n_times > MAX_FRAME_ROWS:
-        raise CliError(2, f"--nx {nx} at {n_times} frame times gives {nx * n_times} rows, "
+        raise CliError(2, f"--nx {nx} and {n_times} frame time(s) give {nx * n_times} rows, "
                           f"more than {MAX_FRAME_ROWS}")
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise CliError(2, f"x_min and x_max must be finite, got {x_min}, {x_max}")
