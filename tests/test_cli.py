@@ -566,3 +566,78 @@ def test_broken_integrator_invariant_exits_3(tmp_path, monkeypatch, capsys):
     assert cli.main(["evolve", "--gamma", "1", "--out", str(out)]) == 3
     assert "trace lost beyond tolerance at step 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ------------------------------------------------------------- CLI surface
+
+SURFACE = {
+    "fig2": (
+        ["--nx", "5"],
+        {"--config", "--e0", "--format", "--frames", "--k0x0", "--mirror", "--nx", "--out",
+         "--sigma", "--t", "--x-max", "--x-min", "--x0"},
+        {"e0": 1.0, "format": "csv", "frames": None, "k0x0": -6.0, "mirror": "perfect",
+         "nx": 5, "out": "o.csv", "sigma": None, "t": [0.0, 0.89, 1.83], "x0": 1.0,
+         "x_max": 4.0, "x_min": -4.0}),
+    "rates-scan": (
+        [],
+        {"--config", "--format", "--k0x-max", "--k0x-min", "--k0x-step", "--mu", "--out",
+         "--preset", "--r", "--side", "--t"},
+        {"format": "csv", "k0x_max": 12.575, "k0x_min": 0.025, "k0x_step": 0.025,
+         "mirror": {"preset": "perfect"}, "mu": 0.0, "out": "o.csv", "preset": "perfect",
+         "r": None, "side": "a", "t": None}),
+    "oracle-verify": (
+        [],
+        {"--config", "--grid-coarse", "--order", "--out", "--tol-delta", "--tol-energy",
+         "--tol-gamma", "--tol-route", "--tolerance"},
+        {"grid_coarse": False, "order": 64, "out": "o.csv", "tol_delta": 1e-08,
+         "tol_energy": 0.001, "tol_gamma": 1e-08, "tol_route": 1e-10, "tolerance": None}),
+    "evolve": (
+        [],
+        {"--config", "--delta", "--dt", "--format", "--from-mirror", "--gamma",
+         "--gamma-free", "--k0x", "--mu", "--out", "--r", "--rho12-im", "--rho12-re",
+         "--rho22", "--seed", "--t-final", "--t-rate", "--unravel"},
+        {"channel": {"delta": 0.0, "gamma": 1.0}, "delta": None, "dt": 0.001,
+         "format": "csv", "from_mirror": None, "gamma": None, "gamma_free": 1.0,
+         "k0x": None, "mu": 0.0, "out": "o.csv", "r": None, "rho12_im": 0.0,
+         "rho12_re": 0.0, "rho22": 1.0, "seed": 0, "t_final": 5.0, "t_rate": None,
+         "unravel": None}),
+    "scatter": (
+        ["--scene", "scene.json"],
+        {"--config", "--format", "--nx", "--out", "--scene", "--times", "--x-max",
+         "--x-min"},
+        {"format": "csv", "nx": 2001, "out": "o.csv", "scene": "scene.json",
+         "times": [0.0], "x_max": 50.0, "x_min": -50.0}),
+}
+
+
+@pytest.mark.parametrize("command", SURFACE)
+def test_cli_surface_is_pinned(tmp_path, monkeypatch, capsys, command):
+    """The flags each command's --help lists, and the parameters a default
+    run records in its sidecar (oracle-verify: in its report's meta)."""
+    import re
+
+    import mirrorfield
+    from mirrorfield import cli, oracle
+
+    argv, flags, parameters = SURFACE[command]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = set(re.findall(r"--[a-z0-9][a-z0-9-]*", capsys.readouterr().out))
+    assert listed == flags | {"--help"}
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scene.json").write_text(json.dumps(scene_payload()))
+    tolerances = {"tol_delta": 1e-08, "tol_energy": 0.001, "tol_gamma": 1e-08,
+                  "tol_route": 1e-10}
+    monkeypatch.setattr(oracle, "run_default_checks", lambda **kwargs: [
+        {"name": "stub", "grid": {}, "max_rel_dev": 0.0, "tolerance": 1.0, "pass": True}])
+    assert cli.main([command, *argv, "--out", "o.csv"]) == 0
+    if command == "oracle-verify":
+        meta = json.loads((tmp_path / "o.csv").read_text())["meta"]
+        assert meta == {"command": command, "version": mirrorfield.__version__,
+                        "parameters": parameters, "tolerances": tolerances}
+    else:
+        meta = json.loads((tmp_path / "o.csv.json").read_text())
+        assert meta["command"] == command
+        assert meta["parameters"] == parameters
