@@ -2,8 +2,11 @@
 
 Every command reads defaults, then an optional JSON config file (keys
 mirror the flag names with dashes replaced by underscores), then explicit
-flags, in increasing priority. Unknown config keys are rejected. Exit
-codes: 0 success, 2 validation error, 3 numerical-check failure, 4 I/O
+flags, in increasing priority. One table per command declares each option
+once; it builds the flags, supplies the defaults and reads the config file,
+whose values must be of their option's kind (null counts as absent; unknown
+keys are rejected). Every number, from a flag or a file, must be finite.
+Exit codes: 0 success, 2 validation error, 3 numerical-check failure, 4 I/O
 error. The environment variable MIRRORFIELD_THREADS must be a positive
 integer if set; results never depend on it.
 """
@@ -17,6 +20,7 @@ import os
 import sys
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,32 +47,105 @@ def _check_thread_env() -> None:
     raise CliError(2, f"MIRRORFIELD_THREADS must be a positive integer, got {raw!r}")
 
 
-def _positive(config: dict, key: str) -> float:
-    """config[key] as a float, which must be positive and finite."""
-    value = float(config[key])
-    if not (math.isfinite(value) and value > 0.0):
-        raise CliError(2, f"--{key.replace('_', '-')} must be positive and finite, got {value}")
+# ---------------------------------------------------------------- options
+
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def _numbers(value):
+    numbers = [_number(v) for v in value] if isinstance(value, list) else [None]
+    return None if None in numbers else numbers
+
+
+class Kind(NamedTuple):
+    """How an option is given: the argparse keywords of its flag, the reader
+    of its config value (the value, or None if of the wrong JSON type), what
+    that value must be, and the rule every number of the option obeys."""
+    flag: dict
+    read: Callable
+    what: str
+    domain: str = ""
+
+
+FLOAT = Kind({"type": float}, _number, "a number", "finite")
+POSITIVE = Kind({"type": float}, _number, "a number", "positive and finite")
+INT = Kind({"type": int}, lambda v: v if type(v) is int else None, "an integer")
+TEXT = Kind({}, lambda v: v if isinstance(v, str) else None, "a string")
+SWITCH = Kind({"action": "store_const", "const": True},
+              lambda v: v if isinstance(v, bool) else None, "true or false")
+# Lists of numbers, from a repeatable flag or from one flag with many values.
+REPEATED = Kind({"type": float, "action": "append"}, _numbers, "a list of numbers", "finite")
+FLOATS = Kind({"type": float, "nargs": "+"}, _numbers, "a list of numbers", "finite")
+
+
+class Option(NamedTuple):
+    """One option of a command: config key ``key``, flag ``--key`` with
+    dashes for underscores."""
+    key: str
+    kind: Kind
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+
+FORMAT = Option("format", TEXT, "csv", choices=("csv", "json"))
+PRESETS = ("perfect", "symmetric", "absorbing", "lossless")
+
+
+def _json_object(path: str, what: str, keys) -> dict:
+    """The JSON object in the file at ``path``, with no key outside ``keys``;
+    ``what`` names the file in messages."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise CliError(4, f"cannot read {what}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise CliError(2, f"{what} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise CliError(2, f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise CliError(2, f"unknown {what} keys: {', '.join(unknown)}")
+    return data
+
+
+def _read(option: Option, raw):
+    """A config-file value of ``option``, checked against its kind and choices."""
+    value = option.kind.read(raw)
+    if value is None or (option.choices and value not in option.choices):
+        expected = f"one of {', '.join(option.choices)}" if option.choices else option.kind.what
+        raise CliError(2, f"config key {option.key!r} must be {expected}, got {json.dumps(raw)}")
     return value
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    merged = dict(defaults)
+def _merged(args: argparse.Namespace, options) -> dict:
+    """defaults < config file < explicit flags; every number must lie in its
+    option's domain, wherever it came from."""
+    by_key = {option.key: option for option in options}
+    merged = {key: option.default for key, option in by_key.items()}
     if args.config is not None:
-        try:
-            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise CliError(4, f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
-            raise CliError(2, f"config is not valid JSON: {exc}")
-        unknown = sorted(set(data) - set(defaults))
-        if unknown:
-            raise CliError(2, f"unknown config keys: {', '.join(unknown)}")
-        merged.update(data)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+        data = _json_object(args.config, "config", by_key)
+        merged.update((key, _read(by_key[key], raw)) for key, raw in data.items()
+                      if raw is not None)
+    merged.update((key, value) for key, value in vars(args).items()
+                  if key in by_key and value is not None)
+    for option in options:
+        value, domain = merged[option.key], option.kind.domain
+        if not domain or value is None:
+            continue
+        for number in value if isinstance(value, list) else [value]:
+            if not (math.isfinite(number) and (number > 0.0 or domain == "finite")):
+                raise CliError(2, f"{option.flag} must be {domain}, got {number}")
     return merged
 
 
@@ -89,50 +166,58 @@ def _parse_mirror(data: dict) -> MirrorSpec:
 
 
 # Largest frame series, nx points times the number of frame times, that
-# fig2 and scatter write. Writing it costs about 0.24 kB per row as CSV
-# (0.95 kB as JSON), so the cap peaks near 0.28 GB (1.0 GB); a larger
+# fig2 and scatter write. Writing it costs about 0.3 kB per row as CSV
+# (1.0 kB as JSON), so the cap peaks near 0.34 GB (1.0 GB); a larger
 # series is rejected before any array is allocated.
 MAX_FRAME_ROWS = 1_000_000
 
 
 def _x_grid(config: dict, n_times: int) -> np.ndarray:
     """The frame grid from x_min, x_max and nx for n_times frames; rejects
-    an empty grid, non-finite bounds and more than MAX_FRAME_ROWS rows."""
-    nx = int(config["nx"])
-    x_min, x_max = float(config["x_min"]), float(config["x_max"])
+    an empty grid and more than MAX_FRAME_ROWS rows."""
+    nx = config["nx"]
     if nx < 1:
         raise CliError(2, f"nx must be at least 1, got {nx}")
     if nx * n_times > MAX_FRAME_ROWS:
         raise CliError(2, f"--nx {nx} and {n_times} frame time(s) give {nx * n_times} rows, "
                           f"more than {MAX_FRAME_ROWS}")
-    if not (math.isfinite(x_min) and math.isfinite(x_max)):
-        raise CliError(2, f"x_min and x_max must be finite, got {x_min}, {x_max}")
-    return np.linspace(x_min, x_max, nx)
+    return np.linspace(config["x_min"], config["x_max"], nx)
+
+
+def _write_frames(command: str, config: dict, times, x_grid, fields) -> int:
+    """Write ``fields(t) -> (E_total, E_side_a, E_side_b)`` over x_grid for
+    each t, row-major by time then position."""
+    rows = []
+    for t in times:  # frame by frame: the column lists of one frame at a time
+        rows += io.table_rows(np.full(x_grid.size, t), x_grid, *fields(t))
+    io.write_table(config["out"], io.FRAME_HEADER, rows, _meta(command, config),
+                   config["format"])
+    return 0
 
 
 # ---------------------------------------------------------------- fig2
 
-FIG2_DEFAULTS = {
-    "x0": 1.0,
-    "k0x0": -6.0,
-    "e0": 1.0,
-    "sigma": None,      # defaults to x0 / sqrt(2)
-    "x_min": -4.0,
-    "x_max": 4.0,
-    "nx": 2001,
-    "t": [0.0, 0.89, 1.83],  # units of x0 / c
-    "frames": None,
-    "mirror": "perfect",
-    "out": "fig2_frames.csv",
-    "format": "csv",
-}
+FIG2_OPTIONS = (
+    Option("x0", POSITIVE, 1.0),
+    Option("k0x0", FLOAT, -6.0, "carrier wavenumber times x0"),
+    Option("e0", FLOAT, 1.0),
+    Option("sigma", FLOAT),  # defaults to x0 / sqrt(2)
+    Option("x_min", FLOAT, -4.0),
+    Option("x_max", FLOAT, 4.0),
+    Option("nx", INT, 2001,
+           f"grid points; nx times the frame count is at most {MAX_FRAME_ROWS}"),
+    Option("t", REPEATED, [0.0, 0.89, 1.83], "frame time in units of x0/c (repeatable)"),
+    Option("frames", INT, None, "keep only the first N frame times"),
+    Option("mirror", TEXT, "perfect", choices=("perfect", "free")),
+    Option("out", TEXT, "fig2_frames.csv"),
+    FORMAT,
+)
 
 
 def cmd_fig2(config: dict) -> int:
     medium = Medium()
-    x0 = _positive(config, "x0")
-    sigma = config["sigma"]
-    sigma = x0 / math.sqrt(2.0) if sigma is None else float(sigma)
+    x0 = config["x0"]
+    sigma = x0 / math.sqrt(2.0) if config["sigma"] is None else config["sigma"]
     # The packet envelope divides by sigma**2, which underflows to 0 for a
     # tiny x0 and would fill the frames with NaN.
     if not (math.isfinite(sigma * sigma) and sigma * sigma > 0.0):
@@ -143,19 +228,15 @@ def cmd_fig2(config: dict) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         packet = GaussianPacket.moving(
-            e0=float(config["e0"]), x0=x0, sigma=sigma,
-            k0_carrier=float(config["k0x0"]) / x0, side="a",
+            e0=config["e0"], x0=x0, sigma=sigma, k0_carrier=config["k0x0"] / x0, side="a",
         )
-    if config["mirror"] not in ("perfect", "free"):
-        raise CliError(2, f"fig2 mirror must be 'perfect' or 'free', got {config['mirror']!r}")
     mirror = MirrorSpec.from_preset(config["mirror"])
     scene = classical.ScatterScene(mirror=mirror, packets_a=(packet,), medium=medium)
-    times = [float(v) * x0 / medium.c for v in config["t"]]
+    times = [v * x0 / medium.c for v in config["t"]]
     if config["frames"] is not None:
-        frames = int(config["frames"])
-        if frames < 1:
-            raise CliError(2, f"--frames must be at least 1, got {frames}")
-        times = times[:frames]
+        if config["frames"] < 1:
+            raise CliError(2, f"--frames must be at least 1, got {config['frames']}")
+        times = times[:config["frames"]]
     if not times:
         raise CliError(2, "fig2 needs at least one frame time --t")
     x_grid = _x_grid(config, len(times))
@@ -169,65 +250,55 @@ def cmd_fig2(config: dict) -> int:
         ).real
         return total, original, partner
 
-    rows = io.frame_rows(times, x_grid, fields)
-    meta = _meta("fig2", config)
-    io.write_table(config["out"], io.FRAME_HEADER, rows, meta, config["format"])
-    return 0
+    return _write_frames("fig2", config, times, x_grid, fields)
 
 
 # ---------------------------------------------------------------- rates-scan
-
-RATES_SCAN_DEFAULTS = {
-    "preset": "perfect",
-    "r": None,
-    "t": None,
-    "mu": 0.0,
-    "side": "a",
-    "k0x_min": 0.025,
-    "k0x_max": 12.575,
-    "k0x_step": 0.025,
-    "out": "rates_scan.csv",
-    "format": "csv",
-}
-
 
 # Largest k0x grid rates-scan takes. Writing it costs about 0.2 kB per
 # point as CSV (0.72 kB as JSON), so the cap peaks near 0.23 GB (0.75 GB);
 # a larger grid is rejected before any array is allocated.
 MAX_SCAN_POINTS = 1_000_000
 
+RATES_SCAN_OPTIONS = (
+    Option("preset", TEXT, "perfect", choices=PRESETS),
+    Option("r", FLOAT),
+    Option("t", FLOAT),
+    Option("mu", FLOAT, 0.0),
+    Option("side", TEXT, "a", choices=("a", "b")),
+    Option("k0x_min", FLOAT, 0.025),
+    Option("k0x_max", FLOAT, 12.575),
+    Option("k0x_step", POSITIVE, 0.025,
+           f"grid step; the grid has at most {MAX_SCAN_POINTS} points"),
+    Option("out", TEXT, "rates_scan.csv"),
+    FORMAT,
+)
+
 
 def _scan_rates(config: dict):
-    k0x_min, k0x_max, k0x_step = (
-        float(config[key]) for key in ("k0x_min", "k0x_max", "k0x_step"))
-    if not all(map(math.isfinite, (k0x_min, k0x_max, k0x_step))) or k0x_step <= 0.0:
-        raise CliError(2, "k0x bounds must be finite and k0x_step positive")
+    k0x_min, k0x_max, k0x_step = config["k0x_min"], config["k0x_max"], config["k0x_step"]
     # floor(span) points; span may overflow to inf, which floor rejects.
     span = (k0x_max - k0x_min) / k0x_step + 1.5
     if not 1.0 <= span < MAX_SCAN_POINTS + 1:
         raise CliError(2, f"--k0x-min {k0x_min}, --k0x-max {k0x_max} and --k0x-step "
                           f"{k0x_step} must give 1 to {MAX_SCAN_POINTS} grid points")
-    n_points = math.floor(span)
-    k0x = k0x_min + k0x_step * np.arange(n_points)
+    k0x = k0x_min + k0x_step * np.arange(math.floor(span))
     z = 2.0 * k0x
-    mu = float(config["mu"])
     preset = config["preset"]
     mirror = MirrorSpec.from_preset(preset, r=config["r"], t=config["t"])
     if preset in ("perfect", "absorbing"):
-        result = rates.preset_rates(preset, mu, z, side=config["side"])
+        result = rates.preset_rates(preset, config["mu"], z, side=config["side"])
         mirror_desc = {"preset": preset}
-    elif preset in ("symmetric", "lossless"):
-        result = rates.preset_rates("symmetric", mu, z, r=mirror.r_a, t=mirror.t_a,
+    else:
+        result = rates.preset_rates("symmetric", config["mu"], z, r=mirror.r_a, t=mirror.t_a,
                                     side=config["side"])
         mirror_desc = {"preset": preset, "r": mirror.r_a, "t": mirror.t_a}
-    else:
-        raise CliError(2, f"rates-scan does not take preset {preset!r}")
     return k0x, result, mirror_desc
 
 
 def cmd_rates_scan(config: dict) -> int:
     k0x, result, mirror_desc = _scan_rates(config)
-    rows = io.sweep_rows(k0x, result.gamma_ratio, result.delta_ratio)
+    rows = io.table_rows(k0x, result.gamma_ratio, result.delta_ratio)
     parameters = dict(config)
     parameters["mirror"] = mirror_desc
     meta = _meta("rates-scan", parameters)
@@ -237,28 +308,28 @@ def cmd_rates_scan(config: dict) -> int:
 
 # ---------------------------------------------------------------- oracle-verify
 
-ORACLE_DEFAULTS = {
-    "tolerance": None,
-    "tol_gamma": 1e-8,
-    "tol_delta": 1e-8,
-    "tol_route": 1e-10,
-    "tol_energy": 1e-3,
-    "grid_coarse": False,
-    "order": 64,
-    "out": "oracle_report.json",
-}
-
 # The convergence check doubles the order, and each Gauss-Legendre rule
 # solves a dense eigenproblem of that size: 2048 nodes take about 290 MB
 # and 13 s, and larger orders run out of memory.
 ORACLE_MAX_ORDER = 1024
 
+ORACLE_OPTIONS = (
+    Option("tolerance", POSITIVE, None, "blanket override for all tolerances"),
+    Option("tol_gamma", POSITIVE, 1e-8),
+    Option("tol_delta", POSITIVE, 1e-8),
+    Option("tol_route", POSITIVE, 1e-10),
+    Option("tol_energy", POSITIVE, 1e-3),
+    Option("order", INT, 64, f"Gauss-Legendre order, 16 to {ORACLE_MAX_ORDER} (default 64)"),
+    Option("grid_coarse", SWITCH, False),
+    Option("out", TEXT, "oracle_report.json"),
+)
+
 
 def cmd_oracle_verify(config: dict) -> int:
-    tols = {k: _positive(config, k) for k in ("tol_gamma", "tol_delta", "tol_route", "tol_energy")}
+    tols = {k: config[k] for k in ("tol_gamma", "tol_delta", "tol_route", "tol_energy")}
     if config["tolerance"] is not None:
-        tols = dict.fromkeys(tols, _positive(config, "tolerance"))
-    order = 16 if config["grid_coarse"] else int(config["order"])
+        tols = dict.fromkeys(tols, config["tolerance"])
+    order = 16 if config["grid_coarse"] else config["order"]
     if order > ORACLE_MAX_ORDER:
         raise CliError(2, f"--order must be at most {ORACLE_MAX_ORDER}, got {order}")
     quad = oracle.QuadratureSpec(order=order)
@@ -288,25 +359,26 @@ def cmd_oracle_verify(config: dict) -> int:
 
 # ---------------------------------------------------------------- evolve
 
-EVOLVE_DEFAULTS = {
-    "gamma": None,
-    "delta": None,
-    "rho22": 1.0,
-    "rho12_re": 0.0,
-    "rho12_im": 0.0,
-    "t_final": None,
-    "dt": None,
-    "from_mirror": None,
-    "k0x": None,
-    "mu": 0.0,
-    "r": None,
-    "t_rate": None,
-    "gamma_free": 1.0,
-    "unravel": None,
-    "seed": 0,
-    "out": "trajectory.csv",
-    "format": "csv",
-}
+EVOLVE_OPTIONS = (
+    Option("gamma", FLOAT),
+    Option("delta", FLOAT),
+    Option("rho22", FLOAT, 1.0),
+    Option("rho12_re", FLOAT, 0.0),
+    Option("rho12_im", FLOAT, 0.0),
+    Option("t_final", FLOAT),
+    Option("dt", FLOAT),
+    Option("from_mirror", TEXT, choices=PRESETS),
+    Option("k0x", FLOAT),
+    Option("mu", FLOAT, 0.0),
+    Option("r", FLOAT),
+    Option("t_rate", FLOAT, None, "mirror transmission for --from-mirror symmetric"),
+    Option("gamma_free", FLOAT, 1.0),
+    Option("unravel", INT, None,
+           f"number of quantum-jump trajectories, at most {MAX_TRAJECTORIES}"),
+    Option("seed", INT, 0),
+    Option("out", TEXT, "trajectory.csv"),
+    FORMAT,
+)
 
 
 def _evolve_channel(config: dict) -> mastereq.AtomChannel:
@@ -315,43 +387,35 @@ def _evolve_channel(config: dict) -> mastereq.AtomChannel:
             raise CliError(2, "--from-mirror needs --k0x")
         mirror = MirrorSpec.from_preset(config["from_mirror"], r=config["r"],
                                         t=config["t_rate"])
-        return mastereq.channel_at(mirror, float(config["mu"]), 2.0 * float(config["k0x"]),
-                                   float(config["gamma_free"]))
-    gamma = 1.0 if config["gamma"] is None else float(config["gamma"])
-    delta = 0.0 if config["delta"] is None else float(config["delta"])
+        return mastereq.channel_at(mirror, config["mu"], 2.0 * config["k0x"],
+                                   config["gamma_free"])
+    gamma = 1.0 if config["gamma"] is None else config["gamma"]
+    delta = 0.0 if config["delta"] is None else config["delta"]
     return mastereq.AtomChannel(gamma=gamma, delta=delta)
 
 
-# Numeric evolve flags; each must be finite when given.
-_EVOLVE_FLOATS = ("gamma", "delta", "rho22", "rho12_re", "rho12_im", "t_final", "dt",
-                  "k0x", "mu", "r", "t_rate", "gamma_free")
-
-
 def cmd_evolve(config: dict) -> int:
-    for key in _EVOLVE_FLOATS:
-        if config[key] is not None and not math.isfinite(float(config[key])):
-            raise CliError(2, f"--{key.replace('_', '-')} must be finite, got {config[key]}")
     channel = _evolve_channel(config)
     scale = max(channel.gamma, abs(channel.delta), 1e-12)
-    t_final = 5.0 / scale if config["t_final"] is None else float(config["t_final"])
-    dt = 1e-3 / scale if config["dt"] is None else float(config["dt"])
-    rho22 = float(config["rho22"])
-    rho12 = complex(float(config["rho12_re"]), float(config["rho12_im"]))
+    t_final = 5.0 / scale if config["t_final"] is None else config["t_final"]
+    dt = 1e-3 / scale if config["dt"] is None else config["dt"]
+    rho22 = config["rho22"]
+    rho12 = complex(config["rho12_re"], config["rho12_im"])
     rho0 = np.array([[1.0 - rho22, rho12], [np.conj(rho12), rho22]], dtype=complex)
     mastereq.DensityMatrix.from_matrix(rho0).validate()
     parameters = dict(config)
     parameters["channel"] = {"gamma": channel.gamma, "delta": channel.delta}
     parameters["t_final"], parameters["dt"] = t_final, dt
+    header, extra = io.TRAJECTORY_HEADER, []
     if config["unravel"] is not None:
-        result = mastereq.jump_unravel(
-            rho0, channel, t_final, dt, n_traj=int(config["unravel"]),
-            seed=int(config["seed"]))
-        rows = io.trajectory_rows(result.t, result.rho, result.stderr_rho22)
-        header = io.TRAJECTORY_HEADER + ["stderr_rho22"]
+        result = mastereq.jump_unravel(rho0, channel, t_final, dt,
+                                       n_traj=config["unravel"], seed=config["seed"])
+        header, extra = header + ["stderr_rho22"], [result.stderr_rho22]
     else:
-        trajectory = mastereq.evolve(rho0, channel, t_final, dt)
-        rows = io.trajectory_rows(trajectory.t, trajectory.rho)
-        header = io.TRAJECTORY_HEADER
+        result = mastereq.evolve(rho0, channel, t_final, dt)
+    rho = result.rho
+    rows = io.table_rows(result.t, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1].real,
+                         rho[:, 0, 1].imag, *extra)
     meta = _meta("evolve", parameters)
     io.write_table(config["out"], header, rows, meta, config["format"])
     return 0
@@ -359,32 +423,31 @@ def cmd_evolve(config: dict) -> int:
 
 # ---------------------------------------------------------------- scatter
 
-SCATTER_DEFAULTS = {
-    "scene": None,
-    "times": [0.0],
-    "x_min": -50.0,
-    "x_max": 50.0,
-    "nx": 2001,
-    "out": "scatter_frames.csv",
-    "format": "csv",
-}
+SCATTER_OPTIONS = (
+    Option("scene", TEXT),
+    Option("times", FLOATS, [0.0]),
+    Option("x_min", FLOAT, -50.0),
+    Option("x_max", FLOAT, 50.0),
+    Option("nx", INT, 2001,
+           f"grid points; nx times the time count is at most {MAX_FRAME_ROWS}"),
+    Option("out", TEXT, "scatter_frames.csv"),
+    FORMAT,
+)
 
 
 def _load_scene(path: str) -> classical.ScatterScene:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CliError(4, f"cannot read scene: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CliError(2, f"scene is not valid JSON: {exc}")
-    allowed = {"mirror", "medium", "packets_a", "packets_b"}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise CliError(2, f"unknown scene keys: {', '.join(unknown)}")
-    mirror = _parse_mirror(data.get("mirror", {"preset": "perfect"}))
-    medium = Medium.from_dict(data.get("medium", {}))
+    data = _json_object(path, "scene", ("mirror", "medium", "packets_a", "packets_b"))
 
-    def packets(entries, side):
+    def record(key, default):
+        value = data.get(key, default)
+        if not isinstance(value, dict):
+            raise CliError(2, f"scene key {key!r} must be an object")
+        return value
+
+    def packets(key, side):
+        entries = data.get(key, [])
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise CliError(2, f"scene key {key!r} must be a list of objects")
         out = []
         for entry in entries:
             entry = {"side": side, **entry}
@@ -395,14 +458,15 @@ def _load_scene(path: str) -> classical.ScatterScene:
         return tuple(out)
 
     return classical.ScatterScene(
-        mirror=mirror, medium=medium,
-        packets_a=packets(data.get("packets_a", []), "a"),
-        packets_b=packets(data.get("packets_b", []), "b"),
+        mirror=_parse_mirror(record("mirror", {"preset": "perfect"})),
+        medium=Medium.from_dict(record("medium", {})),
+        packets_a=packets("packets_a", "a"),
+        packets_b=packets("packets_b", "b"),
     )
 
 
 def cmd_scatter(config: dict) -> int:
-    times = [float(v) for v in config["times"]]
+    times = config["times"]
     if not times:
         raise CliError(2, "scatter needs at least one time --times")
     x_grid = _x_grid(config, len(times))
@@ -414,13 +478,31 @@ def cmd_scatter(config: dict) -> int:
         from_a, from_b = classical.mirror_field_1d_by_side(scene, x_grid, t)
         return from_a + from_b, from_a, from_b
 
-    rows = io.frame_rows(times, x_grid, fields)
-    meta = _meta("scatter", dict(config))
-    io.write_table(config["out"], io.FRAME_HEADER, rows, meta, config["format"])
-    return 0
+    return _write_frames("scatter", config, times, x_grid, fields)
 
 
 # ---------------------------------------------------------------- wiring
+
+class Command(NamedTuple):
+    run: Callable[[dict], int]
+    help: str
+    options: tuple
+    description: str | None = None
+
+
+_COMMANDS = {
+    "fig2": Command(cmd_fig2, "wave packet meeting a mirror, frame series", FIG2_OPTIONS),
+    "rates-scan": Command(cmd_rates_scan, "decay rate and level shift sweep",
+                          RATES_SCAN_OPTIONS),
+    "oracle-verify": Command(cmd_oracle_verify, "run the numerical verification suite",
+                             ORACLE_OPTIONS),
+    "evolve": Command(
+        cmd_evolve, "integrate the atomic master equation", EVOLVE_OPTIONS,
+        "Integrate the atomic master equation, or average --unravel quantum-jump "
+        f"trajectories, over at most {MAX_STEPS} steps t_final/dt."),
+    "scatter": Command(cmd_scatter, "classical scene from a JSON file", SCATTER_OPTIONS),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -429,108 +511,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fig2", help="wave packet meeting a mirror, frame series")
-    p.add_argument("--config")
-    p.add_argument("--x0", type=float)
-    p.add_argument("--k0x0", type=float, help="carrier wavenumber times x0")
-    p.add_argument("--e0", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--x-min", dest="x_min", type=float)
-    p.add_argument("--x-max", dest="x_max", type=float)
-    p.add_argument("--nx", type=int,
-                   help=f"grid points; nx times the frame count is at most {MAX_FRAME_ROWS}")
-    p.add_argument("--t", type=float, action="append",
-                   help="frame time in units of x0/c (repeatable)")
-    p.add_argument("--frames", type=int, help="keep only the first N frame times")
-    p.add_argument("--mirror", choices=["perfect", "free"])
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"])
-
-    p = sub.add_parser("rates-scan", help="decay rate and level shift sweep")
-    p.add_argument("--config")
-    p.add_argument("--preset", choices=["perfect", "symmetric", "absorbing", "lossless"])
-    p.add_argument("--r", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--side", choices=["a", "b"])
-    p.add_argument("--k0x-min", dest="k0x_min", type=float)
-    p.add_argument("--k0x-max", dest="k0x_max", type=float)
-    p.add_argument("--k0x-step", dest="k0x_step", type=float,
-                   help=f"grid step; the grid has at most {MAX_SCAN_POINTS} points")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"])
-
-    p = sub.add_parser("oracle-verify", help="run the numerical verification suite")
-    p.add_argument("--config")
-    p.add_argument("--tolerance", type=float, help="blanket override for all tolerances")
-    p.add_argument("--tol-gamma", dest="tol_gamma", type=float)
-    p.add_argument("--tol-delta", dest="tol_delta", type=float)
-    p.add_argument("--tol-route", dest="tol_route", type=float)
-    p.add_argument("--tol-energy", dest="tol_energy", type=float)
-    p.add_argument("--order", type=int,
-                   help=f"Gauss-Legendre order, 16 to {ORACLE_MAX_ORDER} (default 64)")
-    p.add_argument("--grid-coarse", dest="grid_coarse", action="store_const", const=True)
-    p.add_argument("--out")
-
-    p = sub.add_parser(
-        "evolve", help="integrate the atomic master equation",
-        description="Integrate the atomic master equation, or average --unravel "
-                    f"quantum-jump trajectories, over at most {MAX_STEPS} "
-                    "steps t_final/dt.")
-    p.add_argument("--config")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--rho22", type=float)
-    p.add_argument("--rho12-re", dest="rho12_re", type=float)
-    p.add_argument("--rho12-im", dest="rho12_im", type=float)
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--from-mirror", dest="from_mirror",
-                   choices=["perfect", "symmetric", "absorbing", "lossless"])
-    p.add_argument("--k0x", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--t-rate", dest="t_rate", type=float,
-                   help="mirror transmission for --from-mirror symmetric")
-    p.add_argument("--gamma-free", dest="gamma_free", type=float)
-    p.add_argument("--unravel", type=int, help="number of quantum-jump trajectories, "
-                   f"at most {MAX_TRAJECTORIES}")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"])
-
-    p = sub.add_parser("scatter", help="classical scene from a JSON file")
-    p.add_argument("--config")
-    p.add_argument("--scene")
-    p.add_argument("--times", type=float, nargs="+")
-    p.add_argument("--x-min", dest="x_min", type=float)
-    p.add_argument("--x-max", dest="x_max", type=float)
-    p.add_argument("--nx", type=int,
-                   help=f"grid points; nx times the time count is at most {MAX_FRAME_ROWS}")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"])
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.description)
+        p.add_argument("--config")
+        for option in command.options:
+            choices = {} if option.choices is None else {"choices": option.choices}
+            p.add_argument(option.flag, dest=option.key, help=option.help,
+                           **option.kind.flag, **choices)
     return parser
-
-
-_COMMANDS = {
-    "fig2": (FIG2_DEFAULTS, cmd_fig2),
-    "rates-scan": (RATES_SCAN_DEFAULTS, cmd_rates_scan),
-    "oracle-verify": (ORACLE_DEFAULTS, cmd_oracle_verify),
-    "evolve": (EVOLVE_DEFAULTS, cmd_evolve),
-    "scatter": (SCATTER_DEFAULTS, cmd_scatter),
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    defaults, runner = _COMMANDS[args.command]
+    command = _COMMANDS[args.command]
     try:
         _check_thread_env()
-        config = _merged(args, defaults)
-        return runner(config)
+        config = _merged(args, command.options)
+        return command.run(config)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

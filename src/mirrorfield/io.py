@@ -69,28 +69,6 @@ SWEEP_HEADER = ["k0x", "gamma_ratio", "delta_ratio"]
 TRAJECTORY_HEADER = ["t", "rho11", "rho22", "re_rho12", "im_rho12"]
 
 
-def frame_rows(times, x_grid, field_fn):
-    """Rows for a frame series, row-major by time then position.
-
-    ``field_fn(t) -> (E_total, E_side_a, E_side_b)`` arrays over x_grid.
-    """
-    rows = []
-    for t in times:
-        total, side_a, side_b = field_fn(t)
-        for j, x in enumerate(x_grid):
-            rows.append((float(t), float(x), float(total[j]),
-                         float(side_a[j]), float(side_b[j])))
-    return rows
-
-
-def trajectory_rows(t, rho, stderr_rho22=None):
-    columns = [t, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1].real,
-               rho[:, 0, 1].imag]
-    if stderr_rho22 is not None:
-        columns.append(stderr_rho22)
+def table_rows(*columns) -> list:
+    """Rows of Python floats from equal-length columns of numbers."""
     return list(zip(*(np.asarray(column, dtype=float).tolist() for column in columns)))
-
-
-def sweep_rows(k0x, gamma_ratio, delta_ratio):
-    return [(float(k0x[j]), float(gamma_ratio[j]), float(delta_ratio[j]))
-            for j in range(len(k0x))]

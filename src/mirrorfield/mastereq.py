@@ -134,10 +134,10 @@ def _step_count(t_final: float, dt: float) -> int:
         raise ValueError(f"need finite dt and t_final, got {dt}, {t_final}")
     if dt <= 0.0 or t_final < 0.0:
         raise ValueError("need dt > 0 and t_final >= 0")
-    n_steps = int(round(t_final / dt))
-    if n_steps > MAX_STEPS:
-        raise ValueError(f"t_final / dt = {n_steps} steps exceeds the cap of {MAX_STEPS}")
-    return n_steps
+    ratio = t_final / dt  # inf when it overflows, as for 1 / 1e-310
+    if not ratio <= MAX_STEPS + 0.5:
+        raise ValueError(f"t_final / dt = {ratio:.0f} steps exceeds the cap of {MAX_STEPS}")
+    return int(round(ratio))
 
 
 def _rk4_increment(gamma: float, delta: float, dt: float) -> np.ndarray:

@@ -127,9 +127,13 @@ def delta_bracket(z, mu_orient: float):
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0.0):
         raise ZeroDistance("level shift requires z > 0")
-    out = np.cos(z) / z * (1.0 - mu_orient) - (
-        np.sin(z) / z**2 + np.cos(z) / z**3
-    ) * (1.0 + mu_orient)
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.cos(z) / z * (1.0 - mu_orient) - (
+            np.sin(z) / z**2 + np.cos(z) / z**3
+        ) * (1.0 + mu_orient)
+    # 1 / z**3 overflows below z of about 1e-103.
+    if not np.all(np.isfinite(out)):
+        raise ZeroDistance(f"level shift overflows at z = {np.min(z)}")
     return out if out.shape else float(out)
 
 

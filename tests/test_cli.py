@@ -313,6 +313,10 @@ SCENE_REJECTS = [
     ({"medium": {"mu_p": math.inf}}, "mu_p must be finite"),
     ({"packets_a": [{"e0": math.nan, "x0": 30.0, "sigma": 3.0,
                      "k0_carrier": -10.0}]}, "e0 must be finite"),
+    ({"mirror": 5}, "scene key 'mirror' must be an object"),
+    ({"medium": [1]}, "scene key 'medium' must be an object"),
+    ({"packets_a": 5}, "scene key 'packets_a' must be a list of objects"),
+    ({"packets_a": [5]}, "scene key 'packets_a' must be a list of objects"),
 ]
 
 
@@ -324,6 +328,17 @@ def test_scatter_rejects_bad_scene_records(tmp_path, patch, needle):
     result = run_cli("scatter", "--scene", str(scene), "--out", str(out))
     assert result.returncode == 2, result.stderr
     assert needle in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+def test_scatter_rejects_a_scene_that_is_not_an_object(tmp_path):
+    scene = tmp_path / "scene.json"
+    scene.write_text("[1]")
+    out = tmp_path / "x.csv"
+    result = run_cli("scatter", "--scene", str(scene), "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert "scene must be a JSON object" in result.stderr
     assert "Traceback" not in result.stderr
     assert not out.exists()
 
@@ -357,6 +372,8 @@ ARGV_REJECTS = [
     # 1e12 steps: rejected before anything is allocated.
     ["evolve", "--gamma", "1", "--t-final", "1e9", "--dt", "1e-3"],
     ["evolve", "--gamma", "1", "--t-final", "1e9", "--dt", "1e-3", "--unravel", "5"],
+    # t_final / dt overflows to inf.
+    ["evolve", "--gamma", "1e-300", "--t-final", "1e300", "--dt", "1e-300"],
     # 1e12 trajectories: rejected before anything is allocated.
     ["evolve", "--gamma", "1", "--rho22", "1", "--unravel", "1000000000000"],
     ["fig2", "--x0", "0"],
@@ -371,6 +388,13 @@ ARGV_REJECTS = [
     # No frame is left, or --frames -1 would drop the last one.
     ["fig2", "--frames", "0"],
     ["fig2", "--frames", "-1"],
+    # Non-finite frame times would fill the frames with NaN.
+    ["fig2", "--t", "nan"],
+    ["fig2", "--t", "inf"],
+    ["scatter", "--scene", "no-such-scene.json", "--times", "nan"],
+    ["scatter", "--scene", "no-such-scene.json", "--times", "0", "inf"],
+    # The level shift, about 1/z**3, overflows at the first grid point.
+    ["rates-scan", "--k0x-min", "1e-300"],
 ]
 
 
@@ -510,6 +534,56 @@ def test_empty_frame_list_exits_2(tmp_path, capsys, command, config, needle):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config, needle", [
+    ("fig2", 5, "config must be a JSON object"),
+    # dict.update would read the string "x0" as the pair ("x", "0").
+    ("fig2", ["x0"], "config must be a JSON object"),
+    ("scatter", {"times": 5}, "config key 'times' must be a list of numbers, got 5"),
+    ("fig2", {"t": [None]}, "config key 't' must be a list of numbers, got [null]"),
+    ("evolve", {"unravel": 2.7}, "config key 'unravel' must be an integer, got 2.7"),
+    ("evolve", {"seed": True}, "config key 'seed' must be an integer, got true"),
+    ("rates-scan", {"side": "c"}, "config key 'side' must be one of a, b, got \"c\""),
+    ("oracle-verify", {"grid_coarse": "no"},
+     "config key 'grid_coarse' must be true or false, got \"no\""),
+    ("rates-scan", {"format": "xml"}, "config key 'format' must be one of csv, json"),
+    ("rates-scan", {"mu": "0.5"}, "config key 'mu' must be a number, got \"0.5\""),
+    ("evolve", {"gamma": math.inf}, "--gamma must be finite, got inf"),
+    ("fig2", {"x0": -1}, "--x0 must be positive and finite, got -1.0"),
+    ("scatter", {"times": [0, math.nan]}, "--times must be finite, got nan"),
+])
+def test_config_value_of_the_wrong_kind_exits_2(tmp_path, monkeypatch, capsys, command,
+                                                 config, needle):
+    from mirrorfield import cli, oracle
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(oracle, "run_default_checks", forbidden)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    if command == "scatter":
+        argv += ["--scene", str(tmp_path / "no-such-scene.json")]
+    assert cli.main(argv) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_null_is_absent(tmp_path):
+    from mirrorfield import cli
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"nx": None, "t": [0.0, 0.5], "sigma": None}))
+    with_config, without = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.main(["fig2", "--config", str(path), "--out", str(with_config)]) == 0
+    assert cli.main(["fig2", "--t", "0", "--t", "0.5", "--out", str(without)]) == 0
+    assert with_config.read_bytes() == without.read_bytes()
+    assert Path(str(with_config) + ".json").read_bytes() == \
+        Path(str(without) + ".json").read_bytes().replace(
+            str(without).encode(), str(with_config).encode())
+
+
 def test_frame_row_cap(tmp_path, monkeypatch, capsys):
     from mirrorfield import classical, cli, io
 
@@ -529,7 +603,7 @@ def test_frame_row_cap(tmp_path, monkeypatch, capsys):
 
     for name in ("mirror_field_1d", "mirror_field_1d_by_side", "packet_complex_field"):
         monkeypatch.setattr(classical, name, forbidden)
-    monkeypatch.setattr(io, "frame_rows", forbidden)
+    monkeypatch.setattr(io, "table_rows", forbidden)
     for cap, argv in [
             (10, ["fig2", "--nx", "11", "--t", "0"]),
             (10, ["fig2", "--nx", "4", "--t", "0", "--t", "1", "--t", "2"]),
@@ -641,3 +715,102 @@ def test_cli_surface_is_pinned(tmp_path, monkeypatch, capsys, command):
         meta = json.loads((tmp_path / "o.csv.json").read_text())
         assert meta["command"] == command
         assert meta["parameters"] == parameters
+
+
+# ------------------------------------------------------------- in-process fuzz
+
+# The edge values every numeric input is drawn from; the last two overflow a
+# float and an int64.
+EDGE_NUMBERS = [0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf,
+                -1, 10**30, 10**400]
+
+
+def _fuzz_inputs(draw, st, command):
+    """Flags and config values for ``command``, drawn per option kind."""
+    from mirrorfield import cli
+
+    numbers = st.sampled_from(EDGE_NUMBERS)
+    argv, config = [], {}
+    for option in cli._COMMANDS[command].options:
+        if option.key in ("out", "scene"):
+            continue
+        if option.kind is cli.SWITCH:
+            flag, file_value = [option.flag], st.booleans()
+        elif option.choices is not None:
+            file_value = st.sampled_from(option.choices + ("bogus",))
+            flag = [f"{option.flag}={draw(file_value)}"]
+        elif option.kind in (cli.REPEATED, cli.FLOATS):
+            values = draw(st.lists(numbers, min_size=1, max_size=3))
+            flag = ([f"{option.flag}={v}" for v in values] if option.kind is cli.REPEATED
+                    else [option.flag, *map(str, values)])
+            file_value = st.lists(numbers, max_size=3)
+        else:
+            flag, file_value = [f"{option.flag}={draw(numbers)}"], numbers
+        source = draw(st.sampled_from(["default"] * 6 + ["flag", "file", "junk"]))
+        if source == "flag":
+            argv += flag
+        elif source == "file":
+            config[option.key] = draw(file_value)
+        elif source == "junk":
+            config[option.key] = draw(st.sampled_from([None, True, "1", [1.0], {}]))
+    return argv, config
+
+
+def _assert_finite_output(path):
+    assert path.exists() and path.stat().st_size > 0
+
+    def reject(constant):
+        raise AssertionError(f"{path.name} holds {constant}")
+
+    if not path.read_text().startswith("{"):  # a CSV table with a sidecar
+        lines = path.read_text().splitlines()
+        assert len(lines) > 1
+        assert all(math.isfinite(float(cell)) for line in lines[1:] for cell in line.split(","))
+        path = Path(str(path) + ".json")
+    json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_cli_fuzz_in_process(tmp_path, monkeypatch):
+    """Every command, fed edge-value flags and config files, exits 0, 2, 3 or
+    4 without an escaping exception, and an exit-0 run writes finite numbers."""
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    from mirrorfield import cli, mastereq, oracle
+
+    monkeypatch.setattr(cli, "MAX_FRAME_ROWS", 10_000)
+    monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 1_000)
+    monkeypatch.setattr(mastereq, "MAX_STEPS", 10_000)
+    monkeypatch.setattr(mastereq, "MAX_TRAJECTORIES", 100)
+    monkeypatch.setattr(oracle, "run_default_checks", lambda quad, **tols: [
+        {"name": name, "grid": {"order": quad.order}, "max_rel_dev": 0.0,
+         "tolerance": tol, "pass": True} for name, tol in sorted(tols.items())])
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"packets_a": [{"e0": 1.0, "x0": 3.0, "sigma": 1.0,
+                                                "k0_carrier": -4.0}]}))
+    config_path = tmp_path / "config.json"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def run(data):
+        command = data.draw(st.sampled_from(sorted(cli._COMMANDS)))
+        argv, config = _fuzz_inputs(data.draw, st, command)
+        out = tmp_path / "out"
+        for stale in tmp_path.glob("out*"):
+            stale.unlink()
+        argv = [command, *argv, "--out", str(out)]
+        if command == "scatter":
+            argv += ["--scene", str(scene)]
+        if data.draw(st.booleans()):
+            config_path.write_text(json.dumps(config))
+            argv += ["--config", str(config_path)]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 2, 3, 4), argv
+        if code == 0:
+            _assert_finite_output(out)
+
+    run()

@@ -35,16 +35,14 @@ def test_write_csv_in_chunks_equals_joined_text(tmp_path, n_rows):
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def test_frame_rows_row_major_ordering():
-    x = np.array([0.0, 1.0])
+def test_frame_rows_row_major_ordering(tmp_path):
+    from mirrorfield import cli
 
-    def fields(t):
-        base = np.array([t, t + 0.5])
-        return base, base, np.zeros_like(base)
-
-    rows = io.frame_rows([0.0, 2.0], x, fields)
-    assert [(r[0], r[1]) for r in rows] == [(0.0, 0.0), (0.0, 1.0),
-                                            (2.0, 0.0), (2.0, 1.0)]
+    out = tmp_path / "frames.csv"
+    assert cli.main(["fig2", "--nx", "2", "--x-min", "0", "--x-max", "1", "--t", "0",
+                     "--t", "2", "--out", str(out)]) == 0
+    rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+    assert rows == [["0.0", "0.0"], ["0.0", "1.0"], ["2.0", "0.0"], ["2.0", "1.0"]]
 
 
 def test_trajectory_rows_with_stderr():
@@ -52,7 +50,8 @@ def test_trajectory_rows_with_stderr():
     rho = np.zeros((2, 2, 2), dtype=complex)
     rho[:, 1, 1] = [1.0, 0.5]
     rho[:, 0, 1] = [0.1 + 0.2j, 0.05 - 0.1j]
-    rows = io.trajectory_rows(t, rho, stderr_rho22=np.array([0.0, 0.01]))
+    rows = io.table_rows(t, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1].real,
+                         rho[:, 0, 1].imag, np.array([0.0, 0.01]))
     assert rows[1] == (1.0, 0.0, 0.5, 0.05, -0.1, 0.01)
 
 
@@ -60,7 +59,8 @@ def test_trajectory_rows_are_float_tuples():
     t = np.arange(3)
     rho = np.zeros((3, 2, 2), dtype=complex)
     rho[:, 0, 0] = 1.0
-    rows = io.trajectory_rows(t, rho)
+    rows = io.table_rows(t, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1].real,
+                         rho[:, 0, 1].imag)
     assert rows == [(0.0, 1.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0, 0.0),
                     (2.0, 1.0, 0.0, 0.0, 0.0)]
     assert all(type(v) is float for row in rows for v in row)
