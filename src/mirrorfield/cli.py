@@ -166,30 +166,37 @@ def _parse_mirror(data: dict) -> MirrorSpec:
 
 
 # Largest frame series, nx points times the number of frame times, that
-# fig2 and scatter write. Writing it costs about 0.3 kB per row as CSV
-# (1.0 kB as JSON), so the cap peaks near 0.34 GB (1.0 GB); a larger
+# fig2 and scatter write. Writing it costs about 0.24 kB per row as CSV
+# (0.95 kB as JSON), so the cap peaks near 0.28 GB (1.0 GB); a larger
 # series is rejected before any array is allocated.
 MAX_FRAME_ROWS = 1_000_000
 
 
 def _x_grid(config: dict, n_times: int) -> np.ndarray:
     """The frame grid from x_min, x_max and nx for n_times frames; rejects
-    an empty grid and more than MAX_FRAME_ROWS rows."""
-    nx = config["nx"]
+    an empty grid, a span that overflows and more than MAX_FRAME_ROWS rows."""
+    nx, x_min, x_max = config["nx"], config["x_min"], config["x_max"]
     if nx < 1:
         raise CliError(2, f"nx must be at least 1, got {nx}")
     if nx * n_times > MAX_FRAME_ROWS:
         raise CliError(2, f"--nx {nx} and {n_times} frame time(s) give {nx * n_times} rows, "
                           f"more than {MAX_FRAME_ROWS}")
-    return np.linspace(config["x_min"], config["x_max"], nx)
+    # linspace steps by x_max - x_min; an infinite step gives NaN positions.
+    if not math.isfinite(x_max - x_min):
+        raise CliError(2, f"--x-max {x_max} minus --x-min {x_min} must be finite")
+    return np.linspace(x_min, x_max, nx)
 
 
 def _write_frames(command: str, config: dict, times, x_grid, fields) -> int:
     """Write ``fields(t) -> (E_total, E_side_a, E_side_b)`` over x_grid for
-    each t, row-major by time then position."""
+    each t, row-major by time then position; rejects a frame that overflows."""
     rows = []
-    for t in times:  # frame by frame: the column lists of one frame at a time
-        rows += io.table_rows(np.full(x_grid.size, t), x_grid, *fields(t))
+    for t in times:  # frame by frame, one float object for the t of a frame
+        columns = fields(t)
+        if not (math.isfinite(t) and all(np.isfinite(column).all() for column in columns)):
+            raise CliError(2, f"the {command} frame at t = {t} overflows: the amplitudes, "
+                              "times or positions are too large")
+        rows += io.table_rows(x_grid, *columns, first=float(t))
     io.write_table(config["out"], io.FRAME_HEADER, rows, _meta(command, config),
                    config["format"])
     return 0
@@ -515,9 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help, description=command.description)
         p.add_argument("--config")
         for option in command.options:
+            # A switch's store_const action takes no choices keyword at all.
             choices = {} if option.choices is None else {"choices": option.choices}
-            p.add_argument(option.flag, dest=option.key, help=option.help,
-                           **option.kind.flag, **choices)
+            p.add_argument(option.flag, help=option.help, **option.kind.flag, **choices)
     return parser
 
 

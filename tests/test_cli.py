@@ -395,6 +395,12 @@ ARGV_REJECTS = [
     ["scatter", "--scene", "no-such-scene.json", "--times", "0", "inf"],
     # The level shift, about 1/z**3, overflows at the first grid point.
     ["rates-scan", "--k0x-min", "1e-300"],
+    # x_max - x_min overflows to inf: linspace would give NaN positions.
+    ["fig2", "--x-min=-1e308", "--x-max=1e308", "--nx", "5"],
+    ["scatter", "--scene", "no-such-scene.json", "--x-min=-1e308", "--x-max=1e308"],
+    # The field, or the frame time t * x0, overflows to inf.
+    ["fig2", "--e0=1.7e308", "--nx", "5"],
+    ["fig2", "--x0", "1e300", "--sigma", "1", "--t", "1e300", "--nx", "5"],
 ]
 
 
@@ -483,6 +489,8 @@ def test_thread_env_must_be_positive_integer(tmp_path, value):
      "--tol-route must be positive and finite"),
     (["fig2", "--x0", "1e-300", "--nx", "5"], "--sigma must have a positive, finite square"),
     (["fig2", "--frames", "-1"], "--frames must be at least 1, got -1"),
+    (["fig2", "--x-min=-1e308", "--x-max=1e308"],
+     "--x-max 1e+308 minus --x-min -1e+308 must be finite"),
 ])
 def test_rejected_flag_is_named(tmp_path, monkeypatch, capsys, argv, flag):
     from mirrorfield import cli, oracle
@@ -718,9 +726,9 @@ def test_cli_surface_is_pinned(tmp_path, monkeypatch, capsys, command):
 # ------------------------------------------------------------- in-process fuzz
 
 # The edge values every numeric input is drawn from; 10**30 overflows an
-# int64 and 10**400 a float.
-EDGE_NUMBERS = [0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf,
-                -1, 10**30, 10**400]
+# int64, 10**400 a float, and the difference of +-1.7e308 a float.
+EDGE_NUMBERS = [0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, -1.7e308, math.nan,
+                math.inf, -math.inf, -1, 10**30, 10**400]
 
 
 def _fuzz_inputs(draw, st, command):

@@ -45,22 +45,33 @@ def test_frame_rows_row_major_ordering(tmp_path):
     assert rows == [["0.0", "0.0"], ["0.0", "1.0"], ["2.0", "0.0"], ["2.0", "1.0"]]
 
 
-def test_trajectory_rows_with_stderr():
-    t = np.array([0.0, 1.0])
-    rho = np.zeros((2, 2, 2), dtype=complex)
-    rho[:, 1, 1] = [1.0, 0.5]
-    rho[:, 0, 1] = [0.1 + 0.2j, 0.05 - 0.1j]
-    rows = io.table_rows(t, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1].real,
-                         rho[:, 0, 1].imag, np.array([0.0, 0.01]))
-    assert rows[1] == (1.0, 0.0, 0.5, 0.05, -0.1, 0.01)
+def test_trajectory_rows_with_stderr(tmp_path):
+    from mirrorfield import cli, mastereq
+
+    out = tmp_path / "trajectory.csv"
+    assert cli.main(["evolve", "--gamma", "1", "--delta", "0.5", "--rho22", "0.8",
+                     "--rho12-re", "0.24", "--rho12-im", "0.32", "--t-final", "0.02",
+                     "--dt", "0.01", "--unravel", "50", "--seed", "3",
+                     "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "t,rho11,rho22,re_rho12,im_rho12,stderr_rho22"
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    rho0 = np.array([[1.0 - 0.8, 0.24 + 0.32j], [0.24 - 0.32j, 0.8]])
+    result = mastereq.jump_unravel(rho0, mastereq.AtomChannel(gamma=1.0, delta=0.5),
+                                   0.02, 0.01, n_traj=50, seed=3)
+    rho = result.rho
+    assert rows == [(t, r[0, 0].real, r[1, 1].real, r[0, 1].real, r[0, 1].imag, se)
+                    for t, r, se in zip(result.t, rho, result.stderr_rho22)]
+    assert rows[1][5] > 0.0
 
 
-def test_trajectory_rows_are_float_tuples():
-    t = np.arange(3)
-    rho = np.zeros((3, 2, 2), dtype=complex)
-    rho[:, 0, 0] = 1.0
-    rows = io.table_rows(t, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1].real,
-                         rho[:, 0, 1].imag)
-    assert rows == [(0.0, 1.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0, 0.0),
-                    (2.0, 1.0, 0.0, 0.0, 0.0)]
+def test_trajectory_rows_are_float_tuples(tmp_path):
+    from mirrorfield import cli
+
+    out = tmp_path / "trajectory.json"
+    assert cli.main(["evolve", "--gamma", "0", "--rho22", "0", "--t-final", "2",
+                     "--dt", "1", "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert rows == [[0.0, 1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0, 0.0],
+                    [2.0, 1.0, 0.0, 0.0, 0.0]]
     assert all(type(v) is float for row in rows for v in row)
