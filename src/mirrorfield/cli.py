@@ -306,9 +306,7 @@ def _scan_rates(config: dict):
 def cmd_rates_scan(config: dict) -> int:
     k0x, result, mirror_desc = _scan_rates(config)
     rows = io.table_rows(k0x, result.gamma_ratio, result.delta_ratio)
-    parameters = dict(config)
-    parameters["mirror"] = mirror_desc
-    meta = _meta("rates-scan", parameters)
+    meta = _meta("rates-scan", {**config, "mirror": mirror_desc})
     io.write_table(config["out"], io.SWEEP_HEADER, rows, meta, config["format"])
     return 0
 
@@ -339,13 +337,10 @@ def cmd_oracle_verify(config: dict) -> int:
     order = 16 if config["grid_coarse"] else config["order"]
     if order > ORACLE_MAX_ORDER:
         raise CliError(2, f"--order must be at most {ORACLE_MAX_ORDER}, got {order}")
-    quad = oracle.QuadratureSpec(order=order)
     out_path = Path(config["out"])
     meta = _meta("oracle-verify", dict(config), tolerances=tols)
     try:
-        checks = oracle.run_default_checks(
-            quad=quad, tol_gamma=tols["tol_gamma"], tol_delta=tols["tol_delta"],
-            tol_route=tols["tol_route"], tol_energy=tols["tol_energy"])
+        checks = oracle.run_default_checks(quad=oracle.QuadratureSpec(order=order), **tols)
     except (QuadratureNotConverged, GridTooCoarse) as exc:
         payload = {"meta": meta,
                    "error": {"type": type(exc).__name__, "message": str(exc)}}
@@ -410,9 +405,8 @@ def cmd_evolve(config: dict) -> int:
     rho12 = complex(config["rho12_re"], config["rho12_im"])
     rho0 = np.array([[1.0 - rho22, rho12], [np.conj(rho12), rho22]], dtype=complex)
     mastereq.DensityMatrix.from_matrix(rho0).validate()
-    parameters = dict(config)
-    parameters["channel"] = {"gamma": channel.gamma, "delta": channel.delta}
-    parameters["t_final"], parameters["dt"] = t_final, dt
+    parameters = {**config, "channel": {"gamma": channel.gamma, "delta": channel.delta},
+                  "t_final": t_final, "dt": dt}
     header, extra = io.TRAJECTORY_HEADER, []
     if config["unravel"] is not None:
         result = mastereq.jump_unravel(rho0, channel, t_final, dt,
@@ -423,8 +417,7 @@ def cmd_evolve(config: dict) -> int:
     rho = result.rho
     rows = io.table_rows(result.t, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1].real,
                          rho[:, 0, 1].imag, *extra)
-    meta = _meta("evolve", parameters)
-    io.write_table(config["out"], header, rows, meta, config["format"])
+    io.write_table(config["out"], header, rows, _meta("evolve", parameters), config["format"])
     return 0
 
 
@@ -522,8 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help, description=command.description)
         p.add_argument("--config")
         for option in command.options:
-            # A switch's store_const action takes no choices keyword at all.
-            choices = {} if option.choices is None else {"choices": option.choices}
+            choices = {"choices": option.choices} if option.choices else {}  # not for a switch
             p.add_argument(option.flag, help=option.help, **option.kind.flag, **choices)
     return parser
 
