@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mirrorfield import modespace as ms
 from mirrorfield import oracle, rates
@@ -133,6 +135,32 @@ def test_reset_route_side_b():
     z = 2.7
     assert oracle.reset_rate_quadrature(z, mirror, 0.25, side="b") == \
         pytest.approx(rates.gamma_mirr(mirror, 0.25, z, side="b"), rel=1e-10)
+
+
+# Rates of one absorbing side: reflection and transmission on a quarter
+# circle of radius below 1, so t**2 + r**2 < 1.
+ABSORBING_SIDE = st.tuples(st.floats(0.05, 0.95), st.floats(0.0, math.pi / 2)).map(
+    lambda polar: (polar[0] * math.cos(polar[1]), polar[0] * math.sin(polar[1])))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(side_a=ABSORBING_SIDE, side_b=ABSORBING_SIDE, mu=st.floats(0.0, 1.0),
+       side=st.sampled_from(["a", "b"]))
+def test_both_routes_match_closed_form_on_two_sided_mirrors(side_a, side_b, mu, side):
+    (r_a, t_a), (r_b, t_b) = side_a, side_b
+    assume(t_a != t_b and r_a != r_b)
+    mirror = MirrorSpec(t_a=t_a, t_b=t_b, r_a=r_a, r_b=r_b)
+    eta = rates.eta_factors(mirror)
+    if side == "a":
+        args = (r_a, eta.eta_a_sq, t_b**2 / eta.eta_b_sq)
+    else:
+        args = (r_b, eta.eta_b_sq, t_a**2 / eta.eta_a_sq)
+    z_grid = np.linspace(0.0, 50.0, 101)
+    closed = rates.gamma_mirr(mirror, mu, z_grid, side=side)
+    angular = oracle.angular_bracket_quadrature(z_grid, *args, mu)
+    emission = oracle.reset_rate_quadrature(z_grid, mirror, mu, side=side)
+    assert np.abs(angular - closed).max() < 1e-8
+    assert np.abs(emission - closed).max() < 1e-8
 
 
 # ------------------------------------------------------- field energy check
@@ -291,6 +319,65 @@ def test_coarse_default_checks_name_first_unconverged_z():
     with pytest.raises(QuadratureNotConverged) as info:
         oracle.run_default_checks(oracle.QuadratureSpec(order=16))
     assert str(info.value) == "order 16 -> 32 moved the result by 1.150e-10 at z=12.3"
+
+
+def _reference_default_checks():
+    """The default suite, one (mirror, mu) pair at a time through the public
+    per-pair functions: the loop the shared tables must reproduce exactly."""
+    half = math.sqrt(0.5)
+    mirrors = [PERFECT, MirrorSpec.symmetric(r=half, t=half),
+               MirrorSpec.symmetric(r=0.3, t=0.5)]
+    z_grid = 0.1 * np.arange(1, 501)
+
+    def angular(mirror, mu):
+        eta = rates.eta_factors(mirror)
+        return oracle.angular_bracket_quadrature(
+            z_grid, mirror.r_a, eta.eta_a_sq, mirror.t_b**2 / eta.eta_b_sq, mu)
+
+    def contour(mirror, mu):
+        eta = rates.eta_factors(mirror)
+        return oracle.levelshift_contour_eval(z_grid, mu, mirror.r_a, eta.eta_a_sq)
+
+    checks = [
+        ("gamma_angular_quadrature", 1e-8, False,
+         lambda m, mu: (angular(m, mu), rates.gamma_mirr(m, mu, z_grid))),
+        ("delta_contour_form", 1e-8, True,
+         lambda m, mu: (contour(m, mu), rates.delta_mirr(m, mu, z_grid))),
+        ("decay_route_consistency", 1e-10, False,
+         lambda m, mu: (oracle.reset_rate_quadrature(z_grid, m, mu), angular(m, mu))),
+    ]
+    reports = []
+    for name, tolerance, scale_by_both, routes in checks:
+        worst = np.zeros_like(z_grid)
+        for mirror in mirrors:
+            for mu in (0.0, 0.5, 1.0):
+                got, reference = routes(mirror, mu)
+                scale = np.abs(reference)
+                if scale_by_both:
+                    scale = np.maximum(scale, np.abs(got))
+                worst = np.maximum(worst, np.abs(got - reference) / np.maximum(scale, 1e-12))
+        reports.append({"name": name,
+                        "grid": {"n_points": 500, "z_min": 0.1, "z_max": 50.0},
+                        "max_rel_dev": float(worst.max()), "tolerance": tolerance,
+                        "pass": bool(worst.max() < tolerance)})
+    return reports + [oracle.field_energy_report()]
+
+
+def test_default_checks_equal_the_per_pair_loop():
+    assert oracle.run_default_checks() == _reference_default_checks()
+
+
+def test_default_checks_memory_peak():
+    import tracemalloc
+
+    oracle.run_default_checks()  # fill the node cache outside the measurement
+    tracemalloc.start()
+    try:
+        oracle.run_default_checks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5e6
 
 
 # ------------------------------------------------------- field energy grid
