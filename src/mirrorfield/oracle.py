@@ -5,12 +5,19 @@ integral behind the decay rate, a complex-arithmetic evaluation of the
 level shift, and a second, emission-route quadrature built from the vector
 dipole amplitudes. A fourth check compares the standing-wave mode energy
 against a spatial quadrature of the field energy density.
+
+The two quadratures share their tables. Per Gauss-Legendre order, cos(z s),
+exp(-i z s) and the azimuth sums depend on neither the mirror nor the
+dipole orientation mu, so the suite builds them once per order; each
+mirror's reflection products are then formed once for all mu. Each route
+still combines its own terms point by point, so the routes stay independent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,29 +76,83 @@ class OracleReport:
         }
 
 
-def _cos_weight_integrand(s, z, r_a, eta_a_sq, tb2_over_etab2, mu_orient):
-    """Angular integrand of the decay rate at the transition frequency.
+class _OrderTables:
+    """Mirror- and mu-independent tables of one Gauss-Legendre order against
+    the z ``column``; each is built when a route first reads it."""
+
+    def __init__(self, column: np.ndarray, order: int, n_phi: int = 32):
+        self.s, self.w = _gl_nodes(order)
+        self.column, self.n_phi = column, n_phi
+        self.s_minus, self.s_plus = 1.0 - self.s**2, 1.0 + self.s**2
+
+    @cached_property
+    def cos_zs(self) -> np.ndarray:
+        return np.cos(self.column * self.s)
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        return np.exp(-1j * self.column * self.s)
+
+    @cached_property
+    def k_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sums of kx**2, kz**2 and kx kz over the n_phi azimuths, per s."""
+        phi = np.arange(self.n_phi) * (2.0 * math.pi / self.n_phi)
+        kx = np.broadcast_to(self.s[:, None], (self.s.size, self.n_phi))
+        kz = np.sqrt(np.clip(self.s_minus, 0.0, None))[:, None] * np.sin(phi)[None, :]
+        return (kx * kx).sum(axis=1), (kz * kz).sum(axis=1), (kx * kz).sum(axis=1)
+
+
+def _angular_route(tables: _OrderTables, r: float, eta_sq: float, other_ratio: float):
+    """The angular integral at one order, as mu -> decay-rate ratio per z.
 
     ``s`` is the cosine of the angle between the wave vector and the mirror
     normal. The perpendicular dipole component weighs (1 - s**2) and picks
     up the interference cosine with a plus sign, the parallel component
-    weighs (1 + s**2)/2 with a minus sign.
+    weighs (1 + s**2)/2 with a minus sign. ``other_ratio`` is
+    t_other**2 / eta_other**2, the weight of light from the far side.
     """
-    cos_zs = np.cos(z * s)
-    perp = (1.0 + r_a**2 + 2.0 * r_a * cos_zs) * (1.0 - s**2) * mu_orient
-    par = 0.5 * (1.0 + r_a**2 - 2.0 * r_a * cos_zs) * (1.0 + s**2) * (1.0 - mu_orient)
-    trans = tb2_over_etab2 * (
-        (1.0 - s**2) * mu_orient + 0.5 * (1.0 + s**2) * (1.0 - mu_orient)
-    )
-    return 0.75 * ((perp + par) / eta_a_sq + trans)
+    cos_term = 2.0 * r * tables.cos_zs
+    perp = (1.0 + r**2 + cos_term) * tables.s_minus
+    par = 0.5 * (1.0 + r**2 - cos_term) * tables.s_plus
+
+    def at(mu):
+        trans = other_ratio * (tables.s_minus * mu + 0.5 * tables.s_plus * (1.0 - mu))
+        return (0.75 * ((perp * mu + par * (1.0 - mu)) / eta_sq + trans)) @ tables.w
+    return at
 
 
-def _z_column(z) -> tuple[np.ndarray, np.ndarray]:
-    """z as an array and as a column to broadcast against the s nodes."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
-        raise ValueError("z must be non-negative")
-    return z, z.reshape(-1, 1)
+def _emission_route(tables: _OrderTables, r: float, eta_sq: float, other_ratio: float):
+    """The emission route at one order, as mu -> decay-rate ratio per z.
+
+    Built from the explicit dipole vectors of atom and image, sqrt(mu)
+    (1 + r P) and sqrt(1 - mu) (1 - r P) with P = exp(-i z s): the squared
+    projection orthogonal to the propagation direction, summed over the two
+    polarisations, equals |u|**2 - |u . k_hat|**2. The dipole has no
+    y-component, so only the x and z parts of k_hat enter, and the phi sum
+    needs only the sums of kx**2, kz**2 and kx kz over the n_phi azimuths.
+    Light from the far side meets the atom alone.
+    """
+    plus, minus = 1.0 + r * tables.phase, 1.0 - r * tables.phase
+    plus_sq, minus_sq = np.abs(plus) ** 2, np.abs(minus) ** 2
+    cross = (plus * minus.conj()).real
+    (kxx, kzz, kxz), n_phi = tables.k_sums, tables.n_phi
+
+    def at(mu):
+        d_perp, d_par = math.sqrt(mu), math.sqrt(1.0 - mu)
+        ux_sq, uz_sq = mu * plus_sq, (1.0 - mu) * minus_sq
+        f_atom_image = n_phi * (ux_sq + uz_sq) - (
+            ux_sq * kxx + uz_sq * kzz + 2.0 * d_perp * d_par * cross * kxz)
+        f_atom_only = n_phi - (mu * kxx + (1.0 - mu) * kzz + 2.0 * d_perp * d_par * kxz)
+        over_phi = f_atom_image / eta_sq + other_ratio * f_atom_only
+        return 3.0 / (8.0 * math.pi) * ((over_phi @ tables.w) * (2.0 * math.pi / n_phi))
+    return at
+
+
+_ROUTES = {  # the route at one order, and its message when it has not converged
+    "angular": (_angular_route,
+                "order {coarse} -> {fine} moved the result by {moved:.3e} at z={z}"),
+    "emission": (_emission_route, "emission-route quadrature not converged at z={z}"),
+}
 
 
 def _per_z(z: np.ndarray, values: np.ndarray):
@@ -99,15 +160,39 @@ def _per_z(z: np.ndarray, values: np.ndarray):
     return float(values[0]) if z.ndim == 0 else values.reshape(z.shape)
 
 
-def _first_unconverged(z: np.ndarray, coarse: np.ndarray, fine: np.ndarray,
-                       quad: QuadratureSpec):
-    """(z, |fine - coarse|) at the first z in grid order where doubling the
-    order moved the result by more than the tolerance, else None."""
-    moved = np.abs(fine - coarse)
-    bad = np.flatnonzero(moved > quad.tolerance * np.maximum(1.0, np.abs(fine)))
-    if bad.size == 0:
-        return None
-    return float(z.reshape(-1)[bad[0]]), float(moved[bad[0]])
+def _quadratures(z, cases, mu_values, quad: QuadratureSpec, routes,
+                 n_phi: int = 32) -> dict[str, list[np.ndarray]]:
+    """Each route's decay-rate ratio per z, for every case and then every mu.
+
+    A case is (r, eta**2, t_other**2 / eta_other**2) of the atom's side.
+    Each order's tables are built once and each route's mu-independent
+    products once per case and order, one of each held at a time. Route by
+    route, the first value that doubling the order moved by more than the
+    tolerance raises QuadratureNotConverged, naming its first such z.
+    """
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0.0):
+        raise ValueError("z must be non-negative")
+    column = z.reshape(-1, 1)
+    by_order = []
+    for order in (quad.order, 2 * quad.order):
+        tables = _OrderTables(column, order, n_phi)
+        by_order.append({route: [value for case in cases for value in
+                                 map(_ROUTES[route][0](tables, *case), mu_values)]
+                         for route in routes})
+        del tables  # before the next order's are built
+    found = {}
+    for route in routes:
+        found[route] = []
+        for coarse, fine in zip(by_order[0][route], by_order[1][route]):
+            moved = np.abs(fine - coarse)
+            bad = np.flatnonzero(moved > quad.tolerance * np.maximum(1.0, np.abs(fine)))
+            if bad.size:
+                raise QuadratureNotConverged(_ROUTES[route][1].format(
+                    coarse=quad.order, fine=2 * quad.order, moved=float(moved[bad[0]]),
+                    z=float(z.reshape(-1)[bad[0]])))
+            found[route].append(_per_z(z, fine))
+    return found
 
 
 def angular_bracket_quadrature(z, r_a: float, eta_a_sq: float,
@@ -120,19 +205,8 @@ def angular_bracket_quadrature(z, r_a: float, eta_a_sq: float,
     the first such z in grid order, when the two results differ by more
     than the requested tolerance.
     """
-    z, column = _z_column(z)
-    results = []
-    for order in (quad.order, 2 * quad.order):
-        s, w = _gl_nodes(order)
-        results.append(_cos_weight_integrand(
-            s, column, r_a, eta_a_sq, tb2_over_etab2, mu_orient) @ w)
-    failed = _first_unconverged(z, *results, quad)
-    if failed is not None:
-        raise QuadratureNotConverged(
-            f"order {quad.order} -> {2 * quad.order} moved the result by "
-            f"{failed[1]:.3e} at z={failed[0]}"
-        )
-    return _per_z(z, results[1])
+    return _quadratures(z, [(r_a, eta_a_sq, tb2_over_etab2)], [mu_orient], quad,
+                        ["angular"])["angular"][0]
 
 
 def levelshift_contour_eval(z, mu_orient: float, r_a: float, eta_a_sq: float):
@@ -152,35 +226,6 @@ def levelshift_contour_eval(z, mu_orient: float, r_a: float, eta_a_sq: float):
     return _per_z(z, np.ravel(3.0 * r_a / (2.0 * eta_a_sq) * expr.imag))
 
 
-def _emission_integrand(s, z, r_use, mu_orient, n_phi):
-    """Polarisation-summed emission amplitudes, summed over the phi mesh.
-
-    Built from the explicit dipole vectors of atom and image: the squared
-    projection orthogonal to the propagation direction, summed over the two
-    polarisations, equals |u|**2 - |u . k_hat|**2. The dipole has no
-    y-component, so only the x and z parts of k_hat enter, and the phi sum
-    needs only the sums of kx**2, kz**2 and kx kz over the n_phi azimuths.
-    Returns the atom-and-image sum, shape (z, s), and the atom-only sum,
-    shape (s,).
-    """
-    d_perp = math.sqrt(mu_orient)
-    d_par = math.sqrt(1.0 - mu_orient)
-    phase = np.exp(-1j * z * s)
-    ux = d_perp * (1.0 + r_use * phase)
-    uz = d_par * (1.0 - r_use * phase)
-    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    sin_t = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
-    kx = np.broadcast_to(s[:, None], (s.size, n_phi))
-    kz = sin_t[:, None] * np.sin(phi)[None, :]
-    kxx, kzz, kxz = (kx * kx).sum(axis=1), (kz * kz).sum(axis=1), (kx * kz).sum(axis=1)
-    ux_sq, uz_sq = np.abs(ux) ** 2, np.abs(uz) ** 2
-    f_atom_image = n_phi * (ux_sq + uz_sq) - (
-        ux_sq * kxx + uz_sq * kzz + 2.0 * (ux * uz.conj()).real * kxz)
-    f_atom_only = n_phi - (mu_orient * kxx + (1.0 - mu_orient) * kzz
-                           + 2.0 * d_perp * d_par * kxz)
-    return f_atom_image, f_atom_only
-
-
 def reset_rate_quadrature(z, mirror: MirrorSpec, mu_orient: float,
                           quad: QuadratureSpec = QuadratureSpec(),
                           side: str = "a", n_phi: int = 32):
@@ -191,27 +236,12 @@ def reset_rate_quadrature(z, mirror: MirrorSpec, mu_orient: float,
     Gauss-Legendre). ``z`` is a scalar or an array. Must agree with
     angular_bracket_quadrature.
     """
-    z, column = _z_column(z)
     eta = rates.eta_factors(mirror)
     if side == "a":
-        r_use, eta_use_sq = mirror.r_a, eta.eta_a_sq
-        t_other_sq, eta_other_sq = mirror.t_b**2, eta.eta_b_sq
+        case = (mirror.r_a, eta.eta_a_sq, mirror.t_b**2 / eta.eta_b_sq)
     else:
-        r_use, eta_use_sq = mirror.r_b, eta.eta_b_sq
-        t_other_sq, eta_other_sq = mirror.t_a**2, eta.eta_a_sq
-    results = []
-    for order in (quad.order, 2 * quad.order):
-        s, w = _gl_nodes(order)
-        f_ai, f_a = _emission_integrand(s, column, r_use, mu_orient, n_phi)
-        over_phi = f_ai / eta_use_sq + (t_other_sq / eta_other_sq) * f_a
-        total = (over_phi @ w) * (2.0 * math.pi / n_phi)
-        results.append(3.0 / (8.0 * math.pi) * total)
-    failed = _first_unconverged(z, *results, quad)
-    if failed is not None:
-        raise QuadratureNotConverged(
-            f"emission-route quadrature not converged at z={failed[0]}"
-        )
-    return _per_z(z, results[1])
+        case = (mirror.r_b, eta.eta_b_sq, mirror.t_a**2 / eta.eta_a_sq)
+    return _quadratures(z, [case], [mu_orient], quad, ["emission"], n_phi)["emission"][0]
 
 
 def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGrid,
@@ -253,8 +283,8 @@ def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGr
     return {"mode_sum": mode_sum, "spatial": spatial, "rel_gap": rel_gap}
 
 
-def _default_z_grid() -> np.ndarray:
-    return 0.1 * np.arange(1, 501)
+def _z_grid(z_grid) -> np.ndarray:
+    return 0.1 * np.arange(1, 501) if z_grid is None else np.asarray(z_grid, float)
 
 
 def _check_mirrors() -> list[tuple[str, MirrorSpec]]:
@@ -266,74 +296,75 @@ def _check_mirrors() -> list[tuple[str, MirrorSpec]]:
     ]
 
 
-def _worst_point_report(name: str, z_grid, mu_values, tolerance: float, routes,
+def _worst_point_report(name: str, z_grid, tolerance: float, pairs,
                         scale_by_both: bool = False) -> OracleReport:
     """Compare two routes over the z grid for every checked mirror and mu.
 
-    ``routes(mirror, mu, z_grid)`` returns (oracle, reference) arrays. The
-    deviation is |oracle - reference| over |reference| (over the larger of
-    the two when ``scale_by_both``); the report keeps, per z, the worst
-    deviation and the values behind it.
+    ``pairs`` yields the (oracle, reference) arrays of each mirror and mu.
+    The deviation is |oracle - reference| over |reference| (over the
+    larger of the two when ``scale_by_both``); the report keeps, per z,
+    the worst deviation and the values behind it.
     """
-    z_grid = _default_z_grid() if z_grid is None else np.asarray(z_grid, float)
     worst = np.zeros_like(z_grid)
     oracle_vals = np.zeros_like(z_grid)
     reference_vals = np.zeros_like(z_grid)
-    for _, mirror in _check_mirrors():
-        for mu in mu_values:
-            got, reference = routes(mirror, mu, z_grid)
-            scale = np.abs(reference)
-            if scale_by_both:
-                scale = np.maximum(scale, np.abs(got))
-            dev = np.abs(got - reference) / np.maximum(scale, 1e-12)
-            better = dev > worst
-            worst = np.where(better, dev, worst)
-            oracle_vals = np.where(better, got, oracle_vals)
-            reference_vals = np.where(better, reference, reference_vals)
+    for got, reference in pairs:
+        scale = np.abs(reference)
+        if scale_by_both:
+            scale = np.maximum(scale, np.abs(got))
+        dev = np.abs(got - reference) / np.maximum(scale, 1e-12)
+        better = dev > worst
+        worst = np.where(better, dev, worst)
+        oracle_vals = np.where(better, got, oracle_vals)
+        reference_vals = np.where(better, reference, reference_vals)
     return OracleReport(name=name, z=z_grid, oracle=oracle_vals,
                         closed_form=reference_vals, rel_dev=worst,
                         max_rel_dev=float(worst.max()), tolerance=tolerance)
 
 
-def _angular(mirror: MirrorSpec, mu: float, z_grid, quad: QuadratureSpec):
-    eta = rates.eta_factors(mirror)
-    return angular_bracket_quadrature(z_grid, mirror.r_a, eta.eta_a_sq,
-                                      mirror.t_b**2 / eta.eta_b_sq, mu, quad)
+def _decay_routes(z_grid, mu_values, quad: QuadratureSpec, routes):
+    """(z grid, (mirror, mu) pairs, each route's values per pair), side a."""
+    z_grid = _z_grid(z_grid)
+    mirrors = [(m, rates.eta_factors(m)) for _, m in _check_mirrors()]
+    cases = [(m.r_a, eta.eta_a_sq, m.t_b**2 / eta.eta_b_sq) for m, eta in mirrors]
+    pairs = [(m, mu) for m, _ in mirrors for mu in mu_values]
+    return z_grid, pairs, _quadratures(z_grid, cases, mu_values, quad, routes)
+
+
+def _gamma_report(z_grid, pairs, found, tolerance: float) -> OracleReport:
+    return _worst_point_report("gamma_angular_quadrature", z_grid, tolerance, (
+        (got, rates.gamma_mirr(m, mu, z_grid)) for (m, mu), got in zip(pairs, found["angular"])))
+
+
+def _route_report(z_grid, pairs, found, tolerance: float) -> OracleReport:
+    return _worst_point_report("decay_route_consistency", z_grid, tolerance,
+                               zip(found["emission"], found["angular"]))
 
 
 def gamma_quadrature_report(z_grid=None, mu_values=(0.0, 0.5, 1.0),
                             quad: QuadratureSpec = QuadratureSpec(),
                             tolerance: float = 1e-8) -> OracleReport:
     """Angular quadrature vs closed-form decay rate over the default grid."""
-    def routes(mirror, mu, z):
-        return _angular(mirror, mu, z, quad), rates.gamma_mirr(mirror, mu, z)
-
-    return _worst_point_report("gamma_angular_quadrature", z_grid, mu_values,
-                               tolerance, routes)
+    return _gamma_report(*_decay_routes(z_grid, mu_values, quad, ["angular"]), tolerance)
 
 
 def delta_contour_report(z_grid=None, mu_values=(0.0, 0.5, 1.0),
                          tolerance: float = 1e-8) -> OracleReport:
     """Contour-form level shift vs the trigonometric closed form."""
-    def routes(mirror, mu, z):
-        eta = rates.eta_factors(mirror)
-        return (levelshift_contour_eval(z, mu, mirror.r_a, eta.eta_a_sq),
-                rates.delta_mirr(mirror, mu, z))
-
-    return _worst_point_report("delta_contour_form", z_grid, mu_values,
-                               tolerance, routes, scale_by_both=True)
+    z_grid = _z_grid(z_grid)
+    mirrors = [(m, rates.eta_factors(m)) for _, m in _check_mirrors()]
+    return _worst_point_report("delta_contour_form", z_grid, tolerance, (
+        (levelshift_contour_eval(z_grid, mu, m.r_a, eta.eta_a_sq),
+         rates.delta_mirr(m, mu, z_grid)) for m, eta in mirrors for mu in mu_values),
+        scale_by_both=True)
 
 
 def route_consistency_report(z_grid=None, mu_values=(0.0, 0.5, 1.0),
                              quad: QuadratureSpec = QuadratureSpec(),
                              tolerance: float = 1e-10) -> OracleReport:
     """No-emission route vs emission route for the decay rate."""
-    def routes(mirror, mu, z):
-        conditional = _angular(mirror, mu, z, quad)
-        return reset_rate_quadrature(z, mirror, mu, quad), conditional
-
-    return _worst_point_report("decay_route_consistency", z_grid, mu_values,
-                               tolerance, routes)
+    return _route_report(*_decay_routes(z_grid, mu_values, quad, ["angular", "emission"]),
+                         tolerance)
 
 
 def field_energy_report(tolerance: float = 1e-3) -> dict:
@@ -359,11 +390,12 @@ def run_default_checks(quad: QuadratureSpec = QuadratureSpec(),
                        tol_gamma: float = 1e-8, tol_delta: float = 1e-8,
                        tol_route: float = 1e-10,
                        tol_energy: float = 1e-3) -> list[dict]:
-    """Full verification suite, one report dict per check."""
-    reports = [
-        gamma_quadrature_report(quad=quad, tolerance=tol_gamma).to_dict(),
+    """Full verification suite, one report dict per check; the two decay-rate
+    checks share one run of each quadrature route."""
+    decay = _decay_routes(None, (0.0, 0.5, 1.0), quad, ["angular", "emission"])
+    return [
+        _gamma_report(*decay, tol_gamma).to_dict(),
         delta_contour_report(tolerance=tol_delta).to_dict(),
-        route_consistency_report(quad=quad, tolerance=tol_route).to_dict(),
+        _route_report(*decay, tol_route).to_dict(),
         field_energy_report(tolerance=tol_energy),
     ]
-    return reports
