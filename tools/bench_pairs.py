@@ -6,8 +6,12 @@ For each workload and seed, ``bench/run.py --trace 0`` runs once in each
 checkout, the parent first on odd seeds and the change first on even ones.
 Then each checkout gets one ``--trace 1`` run per workload. Every result
 line is written to the output file with the git revision of each checkout,
-``nproc`` and the numpy and Python versions, and the medians of the
-end-to-end metrics are printed. Progress goes to standard error.
+``nproc`` and the numpy and Python versions. For each workload and
+end-to-end metric it prints each side's median and quartiles and the
+number of pairs in which the change reads lower (ties count for neither
+side). Progress goes to standard error. The exit code is 1 if any run
+reported ``"correct": false`` or a failed operation, which ``bench/run.py``
+itself does not signal in its exit code.
 """
 
 from __future__ import annotations
@@ -35,6 +39,12 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: float, trace: in
     return result
 
 
+def summary(values: list[float]) -> str:
+    """Median [Q1, Q3] of one side's runs."""
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
 def revision(checkout: str) -> str:
     done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                           capture_output=True, text=True, check=True)
@@ -49,6 +59,8 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=10, help="seeds 1..N (default 10)")
     parser.add_argument("--seconds", type=float, default=40.0)
     args = parser.parse_args()
+    if args.seeds < 2:
+        parser.error("--seeds must be at least 2, to give quartiles")
     sides = {"parent": args.parent, "change": args.change}
     record = {
         "revisions": {side: revision(path) for side, path in sides.items()},
@@ -77,11 +89,19 @@ def main() -> int:
         handle.write("\n")
     for workload in WORKLOADS:
         for metric in METRICS:
-            medians = [statistics.median(r["metrics"][metric]["value"]
-                                         for r in record["trace0"][side][workload])
-                       for side in sides]
-            print(f"{workload} {metric}: parent {medians[0]:.4g} -> change {medians[1]:.4g}")
-    return 0
+            parent, change = ([r["metrics"][metric]["value"]
+                               for r in record["trace0"][side][workload]] for side in sides)
+            lower = sum(c < p for p, c in zip(parent, change))
+            print(f"{workload} {metric}: parent {summary(parent)} -> change {summary(change)}; "
+                  f"change lower in {lower}/{len(parent)} pairs")
+    bad = [f"{kind} {side} {workload} seed {result['seed']}"
+           for kind in ("trace0", "trace1") for side in sides
+           for workload, results in record[kind][side].items()
+           for result in (results if kind == "trace0" else [results])
+           if not result["correct"] or result["failed"] > 0]
+    for run in bad:
+        print(f"incorrect run or failed operations: {run}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
