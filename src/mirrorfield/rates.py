@@ -23,22 +23,26 @@ SMALL_Z = 1e-2
 
 @dataclass(frozen=True)
 class EtaFactors:
-    """Normalisation factors of the two field-observable copies."""
+    """Normalisation factors of the two field-observable copies.
 
-    eta_a: float
-    eta_b: float
+    The squares are what the rates use, so they are kept as computed; the
+    factors themselves are their roots.
+    """
+
+    eta_a_sq: float
+    eta_b_sq: float
 
     def __post_init__(self):
-        if self.eta_a <= 0.0 or self.eta_b <= 0.0:
+        if self.eta_a_sq <= 0.0 or self.eta_b_sq <= 0.0:
             raise ValueError("eta factors must be positive")
 
     @property
-    def eta_a_sq(self) -> float:
-        return self.eta_a * self.eta_a
+    def eta_a(self) -> float:
+        return math.sqrt(self.eta_a_sq)
 
     @property
-    def eta_b_sq(self) -> float:
-        return self.eta_b * self.eta_b
+    def eta_b(self) -> float:
+        return math.sqrt(self.eta_b_sq)
 
 
 @dataclass(frozen=True)
@@ -77,14 +81,14 @@ def eta_factors(mirror: MirrorSpec) -> EtaFactors:
     den_a = 1.0 + rb2 - tb2
     den_b = 1.0 + ra2 - ta2
     if den_a == 0.0 and den_b == 0.0:
-        return EtaFactors(eta_a=math.sqrt(2.0), eta_b=math.sqrt(2.0))
+        return EtaFactors(eta_a_sq=2.0, eta_b_sq=2.0)
     if den_a == 0.0 or den_b == 0.0:
         which = "a" if den_a == 0.0 else "b"
         raise DegenerateNormalisation(
             f"normalisation denominator for side {which} vanishes "
             "(fully transparent lossless on one side only)"
         )
-    return EtaFactors(eta_a=math.sqrt(num / den_a), eta_b=math.sqrt(num / den_b))
+    return EtaFactors(eta_a_sq=num / den_a, eta_b_sq=num / den_b)
 
 
 def _sinc_factor(z: np.ndarray) -> np.ndarray:

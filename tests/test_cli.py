@@ -404,6 +404,16 @@ ARGV_REJECTS = [
 ]
 
 
+def test_evolve_perfect_mirror_at_contact_fails_on_the_step_not_on_gamma(tmp_path):
+    # At k0x = 1e-50 the perfect mirror's rate is exactly 0 for mu = 0; a
+    # rounded -2.2e-16 used to be rejected as a negative gamma.
+    result = run_cli("evolve", "--from-mirror", "perfect", "--k0x", "1e-50",
+                     "--dt", "1e-3", "--t-final", "0.01", "--out", str(tmp_path / "x.csv"))
+    assert result.returncode == 2
+    assert "dt = 0.001 exceeds" in result.stderr
+    assert "gamma must be non-negative" not in result.stderr
+
+
 @pytest.mark.parametrize("argv", ARGV_REJECTS, ids=" ".join)
 def test_out_of_domain_arguments_exit_2(tmp_path, argv):
     out = tmp_path / "x.csv"

@@ -88,6 +88,14 @@ def test_perfect_mirror_contact_limits():
     assert rates.gamma_mirr(PERFECT, 1.0, 1e-12) == pytest.approx(2.0, abs=1e-9)
 
 
+def test_perfect_mirror_contact_is_exact():
+    # eta**2 is num / den, exactly 2 here. Squaring sqrt(2) gave
+    # 2.0000000000000004, and the decay rate at contact came out as -2.2e-16.
+    eta = rates.eta_factors(PERFECT)
+    assert (eta.eta_a_sq, eta.eta_b_sq) == (2.0, 2.0)
+    assert rates.gamma_mirr(PERFECT, 0.0, 0.0) == 0.0
+
+
 def test_perfect_mirror_frozen_values_at_z_pi():
     assert rates.gamma_mirr(PERFECT, 0.0, math.pi) == pytest.approx(
         GAMMA_PERFECT_PI, rel=1e-12)
