@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -504,6 +505,12 @@ _COMMANDS = {
 }
 
 
+# argparse reads a value as a negative number, not as a flag, only in the
+# forms -1 and -1.5; a float flag also takes -1e-3, -inf and -nan.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mirrorfield",
@@ -513,6 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help, description=command.description)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--config")
         for option in command.options:
             choices = {"choices": option.choices} if option.choices else {}  # not for a switch

@@ -404,6 +404,27 @@ ARGV_REJECTS = [
 ]
 
 
+@pytest.mark.parametrize("argv, flag, value, code", [
+    (["fig2", "--nx", "5"], "--x-min", "-2e1", 0),
+    (["rates-scan"], "--k0x-min", "-1e-3", 2),
+    (["fig2", "--nx", "5"], "--x-min", "-inf", 2),
+    (["fig2", "--nx", "5"], "--x-min", "-NaN", 2),
+])
+def test_negative_value_reads_alike_after_a_space_or_equals(tmp_path, argv, flag, value,
+                                                            code):
+    """argparse itself reads only -1 and -1.5 as values after a space."""
+    outcomes = []
+    for form, pair in (("space", [flag, value]), ("equals", [f"{flag}={value}"])):
+        (tmp_path / form).mkdir()
+        result = run_cli(*argv, *pair, "--out", "out.csv", cwd=tmp_path / form)
+        files = sorted((p.name, p.read_bytes()) for p in (tmp_path / form).iterdir())
+        outcomes.append((result.returncode, result.stderr, files))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code, outcomes[0][1]
+    if value[1:].lower() in ("inf", "nan"):
+        assert f"{flag} must be finite" in outcomes[0][1]
+
+
 def test_evolve_perfect_mirror_at_contact_fails_on_the_step_not_on_gamma(tmp_path):
     # At k0x = 1e-50 the perfect mirror's rate is exactly 0 for mu = 0; a
     # rounded -2.2e-16 used to be rejected as a negative gamma.
