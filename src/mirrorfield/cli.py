@@ -6,17 +6,17 @@ flags, in increasing priority. One table per command declares each option
 once; it builds the flags, supplies the defaults and reads the config file,
 whose values must be of their option's kind (null counts as absent; unknown
 keys are rejected). Every number, from a flag or a file, must be finite.
-Exit codes: 0 success, 2 validation error, 3 numerical-check failure, 4 I/O
-error. The environment variable MIRRORFIELD_THREADS must be a positive
-integer if set; results never depend on it.
+The fields of a scene file's records are read by the same rules, each
+by the kind its annotation gives. Exit codes: 0 success, 2 validation
+error, 3 numerical-check failure, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
-import os
 import re
 import sys
 import warnings
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, classical, io, mastereq, oracle, rates
 from .core import (MAX_STEPS, MAX_TRAJECTORIES, GaussianPacket, Medium, MirrorSpec,
-                   validate_mirror)
+                   _check_keys, validate_mirror)
 from .errors import (GridTooCoarse, IntegratorInvariantBroken, MirrorFieldError,
                      QuadratureNotConverged)
 
@@ -36,16 +36,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _check_thread_env() -> None:
-    raw = os.environ.get("MIRRORFIELD_THREADS", "1")
-    try:
-        if int(raw) >= 1:
-            return
-    except ValueError:
-        pass
-    raise CliError(2, f"MIRRORFIELD_THREADS must be a positive integer, got {raw!r}")
 
 
 # ---------------------------------------------------------------- options
@@ -66,7 +56,7 @@ def _numbers(value):
 
 class Kind(NamedTuple):
     """How an option is given: the argparse keywords of its flag, the reader
-    of its config value (the value, or None if of the wrong JSON type), what
+    of its JSON value (the value, or None if of the wrong JSON type), what
     that value must be, and the rule every number of the option obeys."""
     flag: dict
     read: Callable
@@ -114,19 +104,37 @@ def _json_object(path: str, what: str, keys) -> dict:
         raise CliError(2, f"{what} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise CliError(2, f"{what} must be a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(keys))
-    if unknown:
-        raise CliError(2, f"unknown {what} keys: {', '.join(unknown)}")
+    _check_keys(f"{what} keys", data, keys)
     return data
 
 
-def _read(option: Option, raw):
-    """A config-file value of ``option``, checked against its kind and choices."""
-    value = option.kind.read(raw)
-    if value is None or (option.choices and value not in option.choices):
-        expected = f"one of {', '.join(option.choices)}" if option.choices else option.kind.what
-        raise CliError(2, f"config key {option.key!r} must be {expected}, got {json.dumps(raw)}")
-    return value
+def _read(data: dict, options, what: str) -> dict:
+    """``data``, a JSON object from the file ``what`` names, without its nulls;
+    the value of each option in it is checked against the option's kind and
+    choices, and other keys pass as they are."""
+    values = {key: raw for key, raw in data.items() if raw is not None}
+    for option in options:
+        if option.key not in values:
+            continue
+        raw = values[option.key]
+        value = values[option.key] = option.kind.read(raw)
+        if value is None or (option.choices and value not in option.choices):
+            expected = (f"one of {', '.join(option.choices)}" if option.choices
+                        else option.kind.what)
+            raise CliError(2, f"{what} key {option.key!r} must be {expected}, "
+                              f"got {json.dumps(raw)}")
+    return values
+
+
+def _check_domains(values: dict, options, name: Callable) -> None:
+    """Reject a number outside its option's domain, naming it ``name(option)``."""
+    for option in options:
+        value, domain = values.get(option.key), option.kind.domain
+        if not domain or value is None:
+            continue
+        for number in value if isinstance(value, list) else [value]:
+            if not (math.isfinite(number) and (number > 0.0 or domain == "finite")):
+                raise CliError(2, f"{name(option)} must be {domain}, got {number}")
 
 
 def _merged(args: argparse.Namespace, options) -> dict:
@@ -135,18 +143,10 @@ def _merged(args: argparse.Namespace, options) -> dict:
     by_key = {option.key: option for option in options}
     merged = {key: option.default for key, option in by_key.items()}
     if args.config is not None:
-        data = _json_object(args.config, "config", by_key)
-        merged.update((key, _read(by_key[key], raw)) for key, raw in data.items()
-                      if raw is not None)
+        merged.update(_read(_json_object(args.config, "config", by_key), options, "config"))
     merged.update((key, value) for key, value in vars(args).items()
                   if key in by_key and value is not None)
-    for option in options:
-        value, domain = merged[option.key], option.kind.domain
-        if not domain or value is None:
-            continue
-        for number in value if isinstance(value, list) else [value]:
-            if not (math.isfinite(number) and (number > 0.0 or domain == "finite")):
-                raise CliError(2, f"{option.flag} must be {domain}, got {number}")
+    _check_domains(merged, options, lambda option: option.flag)
     return merged
 
 
@@ -157,13 +157,6 @@ def _meta(command: str, parameters: dict, tolerances: dict | None = None) -> dic
         "parameters": parameters,
         "tolerances": tolerances or {},
     }
-
-
-def _parse_mirror(data: dict) -> MirrorSpec:
-    if "preset" in data:
-        params = dict(data)
-        return MirrorSpec.from_preset(params.pop("preset"), **params)
-    return validate_mirror(MirrorSpec.from_dict(data))
 
 
 # Largest frame series, nx points times the number of frame times, that
@@ -193,7 +186,8 @@ def _write_frames(command: str, config: dict, times, x_grid, fields) -> int:
     each t, row-major by time then position; rejects a frame that overflows."""
     rows = []
     for t in times:  # frame by frame, one float object for the t of a frame
-        columns = fields(t)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+            columns = fields(t)
         if not (math.isfinite(t) and all(np.isfinite(column).all() for column in columns)):
             raise CliError(2, f"the {command} frame at t = {t} overflows: the amplitudes, "
                               "times or positions are too large")
@@ -274,7 +268,7 @@ RATES_SCAN_OPTIONS = (
     Option("t", FLOAT),
     Option("mu", FLOAT, 0.0),
     Option("side", TEXT, "a", choices=("a", "b")),
-    Option("k0x_min", FLOAT, 0.025),
+    Option("k0x_min", POSITIVE, 0.025),
     Option("k0x_max", FLOAT, 12.575),
     Option("k0x_step", POSITIVE, 0.025,
            f"grid step; the grid has at most {MAX_SCAN_POINTS} points"),
@@ -439,11 +433,15 @@ SCATTER_OPTIONS = (
 def _load_scene(path: str) -> classical.ScatterScene:
     data = _json_object(path, "scene", ("mirror", "medium", "packets_a", "packets_b"))
 
-    def record(key, default):
-        value = data.get(key, default)
-        if not isinstance(value, dict):
+    def read(key, record, cls, *extra):
+        """``record`` at scene key ``key``, read by an option per field of ``cls``."""
+        if not isinstance(record, dict):
             raise CliError(2, f"scene key {key!r} must be an object")
-        return value
+        options = [Option(f.name, {"float": FLOAT, "str": TEXT}[f.type])
+                   for f in dataclasses.fields(cls)] + list(extra)
+        values = _read(record, options, "scene")
+        _check_domains(values, options, lambda option: f"scene {key}.{option.key}")
+        return values
 
     def packets(key, side):
         entries = data.get(key, [])
@@ -451,16 +449,18 @@ def _load_scene(path: str) -> classical.ScatterScene:
             raise CliError(2, f"scene key {key!r} must be a list of objects")
         out = []
         for entry in entries:
-            entry = {"side": side, **entry}
+            entry = {"side": side, **read(key, entry, GaussianPacket)}
             if "k0_carrier" in entry:
-                k0 = float(entry["k0_carrier"])
-                entry.setdefault("direction", "right" if k0 > 0 else "left")
+                entry.setdefault("direction", "right" if entry["k0_carrier"] > 0 else "left")
             out.append(GaussianPacket.from_dict(entry))
         return tuple(out)
 
+    mirror = read("mirror", data.get("mirror", {"preset": "perfect"}), MirrorSpec,
+                  Option("preset", TEXT), Option("r", FLOAT), Option("t", FLOAT))
     return classical.ScatterScene(
-        mirror=_parse_mirror(record("mirror", {"preset": "perfect"})),
-        medium=Medium.from_dict(record("medium", {})),
+        mirror=(MirrorSpec.from_preset(mirror.pop("preset"), **mirror) if "preset" in mirror
+                else validate_mirror(MirrorSpec.from_dict(mirror))),
+        medium=Medium.from_dict(read("medium", data.get("medium", {}), Medium)),
         packets_a=packets("packets_a", "a"),
         packets_b=packets("packets_b", "b"),
     )
@@ -533,7 +533,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command = _COMMANDS[args.command]
     try:
-        _check_thread_env()
         config = _merged(args, command.options)
         return command.run(config)
     except CliError as exc:

@@ -89,6 +89,10 @@ class Medium(_Record):
             raise ValueError(f"permittivity must be positive, got {self.epsilon}")
         if self.mu_p <= 0.0:
             raise ValueError(f"permeability must be positive, got {self.mu_p}")
+        # c divides by the root of the product, which may overflow or underflow to 0.
+        product = self.epsilon * self.mu_p
+        if not 0.0 < product < math.inf:
+            raise ValueError(f"epsilon * mu_p must be positive and finite, got {product}")
 
     @property
     def c(self) -> float:
@@ -174,8 +178,7 @@ class MirrorSpec(_Record):
         given = {key: value for key, value in (("r", r), ("t", t)) if value is not None}
         allowed = needed + (_PHASES if needed else ())
         _check_keys(f"mirror preset {name!r}", {**given, **phases}, allowed, needed)
-        rate_args = {key: float(given[key]) for key in needed}
-        return validate_mirror(getattr(cls, builder)(**rate_args, **phases))
+        return validate_mirror(getattr(cls, builder)(**given, **phases))
 
 
 def validate_mirror(spec: MirrorSpec) -> MirrorSpec:
@@ -289,8 +292,9 @@ class GaussianPacket(_Record):
 
     def __post_init__(self):
         _check_finite(self)
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        # The envelope divides by sigma**2, which may overflow or underflow to 0.
+        if not (self.sigma > 0.0 and 0.0 < self.sigma * self.sigma < math.inf):
+            raise ValueError(f"sigma = {self.sigma}: need sigma > 0 and 0 < sigma**2 < inf")
         if self.side not in ("a", "b"):
             raise ValueError(f"side must be 'a' or 'b', got {self.side!r}")
         if self.direction not in ("left", "right"):

@@ -100,10 +100,6 @@ class ModeAmplitudes:
         zeros = np.zeros(grid.k.size, dtype=complex)
         return cls(alpha_a=zeros, alpha_b=zeros.copy())
 
-    def __add__(self, other: "ModeAmplitudes") -> "ModeAmplitudes":
-        return ModeAmplitudes(alpha_a=self.alpha_a + other.alpha_a,
-                              alpha_b=self.alpha_b + other.alpha_b)
-
     def side(self, side: str) -> np.ndarray:
         if side == "a":
             return self.alpha_a

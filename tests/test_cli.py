@@ -234,17 +234,14 @@ def test_evolve_unravel_reproducible(tmp_path):
         assert abs(rho22 - math.exp(-t)) <= 4.0 * err + 1e-12
 
 
-def test_evolve_unravel_thread_env_invariance(tmp_path):
-    import os
+def test_evolve_unravel_json_rerun_is_byte_identical(tmp_path):
     args = ["evolve", "--gamma", "1", "--rho22", "1", "--t-final", "1.5",
-            "--dt", "0.01", "--unravel", "300", "--seed", "9"]
-    out1 = tmp_path / "w1.csv"
-    out2 = tmp_path / "w4.csv"
-    env1 = dict(os.environ, MIRRORFIELD_THREADS="1")
-    env4 = dict(os.environ, MIRRORFIELD_THREADS="4")
-    assert run_cli(*args, "--out", str(out1), env=env1).returncode == 0
-    assert run_cli(*args, "--out", str(out2), env=env4).returncode == 0
-    assert out1.read_bytes() == out2.read_bytes()
+            "--dt", "0.01", "--unravel", "300", "--seed", "9", "--format", "json"]
+    out = tmp_path / "u.json"  # the JSON payload records the --out path
+    assert run_cli(*args, "--out", str(out)).returncode == 0
+    first = out.read_bytes()
+    assert run_cli(*args, "--out", str(out)).returncode == 0
+    assert out.read_bytes() == first
 
 
 def test_evolve_rejects_too_large_step(tmp_path):
@@ -332,6 +329,85 @@ def test_scatter_rejects_bad_scene_records(tmp_path, patch, needle):
     assert not out.exists()
 
 
+def _packet(**fields):
+    return {"packets_a": [{**scene_payload()["packets_a"][0], **fields}]}
+
+
+@pytest.mark.parametrize("patch, needle", [
+    (_packet(e0="1"), "scene key 'e0' must be a number, got \"1\""),
+    (_packet(e0=True), "scene key 'e0' must be a number, got true"),
+    (_packet(e0=None), "missing e0"),  # null means absent
+    (_packet(k0_carrier=[1]), "scene key 'k0_carrier' must be a number, got [1]"),
+    (_packet(k0_carrier="-4"), "scene key 'k0_carrier' must be a number, got \"-4\""),
+    (_packet(sigma=1e200), "sigma = 1e+200: need sigma > 0 and 0 < sigma**2 < inf"),
+    ({"mirror": {"preset": "symmetric", "r": "0.5", "t": 0.5}},
+     "scene key 'r' must be a number, got \"0.5\""),
+    ({"mirror": {"preset": "symmetric", "r": True, "t": 0.5}},
+     "scene key 'r' must be a number, got true"),
+    ({"mirror": {"t_a": "0", "t_b": 0, "r_a": 1, "r_b": 1}},
+     "scene key 't_a' must be a number, got \"0\""),
+    ({"mirror": {"preset": "lossless", "r": 0.5, "phi_1": "x"}},
+     "scene key 'phi_1' must be a number, got \"x\""),
+    ({"mirror": {"preset": "lossless", "r": 0.5, "phi_2": math.inf}},
+     "scene mirror.phi_2 must be finite, got inf"),
+    ({"medium": {"epsilon": "2"}}, "scene key 'epsilon' must be a number, got \"2\""),
+    ({"medium": {"epsilon": 1e300, "mu_p": 1e300}},
+     "epsilon * mu_p must be positive and finite, got inf"),
+    ({"medium": {"epsilon": 1e-300, "mu_p": 1e-300}},
+     "epsilon * mu_p must be positive and finite, got 0.0"),
+])
+def test_scatter_reads_scene_fields_by_kind(tmp_path, capsys, patch, needle):
+    from mirrorfield import cli
+
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({**scene_payload(), **patch}))
+    out = tmp_path / "x.csv"
+    assert cli.main(["scatter", "--scene", str(scene), "--nx", "5", "--out", str(out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scene_null_is_absent(tmp_path):
+    from mirrorfield import cli
+
+    outputs = []
+    for xi_init in ({"xi_init": None}, {}):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({**scene_payload(), **_packet(**xi_init)}))
+        out = tmp_path / "frames.csv"
+        assert cli.main(["scatter", "--scene", str(scene), "--nx", "21", "--times", "0", "2",
+                         "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), Path(str(out) + ".json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("flag", ["--config", "--scene"])
+def test_invalid_json_file_exits_2(tmp_path, capsys, flag):
+    from mirrorfield import cli
+
+    path = tmp_path / "file.json"
+    path.write_text('{"nx": 5,')
+    out = tmp_path / "x.csv"
+    argv = ["scatter", flag, str(path), "--out", str(out)]
+    if flag == "--config":
+        argv += ["--scene", str(tmp_path / "no-such-scene.json")]
+    assert cli.main(argv) == 2
+    assert f"{flag[2:]} is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["rates-scan"], ["oracle-verify"]])
+def test_out_in_a_missing_directory_exits_4(tmp_path, monkeypatch, capsys, argv):
+    from mirrorfield import cli, oracle
+
+    monkeypatch.setattr(oracle, "run_default_checks", lambda **kwargs: [
+        {"name": "stub", "grid": {}, "max_rel_dev": 0.0, "tolerance": 1.0, "pass": True}])
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert not out.parent.exists()
+
+
 def test_scatter_rejects_a_scene_that_is_not_an_object(tmp_path):
     scene = tmp_path / "scene.json"
     scene.write_text("[1]")
@@ -401,6 +477,8 @@ ARGV_REJECTS = [
     # The field, or the frame time t * x0, overflows to inf.
     ["fig2", "--e0=1.7e308", "--nx", "5"],
     ["fig2", "--x0", "1e300", "--sigma", "1", "--t", "1e300", "--nx", "5"],
+    ["evolve", "--from-mirror", "perfect"],
+    ["scatter"],
 ]
 
 
@@ -421,8 +499,9 @@ def test_negative_value_reads_alike_after_a_space_or_equals(tmp_path, argv, flag
         outcomes.append((result.returncode, result.stderr, files))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == code, outcomes[0][1]
-    if value[1:].lower() in ("inf", "nan"):
-        assert f"{flag} must be finite" in outcomes[0][1]
+    if code == 2:
+        domain = "finite" if value[1:].lower() in ("inf", "nan") else "positive and finite"
+        assert f"{flag} must be {domain}, got {float(value)}" in outcomes[0][1]
 
 
 def test_evolve_perfect_mirror_at_contact_fails_on_the_step_not_on_gamma(tmp_path):
@@ -492,21 +571,6 @@ def test_evolve_unravel_underflow_names_dt(tmp_path):
     assert result.returncode == 2
     assert "dt = 1000.0" in result.stderr
     assert "RuntimeWarning" not in result.stderr
-
-
-@pytest.mark.parametrize("value", ["0", "-3", "two"])
-def test_thread_env_must_be_positive_integer(tmp_path, value):
-    import os
-    out = tmp_path / "x.csv"
-    for argv in (["evolve", "--gamma", "1", "--t-final", "0.1", "--dt", "0.01",
-                  "--unravel", "5"],
-                 ["evolve", "--gamma", "1", "--t-final", "0.1", "--dt", "0.01"],
-                 ["rates-scan"]):
-        result = run_cli(*argv, "--out", str(out),
-                         env=dict(os.environ, MIRRORFIELD_THREADS=value))
-        assert result.returncode == 2
-        assert "MIRRORFIELD_THREADS must be a positive integer" in result.stderr
-        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -850,5 +914,64 @@ def test_cli_fuzz_in_process(tmp_path, monkeypatch):
         assert code in (0, 2, 3, 4), argv
         if code == 0:
             _assert_finite_output(out)
+
+    run()
+
+
+# Valid records the scene fuzz starts from, one field at a time replaced.
+FUZZ_MIRRORS = [
+    {"preset": "perfect"},
+    {"preset": "symmetric", "r": 0.6, "t": 0.6, "phi_1": math.pi, "phi_3": math.pi},
+    {"preset": "lossless", "r": 0.5, "phi_2": 1.0},
+    {"t_a": 0.5, "t_b": 0.4, "r_a": 0.5, "r_b": 0.6, "phi_1": 1.0, "phi_2": 0.0,
+     "phi_3": 2.0, "phi_4": 0.5},
+]
+FUZZ_PACKETS = {
+    "packets_a": {"e0": 1.0, "x0": 3.0, "sigma": 1.0, "k0_carrier": -4.0, "xi_init": 0.5},
+    "packets_b": {"e0": 0.5, "x0": -3.0, "sigma": 1.0, "k0_carrier": 4.0},
+}
+
+
+def test_cli_fuzz_scene_files(tmp_path, monkeypatch):
+    """scatter, fed scene files whose record fields are edge numbers or values
+    of the wrong JSON type, exits 0 or 2 without an escaping exception, and an
+    exit-0 run writes finite numbers."""
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    from mirrorfield import cli
+
+    values = st.sampled_from(EDGE_NUMBERS + ["1", True, [1.0], None])
+    scene = tmp_path / "scene.json"
+
+    def record(draw, valid):
+        """``valid`` with each field kept, dropped or replaced by a drawn value."""
+        fields = {}
+        for key, value in valid.items():
+            choice = draw(st.sampled_from(["keep"] * 3 + ["drop", "draw"]))
+            if choice != "drop":
+                fields[key] = value if choice == "keep" else draw(values)
+        return fields
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def run(data):
+        payload = {"mirror": record(data.draw, data.draw(st.sampled_from(FUZZ_MIRRORS))),
+                   "medium": record(data.draw, {"epsilon": 1.0, "mu_p": 1.0})}
+        for key, valid in FUZZ_PACKETS.items():
+            payload[key] = [record(data.draw, valid)
+                            for _ in range(data.draw(st.integers(0, 2)))]
+        scene.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        for stale in tmp_path.glob("out*"):
+            stale.unlink()
+        code = cli.main(["scatter", "--scene", str(scene), "--nx", "21", "--times", "0", "1",
+                         "--out", str(out)])
+        assert code in (0, 2), payload
+        if code == 0:
+            _assert_finite_output(out)
+        else:
+            assert not out.exists()
 
     run()

@@ -20,6 +20,22 @@ def test_medium_rejects_nonpositive():
         Medium(mu_p=-1.0)
 
 
+@pytest.mark.parametrize("epsilon, mu_p", [(1e300, 1e300), (1e-300, 1e-300)])
+def test_medium_rejects_a_product_that_overflows_or_underflows(epsilon, mu_p):
+    # The light speed 1 / sqrt(epsilon * mu_p) would divide by zero.
+    with pytest.raises(ValueError, match=r"epsilon \* mu_p must be positive and finite"):
+        Medium(epsilon=epsilon, mu_p=mu_p)
+    assert 0.0 < Medium(epsilon=1e154, mu_p=1e154).c < math.inf
+
+
+@pytest.mark.parametrize("sigma", [1e200, 1e-200, -3.0])
+def test_packet_rejects_sigma_whose_square_overflows_or_underflows(sigma):
+    # The envelope divides by sigma**2, which would raise OverflowError or
+    # divide by zero.
+    with pytest.raises(ValueError, match=r"need sigma > 0 and 0 < sigma\*\*2 < inf"):
+        GaussianPacket(e0=1.0, x0=-30.0, sigma=sigma, k0_carrier=-5.0, side="b")
+
+
 def test_validate_perfect_and_free_presets():
     assert validate_mirror(MirrorSpec.perfect()) == MirrorSpec.perfect()
     assert validate_mirror(MirrorSpec.free_space()) == MirrorSpec.free_space()

@@ -184,17 +184,6 @@ def test_unravel_fixed_seed_reproducible():
     assert not np.array_equal(a.rho, c.rho)
 
 
-def test_unravel_independent_of_worker_count_and_chunking(monkeypatch):
-    channel = me.AtomChannel(1.0, 0.0)
-    monkeypatch.setenv("MIRRORFIELD_THREADS", "1")
-    ref = me.jump_unravel(me.DensityMatrix.excited(), channel, 1.5, 0.01,
-                          n_traj=500, seed=11)
-    monkeypatch.setenv("MIRRORFIELD_THREADS", "4")
-    threaded = me.jump_unravel(me.DensityMatrix.excited(), channel, 1.5, 0.01,
-                               n_traj=500, seed=11)
-    assert np.array_equal(ref.rho, threaded.rho)
-
-
 def test_unravel_requires_pure_state():
     mixed = np.diag([0.5, 0.5]).astype(complex)
     with pytest.raises(ValueError):
