@@ -7,6 +7,7 @@ serialise to plain dicts with snake_case field names.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -45,6 +46,17 @@ def _check_keys(what: str, given, allowed, required=()) -> None:
     missing = [key for key in required if key not in given]
     if missing:
         raise ValueError(f"{what}: missing {', '.join(missing)}")
+
+
+def _caller_stacklevel() -> int:
+    """The ``warnings.warn`` stacklevel, for a warning raised by the function
+    calling this one, that names the first caller outside this module: the
+    code that built a record, not its dataclass ``__init__`` or a
+    constructor such as ``GaussianPacket.moving``."""
+    level, frame = 1, sys._getframe(1)
+    while frame.f_back is not None and frame.f_globals is globals():
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 def _check_finite(record) -> None:
@@ -314,7 +326,7 @@ class GaussianPacket(_Record):
             warnings.warn(
                 f"packet centred at x0={self.x0} is not well localised on side "
                 f"{self.side} (|x0| < 3 sigma)",
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
 
     @classmethod

@@ -6,18 +6,19 @@ level shift, and a second, emission-route quadrature built from the vector
 dipole amplitudes. A fourth check compares the standing-wave mode energy
 against a spatial quadrature of the field energy density.
 
-The two quadratures share their tables. Per Gauss-Legendre order, cos(z s),
-exp(-i z s) and the azimuth sums depend on neither the mirror nor the
-dipole orientation mu, so the suite builds them once per order; each
-mirror's reflection products are then formed once for all mu. Each route
-still combines its own terms point by point, so the routes stay independent.
+Per Gauss-Legendre order, a route's table (cos(z s) for the angular route;
+exp(-i z s) and the azimuth sums for the emission route) depends on neither
+the mirror nor the dipole orientation mu, so the suite builds it once per
+route and order; each mirror's reflection products are then formed once for
+all mu. The routes run one after the other, one order at a time, each in a
+few buffers it reuses, so only one table is alive at a time. Each route
+combines its own terms point by point, so the routes stay independent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -76,53 +77,44 @@ class OracleReport:
         }
 
 
-class _OrderTables:
-    """Mirror- and mu-independent tables of one Gauss-Legendre order against
-    the z ``column``; each is built when a route first reads it."""
-
-    def __init__(self, column: np.ndarray, order: int, n_phi: int = 32):
-        self.s, self.w = _gl_nodes(order)
-        self.column, self.n_phi = column, n_phi
-        self.s_minus, self.s_plus = 1.0 - self.s**2, 1.0 + self.s**2
-
-    @cached_property
-    def cos_zs(self) -> np.ndarray:
-        return np.cos(self.column * self.s)
-
-    @cached_property
-    def phase(self) -> np.ndarray:
-        return np.exp(-1j * self.column * self.s)
-
-    @cached_property
-    def k_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sums of kx**2, kz**2 and kx kz over the n_phi azimuths, per s."""
-        phi = np.arange(self.n_phi) * (2.0 * math.pi / self.n_phi)
-        kx = np.broadcast_to(self.s[:, None], (self.s.size, self.n_phi))
-        kz = np.sqrt(np.clip(self.s_minus, 0.0, None))[:, None] * np.sin(phi)[None, :]
-        return (kx * kx).sum(axis=1), (kz * kz).sum(axis=1), (kx * kz).sum(axis=1)
-
-
-def _angular_route(tables: _OrderTables, r: float, eta_sq: float, other_ratio: float):
-    """The angular integral at one order, as mu -> decay-rate ratio per z.
+def _angular_route(column: np.ndarray, order: int, cases, mu_values, n_phi: int):
+    """The angular integral at one order: the decay-rate ratio per z for
+    every case and then every mu (``n_phi`` belongs to the emission route).
 
     ``s`` is the cosine of the angle between the wave vector and the mirror
     normal. The perpendicular dipole component weighs (1 - s**2) and picks
     up the interference cosine with a plus sign, the parallel component
-    weighs (1 + s**2)/2 with a minus sign. ``other_ratio`` is
+    weighs (1 + s**2)/2 with a minus sign. A case's ``other_ratio`` is
     t_other**2 / eta_other**2, the weight of light from the far side.
     """
-    cos_term = 2.0 * r * tables.cos_zs
-    perp = (1.0 + r**2 + cos_term) * tables.s_minus
-    par = 0.5 * (1.0 + r**2 - cos_term) * tables.s_plus
+    s, w = _gl_nodes(order)
+    s_minus, s_plus = 1.0 - s**2, 1.0 + s**2
+    cos_zs = np.multiply(column, s)
+    np.cos(cos_zs, out=cos_zs)
+    perp, par, rate, par_mu = (np.empty_like(cos_zs) for _ in range(4))
+    values = []
+    for r, eta_sq, other_ratio in cases:
+        np.multiply(2.0 * r, cos_zs, out=par)  # the interference term
+        np.add(1.0 + r**2, par, out=perp)
+        np.multiply(perp, s_minus, out=perp)
+        np.subtract(1.0 + r**2, par, out=par)
+        np.multiply(0.5, par, out=par)
+        np.multiply(par, s_plus, out=par)
+        for mu in mu_values:
+            trans = other_ratio * (s_minus * mu + 0.5 * s_plus * (1.0 - mu))
+            np.multiply(perp, mu, out=rate)
+            np.multiply(par, 1.0 - mu, out=par_mu)
+            np.add(rate, par_mu, out=rate)
+            np.divide(rate, eta_sq, out=rate)
+            np.add(rate, trans, out=rate)
+            np.multiply(0.75, rate, out=rate)
+            values.append(rate @ w)
+    return values
 
-    def at(mu):
-        trans = other_ratio * (tables.s_minus * mu + 0.5 * tables.s_plus * (1.0 - mu))
-        return (0.75 * ((perp * mu + par * (1.0 - mu)) / eta_sq + trans)) @ tables.w
-    return at
 
-
-def _emission_route(tables: _OrderTables, r: float, eta_sq: float, other_ratio: float):
-    """The emission route at one order, as mu -> decay-rate ratio per z.
+def _emission_route(column: np.ndarray, order: int, cases, mu_values, n_phi: int):
+    """The emission route at one order: the decay-rate ratio per z for
+    every case and then every mu.
 
     Built from the explicit dipole vectors of atom and image, sqrt(mu)
     (1 + r P) and sqrt(1 - mu) (1 - r P) with P = exp(-i z s): the squared
@@ -132,20 +124,47 @@ def _emission_route(tables: _OrderTables, r: float, eta_sq: float, other_ratio: 
     needs only the sums of kx**2, kz**2 and kx kz over the n_phi azimuths.
     Light from the far side meets the atom alone.
     """
-    plus, minus = 1.0 + r * tables.phase, 1.0 - r * tables.phase
-    plus_sq, minus_sq = np.abs(plus) ** 2, np.abs(minus) ** 2
-    cross = (plus * minus.conj()).real
-    (kxx, kzz, kxz), n_phi = tables.k_sums, tables.n_phi
-
-    def at(mu):
-        d_perp, d_par = math.sqrt(mu), math.sqrt(1.0 - mu)
-        ux_sq, uz_sq = mu * plus_sq, (1.0 - mu) * minus_sq
-        f_atom_image = n_phi * (ux_sq + uz_sq) - (
-            ux_sq * kxx + uz_sq * kzz + 2.0 * d_perp * d_par * cross * kxz)
-        f_atom_only = n_phi - (mu * kxx + (1.0 - mu) * kzz + 2.0 * d_perp * d_par * kxz)
-        over_phi = f_atom_image / eta_sq + other_ratio * f_atom_only
-        return 3.0 / (8.0 * math.pi) * ((over_phi @ tables.w) * (2.0 * math.pi / n_phi))
-    return at
+    s, w = _gl_nodes(order)
+    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+    kx = np.broadcast_to(s[:, None], (s.size, n_phi))
+    kz = np.sqrt(np.clip(1.0 - s**2, 0.0, None))[:, None] * np.sin(phi)[None, :]
+    kxx, kzz, kxz = (kx * kx).sum(axis=1), (kz * kz).sum(axis=1), (kx * kz).sum(axis=1)
+    phase = np.multiply(-1j * column, s)
+    np.exp(phase, out=phase)
+    # Six real planes. The first four hold the complex 1 + r P and 1 - r P
+    # until a case's products are formed, then the cross term and the mu
+    # loop's work buffers.
+    scratch = np.empty((6,) + phase.shape)
+    plus, minus = scratch[:4].reshape(2, -1).view(complex).reshape((2,) + phase.shape)
+    f_atom_image, cross, ux_sq, uz_sq, plus_sq, minus_sq = scratch
+    values = []
+    for r, eta_sq, other_ratio in cases:
+        np.multiply(r, phase, out=minus)
+        np.add(1.0, minus, out=plus)
+        np.subtract(1.0, minus, out=minus)
+        np.square(np.abs(plus, out=plus_sq), out=plus_sq)
+        np.square(np.abs(minus, out=minus_sq), out=minus_sq)
+        np.multiply(plus, np.conjugate(minus, out=minus), out=minus)
+        np.copyto(cross, minus.real)
+        for mu in mu_values:
+            d_perp, d_par = math.sqrt(mu), math.sqrt(1.0 - mu)
+            f_atom_only = n_phi - (mu * kxx + (1.0 - mu) * kzz + 2.0 * d_perp * d_par * kxz)
+            np.multiply(mu, plus_sq, out=ux_sq)
+            np.multiply(1.0 - mu, minus_sq, out=uz_sq)
+            np.add(ux_sq, uz_sq, out=f_atom_image)
+            np.multiply(n_phi, f_atom_image, out=f_atom_image)
+            np.multiply(ux_sq, kxx, out=ux_sq)
+            np.multiply(uz_sq, kzz, out=uz_sq)
+            np.add(ux_sq, uz_sq, out=ux_sq)
+            np.multiply(2.0 * d_perp * d_par, cross, out=uz_sq)
+            np.multiply(uz_sq, kxz, out=uz_sq)
+            np.add(ux_sq, uz_sq, out=ux_sq)
+            np.subtract(f_atom_image, ux_sq, out=f_atom_image)
+            np.divide(f_atom_image, eta_sq, out=f_atom_image)  # now over_phi
+            np.add(f_atom_image, other_ratio * f_atom_only, out=f_atom_image)
+            values.append(3.0 / (8.0 * math.pi)
+                          * ((f_atom_image @ w) * (2.0 * math.pi / n_phi)))
+    return values
 
 
 _ROUTES = {  # the route at one order, and its message when it has not converged
@@ -165,30 +184,27 @@ def _quadratures(z, cases, mu_values, quad: QuadratureSpec, routes,
     """Each route's decay-rate ratio per z, for every case and then every mu.
 
     A case is (r, eta**2, t_other**2 / eta_other**2) of the atom's side.
-    Each order's tables are built once and each route's mu-independent
-    products once per case and order, one of each held at a time. Route by
-    route, the first value that doubling the order moved by more than the
-    tolerance raises QuadratureNotConverged, naming its first such z.
+    Route by route, the order-n rule and then the order-2n rule run, each
+    with its own tables and buffers, freed before the next starts; the
+    first value that doubling the order moved by more than the tolerance
+    raises QuadratureNotConverged, naming its first such z, before the
+    next route runs.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
         raise ValueError("z must be non-negative")
     column = z.reshape(-1, 1)
-    by_order = []
-    for order in (quad.order, 2 * quad.order):
-        tables = _OrderTables(column, order, n_phi)
-        by_order.append({route: [value for case in cases for value in
-                                 map(_ROUTES[route][0](tables, *case), mu_values)]
-                         for route in routes})
-        del tables  # before the next order's are built
     found = {}
     for route in routes:
+        build, message = _ROUTES[route]
+        coarse_values = build(column, quad.order, cases, mu_values, n_phi)
         found[route] = []
-        for coarse, fine in zip(by_order[0][route], by_order[1][route]):
+        for coarse, fine in zip(coarse_values,
+                                build(column, 2 * quad.order, cases, mu_values, n_phi)):
             moved = np.abs(fine - coarse)
             bad = np.flatnonzero(moved > quad.tolerance * np.maximum(1.0, np.abs(fine)))
             if bad.size:
-                raise QuadratureNotConverged(_ROUTES[route][1].format(
+                raise QuadratureNotConverged(message.format(
                     coarse=quad.order, fine=2 * quad.order, moved=float(moved[bad[0]]),
                     z=float(z.reshape(-1)[bad[0]])))
             found[route].append(_per_z(z, fine))

@@ -818,6 +818,38 @@ def test_cli_surface_is_pinned(tmp_path, monkeypatch, capsys, command):
         assert meta["parameters"] == parameters
 
 
+@pytest.mark.parametrize("command", SURFACE)
+def test_a_command_builds_only_its_own_parser(tmp_path, monkeypatch, capsys, command):
+    """Every command is listed, but only the invoked one gets its flags;
+    --version and an unknown command give none of them flags."""
+    import argparse
+
+    from mirrorfield import cli, oracle
+
+    built = {}
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def recording(self, name, **kwargs):
+        built[name] = add_parser(self, name, **kwargs)
+        return built[name]
+
+    def with_flags():  # beyond the -h that argparse gives every parser
+        return [name for name, parser in built.items() if len(parser._actions) > 1]
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    monkeypatch.setattr(oracle, "run_default_checks", lambda **kwargs: [
+        {"name": "stub", "grid": {}, "max_rel_dev": 0.0, "tolerance": 1.0, "pass": True}])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scene.json").write_text(json.dumps(scene_payload()))
+    assert cli.main([command, *SURFACE[command][0], "--out", "o.csv"]) == 0
+    assert list(built) == list(SURFACE) and with_flags() == [command]
+    for argv in (["--version"], ["bogus"]):
+        built.clear()
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert list(built) == list(SURFACE) and with_flags() == []
+
+
 # ------------------------------------------------------------- in-process fuzz
 
 # The edge values every numeric input is drawn from; 10**30 overflows an

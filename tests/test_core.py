@@ -140,6 +140,14 @@ def test_packet_soft_localisation_warning():
         GaussianPacket.moving(e0=1.0, x0=-30.0, sigma=3.0, k0_carrier=5.0, side="a")
 
 
+def test_packet_localisation_warning_names_the_code_that_built_it():
+    with pytest.warns(UserWarning, match="not well localised") as record:
+        GaussianPacket(e0=1.0, x0=2.0, sigma=3.0, k0_carrier=-5.0)
+        GaussianPacket.moving(e0=1.0, x0=2.0, sigma=3.0, k0_carrier=-5.0)
+        GaussianPacket.from_dict({"e0": 1.0, "x0": 2.0, "sigma": 3.0, "k0_carrier": -5.0})
+    assert [r.filename for r in record] == [__file__] * 3
+
+
 def test_json_round_trip_snake_case_fields():
     mirror = MirrorSpec.symmetric(r=0.3, t=0.5, phi_1=1.0)
     assert set(mirror.to_dict()) == {

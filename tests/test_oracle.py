@@ -273,6 +273,62 @@ def test_reset_quadrature_matches_full_mesh_sum(mirror, mu):
                                     rel=1e-13, abs=1e-13)
 
 
+def _route_by_whole_arrays(route, z, case, mu, order, n_phi=32):
+    """One route's value per z at one order, for one (r, eta**2,
+    t_other**2 / eta_other**2) case and mu, written as the whole-array
+    expressions the routes evaluated before they ran in reused buffers."""
+    r, eta_sq, other_ratio = case
+    column = np.asarray(z, dtype=float).reshape(-1, 1)
+    s, w = np.polynomial.legendre.leggauss(order)
+    s_minus, s_plus = 1.0 - s**2, 1.0 + s**2
+    if route == "angular":
+        cos_term = 2.0 * r * np.cos(column * s)
+        perp = (1.0 + r**2 + cos_term) * s_minus
+        par = 0.5 * (1.0 + r**2 - cos_term) * s_plus
+        trans = other_ratio * (s_minus * mu + 0.5 * s_plus * (1.0 - mu))
+        return (0.75 * ((perp * mu + par * (1.0 - mu)) / eta_sq + trans)) @ w
+    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+    kx = np.broadcast_to(s[:, None], (s.size, n_phi))
+    kz = np.sqrt(np.clip(s_minus, 0.0, None))[:, None] * np.sin(phi)[None, :]
+    kxx, kzz, kxz = (kx * kx).sum(axis=1), (kz * kz).sum(axis=1), (kx * kz).sum(axis=1)
+    phase = np.exp(-1j * column * s)
+    plus, minus = 1.0 + r * phase, 1.0 - r * phase
+    plus_sq, minus_sq = np.abs(plus) ** 2, np.abs(minus) ** 2
+    cross = (plus * minus.conj()).real
+    d_perp, d_par = math.sqrt(mu), math.sqrt(1.0 - mu)
+    ux_sq, uz_sq = mu * plus_sq, (1.0 - mu) * minus_sq
+    f_atom_image = n_phi * (ux_sq + uz_sq) - (
+        ux_sq * kxx + uz_sq * kzz + 2.0 * d_perp * d_par * cross * kxz)
+    f_atom_only = n_phi - (mu * kxx + (1.0 - mu) * kzz + 2.0 * d_perp * d_par * kxz)
+    over_phi = f_atom_image / eta_sq + other_ratio * f_atom_only
+    return 3.0 / (8.0 * math.pi) * ((over_phi @ w) * (2.0 * math.pi / n_phi))
+
+
+BIT_MIRRORS = ROUTE_MIRRORS + [MirrorSpec.symmetric(r=0.3, t=0.5)]
+
+
+@pytest.mark.parametrize("order", [16, 64])
+@pytest.mark.parametrize("z", [2.7, 0.25 * np.arange(49), np.linspace(0.0, 9.0, 12).reshape(3, 4)],
+                         ids=["scalar", "grid", "2d"])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_routes_equal_their_whole_array_expressions(order, z, side):
+    quad = oracle.QuadratureSpec(order=order, tolerance=1.0)
+    for mirror in BIT_MIRRORS:
+        eta = rates.eta_factors(mirror)
+        case = ((mirror.r_a, eta.eta_a_sq, mirror.t_b**2 / eta.eta_b_sq) if side == "a"
+                else (mirror.r_b, eta.eta_b_sq, mirror.t_a**2 / eta.eta_a_sq))
+        for mu in (0.0, 0.3, 0.5, 1.0):
+            got = {"angular": oracle.angular_bracket_quadrature(z, *case, mu, quad),
+                   "emission": oracle.reset_rate_quadrature(z, mirror, mu, quad, side=side)}
+            for route, value in got.items():
+                expected = _route_by_whole_arrays(route, z, case, mu, 2 * order)
+                if np.ndim(z) == 0:
+                    assert isinstance(value, float) and value == expected[0]
+                else:
+                    assert value.shape == np.shape(z)
+                    assert np.array_equal(value, expected.reshape(np.shape(z)))
+
+
 def test_contour_array_z_equals_scalar_calls():
     z_grid = Z_SAMPLES[1:]
     vals = oracle.levelshift_contour_eval(z_grid, 0.4, 0.6, 1.7)
@@ -313,6 +369,14 @@ def test_default_checks_pass_fail_set_at_1e_15():
     assert {c["name"]: c["pass"] for c in checks} == {
         "gamma_angular_quadrature": False, "delta_contour_form": False,
         "decay_route_consistency": False, "field_energy_mode_sum": True}
+
+
+def test_coarse_default_checks_stop_before_the_emission_route(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the emission route ran after the angular route failed")
+    monkeypatch.setitem(oracle._ROUTES, "emission", (fail, oracle._ROUTES["emission"][1]))
+    with pytest.raises(QuadratureNotConverged, match="^order 16 -> 32 moved"):
+        oracle.run_default_checks(oracle.QuadratureSpec(order=16))
 
 
 def test_coarse_default_checks_name_first_unconverged_z():
@@ -377,7 +441,7 @@ def test_default_checks_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8.5e6
+    assert peak <= 5.0e6
 
 
 # ------------------------------------------------------- field energy grid
