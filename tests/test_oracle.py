@@ -275,8 +275,8 @@ def test_reset_quadrature_matches_full_mesh_sum(mirror, mu):
 
 def _route_by_whole_arrays(route, z, case, mu, order, n_phi=32):
     """One route's value per z at one order, for one (r, eta**2,
-    t_other**2 / eta_other**2) case and mu, written as the whole-array
-    expressions the routes evaluated before they ran in reused buffers."""
+    t_other**2 / eta_other**2) case and mu, written as whole-array
+    expressions: the reference the buffered routes must equal bit for bit."""
     r, eta_sq, other_ratio = case
     column = np.asarray(z, dtype=float).reshape(-1, 1)
     s, w = np.polynomial.legendre.leggauss(order)
@@ -312,7 +312,7 @@ BIT_MIRRORS = ROUTE_MIRRORS + [MirrorSpec.symmetric(r=0.3, t=0.5)]
                          ids=["scalar", "grid", "2d"])
 @pytest.mark.parametrize("side", ["a", "b"])
 def test_routes_equal_their_whole_array_expressions(order, z, side):
-    quad = oracle.QuadratureSpec(order=order, tolerance=1.0)
+    quad = oracle.QuadratureSpec(order=order, tolerance=1.0)  # compare values, not convergence
     for mirror in BIT_MIRRORS:
         eta = rates.eta_factors(mirror)
         case = ((mirror.r_a, eta.eta_a_sq, mirror.t_b**2 / eta.eta_b_sq) if side == "a"
