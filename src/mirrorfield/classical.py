@@ -252,6 +252,11 @@ def mirror_field_3d(scene: ScatterScene, r, t: float) -> np.ndarray:
     return 2.0 * total.real
 
 
+# Relative agreement the energy quadratures require of a grid and the one
+# of half its step.
+_REL_TOL = 1e-6
+
+
 def _simpson(y: np.ndarray, dx: float) -> float:
     n = y.size
     if n < 3 or n % 2 == 0:
@@ -262,12 +267,12 @@ def _simpson(y: np.ndarray, dx: float) -> float:
     return float(np.dot(weights, y)) * dx / 3.0
 
 
-def simpson_with_check(y: np.ndarray, dx: float, rel_tol: float = 1e-6) -> float:
+def simpson_with_check(y: np.ndarray, dx: float) -> float:
     """Composite Simpson with a step-halving consistency check.
 
     Compares the full-resolution result against the one from every second
-    sample and raises GridTooCoarse when they disagree beyond rel_tol.
-    Needs 4m+1 samples.
+    sample and raises GridTooCoarse when they disagree beyond a relative
+    1e-6. Needs 4m+1 samples.
     """
     y = np.asarray(y, dtype=float)
     if (y.size - 1) % 4 != 0:
@@ -275,7 +280,7 @@ def simpson_with_check(y: np.ndarray, dx: float, rel_tol: float = 1e-6) -> float
     fine = _simpson(y, dx)
     coarse = _simpson(y[::2], 2.0 * dx)
     scale = max(abs(fine), abs(coarse))
-    if scale > 0.0 and abs(fine - coarse) > rel_tol * scale:
+    if scale > 0.0 and abs(fine - coarse) > _REL_TOL * scale:
         raise GridTooCoarse(
             f"Simpson results for h and 2h differ by {abs(fine - coarse):.3e} "
             f"(relative {abs(fine - coarse) / scale:.3e})"
@@ -283,52 +288,48 @@ def simpson_with_check(y: np.ndarray, dx: float, rel_tol: float = 1e-6) -> float
     return fine
 
 
+def _energy_density(e_field, b_field, medium: Medium, area: float) -> np.ndarray:
+    """Energy per unit length, area times (epsilon E**2 + B**2 / mu) / 2."""
+    return 0.5 * area * (
+        medium.epsilon * np.asarray(e_field) ** 2
+        + np.asarray(b_field) ** 2 / medium.mu_p
+    )
+
+
 def field_energy_1d(e_field: np.ndarray, b_field: np.ndarray, dx: float,
-                    medium: Medium = Medium(), area: float = 1.0,
-                    rel_tol: float = 1e-6) -> float:
+                    medium: Medium = Medium(), area: float = 1.0) -> float:
     """Electromagnetic energy on a uniform grid of (E, B) samples.
 
     The grid must cover the field support (envelope below 1e-8 of the peak
     outside) and carry 4m+1 points so the step-halving check can run.
     """
-    density = 0.5 * area * (
-        medium.epsilon * np.asarray(e_field) ** 2
-        + np.asarray(b_field) ** 2 / medium.mu_p
-    )
-    return simpson_with_check(density, dx, rel_tol=rel_tol)
+    return simpson_with_check(_energy_density(e_field, b_field, medium, area), dx)
 
 
 def energy_between(field_fn, x_min: float, x_max: float,
                    medium: Medium = Medium(), area: float = 1.0,
-                   rel_tol: float = 1e-6, abs_tol: float = 0.0,
-                   n_start: int = 1025, max_doublings: int = 10) -> float:
+                   abs_tol: float = 0.0) -> float:
     """Field energy on [x_min, x_max], refining the grid until converged.
 
-    ``field_fn(x_array) -> (E, B)``. The sample count doubles until two
-    successive Simpson results agree to rel_tol; exhausting the budget
-    raises GridTooCoarse. ``abs_tol`` ends refinement for integrals that are
-    zero up to cancellation noise (complete destructive interference),
-    where a relative criterion can never be met.
+    ``field_fn(x_array) -> (E, B)``. From 1025 samples, the sample count
+    doubles until two successive Simpson results agree to a relative 1e-6;
+    ten doublings without that raise GridTooCoarse. ``abs_tol`` ends
+    refinement for integrals that are zero up to cancellation noise
+    (complete destructive interference), where a relative criterion can
+    never be met.
     """
-    n = n_start if n_start % 2 == 1 else n_start + 1
+    n = 1025
     previous = None
-    for _ in range(max_doublings + 1):
+    for _ in range(11):
         x = np.linspace(x_min, x_max, n)
-        e_field, b_field = field_fn(x)
-        density = 0.5 * area * (
-            medium.epsilon * e_field**2 + b_field**2 / medium.mu_p
-        )
-        current = _simpson(density, x[1] - x[0])
+        current = _simpson(_energy_density(*field_fn(x), medium, area), x[1] - x[0])
         if previous is not None:
             scale = max(abs(current), abs(previous))
-            if scale <= abs_tol or abs(current - previous) <= rel_tol * scale:
+            if scale <= abs_tol or abs(current - previous) <= _REL_TOL * scale:
                 return current
         previous = current
         n = 2 * n - 1
-    raise GridTooCoarse(
-        f"energy integral did not converge to {rel_tol} after "
-        f"{max_doublings} doublings"
-    )
+    raise GridTooCoarse(f"energy integral did not converge to {_REL_TOL} after 10 doublings")
 
 
 def interference_intensities(mirror: MirrorSpec, e0_a: float, e0_b: float,

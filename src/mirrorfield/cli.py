@@ -340,14 +340,12 @@ def cmd_oracle_verify(config: dict) -> int:
     except (QuadratureNotConverged, GridTooCoarse) as exc:
         payload = {"meta": meta,
                    "error": {"type": type(exc).__name__, "message": str(exc)}}
-        out_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                            encoding="utf-8")
+        io._write_json(out_path, payload)
         print(f"oracle-verify: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     all_pass = all(c["pass"] for c in checks)
     payload = {"meta": meta, "checks": checks, "all_pass": all_pass}
-    out_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                        encoding="utf-8")
+    io._write_json(out_path, payload)
     for check in checks:
         status = "PASS" if check["pass"] else "FAIL"
         print(f"{status} {check['name']}: max_rel_dev={check['max_rel_dev']:.3e} "
@@ -449,11 +447,16 @@ def _load_scene(path: str) -> classical.ScatterScene:
         if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
             raise CliError(2, f"scene key {key!r} must be a list of objects")
         out = []
-        for entry in entries:
+        for index, entry in enumerate(entries):
             entry = {"side": side, **read(key, entry, GaussianPacket)}
             if "k0_carrier" in entry:
                 entry.setdefault("direction", "right" if entry["k0_carrier"] > 0 else "left")
-            out.append(GaussianPacket.from_dict(entry))
+            # A soft warning (a packet not well localised) names the record.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UserWarning)
+                out.append(GaussianPacket.from_dict(entry))
+            for warning in caught:
+                print(f"warning: scene {key}[{index}]: {warning.message}", file=sys.stderr)
         return tuple(out)
 
     mirror = read("mirror", data.get("mirror", {"preset": "perfect"}), MirrorSpec,

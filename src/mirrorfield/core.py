@@ -229,11 +229,11 @@ class PhaseConstraintResult:
         return self.status == "satisfied"
 
 
-def phase_constraint_check(spec: MirrorSpec, tol: float = 1e-9) -> PhaseConstraintResult:
+def phase_constraint_check(spec: MirrorSpec) -> PhaseConstraintResult:
     """Check that maximal interference on one side forces minimal on the other.
 
     The condition requires phi_1 - phi_2 + phi_3 - phi_4 to be an odd
-    multiple of pi. When either both transmissions or both reflections
+    multiple of pi, to within 1e-9. When either both transmissions or both reflections
     vanish there is no cross-side interference to constrain, and the check
     reports ``not_applicable``.
     """
@@ -243,7 +243,7 @@ def phase_constraint_check(spec: MirrorSpec, tol: float = 1e-9) -> PhaseConstrai
     # Distance of `total` from the nearest odd multiple of pi, folded to
     # [0, pi]. Adding 2*pi to any single phase leaves this unchanged.
     residual = abs(math.remainder(total - math.pi, TWO_PI))
-    status = "satisfied" if residual <= tol else "violated"
+    status = "satisfied" if residual <= 1e-9 else "violated"
     return PhaseConstraintResult(status=status, residual=residual)
 
 

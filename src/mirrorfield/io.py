@@ -40,18 +40,19 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
+def _write_json(path, document: dict) -> None:
+    """One JSON document: sorted keys, two-space indent, final newline."""
+    Path(path).write_text(json.dumps(document, sort_keys=True, indent=2) + "\n",
+                          encoding="utf-8")
+
+
 def write_sidecar(path, meta: dict) -> None:
-    sidecar_path(path).write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(sidecar_path(path), meta)
 
 
 def write_json_payload(path, meta: dict, header, rows) -> None:
-    payload = {"meta": meta, "columns": list(header),
-               "rows": [list(row) for row in rows]}
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(path, {"meta": meta, "columns": list(header),
+                      "rows": [list(row) for row in rows]})
 
 
 def write_table(path, header, rows, meta: dict, fmt: str = "csv") -> None:

@@ -237,8 +237,10 @@ class UnravelResult:
 
 
 def _pure_state_from(rho0) -> np.ndarray:
-    """Extract (c1, c2) from a pure density matrix."""
+    """Extract (c1, c2) from a pure density matrix, checked as evolve checks
+    its initial state."""
     m = _as_matrix(rho0)
+    DensityMatrix.from_matrix(m).validate()
     purity = np.trace(m @ m).real
     if abs(purity - 1.0) > 1e-10:
         raise ValueError(f"unraveling needs a pure initial state, purity={purity}")

@@ -61,9 +61,9 @@ class ModeGrid:
 
     @classmethod
     def for_packet(cls, packet: GaussianPacket, n_modes: int = 4096,
-                   span_bandwidths: float = 8.0, area: float = 1.0) -> "ModeGrid":
-        """Default grid: n_modes modes out to span_bandwidths past the carrier."""
-        k_max = abs(packet.k0_carrier) + span_bandwidths / packet.sigma
+                   area: float = 1.0) -> "ModeGrid":
+        """Default grid: n_modes modes out to 8 bandwidths 1/sigma past the carrier."""
+        k_max = abs(packet.k0_carrier) + 8.0 / packet.sigma
         return cls.symmetric(k_max=k_max, n_half=n_modes // 2, area=area)
 
     @property

@@ -17,6 +17,7 @@ combines its own terms point by point, so the routes stay independent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,13 +27,13 @@ from . import modespace, rates
 from .core import MirrorSpec
 from .errors import QuadratureNotConverged, ZeroDistance
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Azimuths of the emission route's periodic trapezoid.
+_N_PHI = 32
 
 
+@functools.cache
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _leggauss_cache:
-        _leggauss_cache[order] = np.polynomial.legendre.leggauss(order)
-    return _leggauss_cache[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,10 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Per-point comparison of an oracle route against a closed form."""
+    """Worst deviation of an oracle route from a closed form over a z grid."""
 
     name: str
     z: np.ndarray
-    oracle: np.ndarray
-    closed_form: np.ndarray
-    rel_dev: np.ndarray
     max_rel_dev: float
     tolerance: float
 
@@ -77,9 +75,9 @@ class OracleReport:
         }
 
 
-def _angular_route(column: np.ndarray, order: int, cases, mu_values, n_phi: int):
+def _angular_route(column: np.ndarray, order: int, cases, mu_values):
     """The angular integral at one order: the decay-rate ratio per z for
-    every case and then every mu (``n_phi`` belongs to the emission route).
+    every case and then every mu.
 
     ``s`` is the cosine of the angle between the wave vector and the mirror
     normal. The perpendicular dipole component weighs (1 - s**2) and picks
@@ -112,7 +110,7 @@ def _angular_route(column: np.ndarray, order: int, cases, mu_values, n_phi: int)
     return values
 
 
-def _emission_route(column: np.ndarray, order: int, cases, mu_values, n_phi: int):
+def _emission_route(column: np.ndarray, order: int, cases, mu_values):
     """The emission route at one order: the decay-rate ratio per z for
     every case and then every mu.
 
@@ -121,12 +119,12 @@ def _emission_route(column: np.ndarray, order: int, cases, mu_values, n_phi: int
     projection orthogonal to the propagation direction, summed over the two
     polarisations, equals |u|**2 - |u . k_hat|**2. The dipole has no
     y-component, so only the x and z parts of k_hat enter, and the phi sum
-    needs only the sums of kx**2, kz**2 and kx kz over the n_phi azimuths.
+    needs only the sums of kx**2, kz**2 and kx kz over the _N_PHI azimuths.
     Light from the far side meets the atom alone.
     """
     s, w = _gl_nodes(order)
-    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    kx = np.broadcast_to(s[:, None], (s.size, n_phi))
+    phi = np.arange(_N_PHI) * (2.0 * math.pi / _N_PHI)
+    kx = np.broadcast_to(s[:, None], (s.size, _N_PHI))
     kz = np.sqrt(np.clip(1.0 - s**2, 0.0, None))[:, None] * np.sin(phi)[None, :]
     kxx, kzz, kxz = (kx * kx).sum(axis=1), (kz * kz).sum(axis=1), (kx * kz).sum(axis=1)
     phase = np.multiply(-1j * column, s)
@@ -148,11 +146,11 @@ def _emission_route(column: np.ndarray, order: int, cases, mu_values, n_phi: int
         np.copyto(cross, minus.real)
         for mu in mu_values:
             d_perp, d_par = math.sqrt(mu), math.sqrt(1.0 - mu)
-            f_atom_only = n_phi - (mu * kxx + (1.0 - mu) * kzz + 2.0 * d_perp * d_par * kxz)
+            f_atom_only = _N_PHI - (mu * kxx + (1.0 - mu) * kzz + 2.0 * d_perp * d_par * kxz)
             np.multiply(mu, plus_sq, out=ux_sq)
             np.multiply(1.0 - mu, minus_sq, out=uz_sq)
             np.add(ux_sq, uz_sq, out=f_atom_image)
-            np.multiply(n_phi, f_atom_image, out=f_atom_image)
+            np.multiply(_N_PHI, f_atom_image, out=f_atom_image)
             np.multiply(ux_sq, kxx, out=ux_sq)
             np.multiply(uz_sq, kzz, out=uz_sq)
             np.add(ux_sq, uz_sq, out=ux_sq)
@@ -163,7 +161,7 @@ def _emission_route(column: np.ndarray, order: int, cases, mu_values, n_phi: int
             np.divide(f_atom_image, eta_sq, out=f_atom_image)  # now over_phi
             np.add(f_atom_image, other_ratio * f_atom_only, out=f_atom_image)
             values.append(3.0 / (8.0 * math.pi)
-                          * ((f_atom_image @ w) * (2.0 * math.pi / n_phi)))
+                          * ((f_atom_image @ w) * (2.0 * math.pi / _N_PHI)))
     return values
 
 
@@ -179,8 +177,8 @@ def _per_z(z: np.ndarray, values: np.ndarray):
     return float(values[0]) if z.ndim == 0 else values.reshape(z.shape)
 
 
-def _quadratures(z, cases, mu_values, quad: QuadratureSpec, routes,
-                 n_phi: int = 32) -> dict[str, list[np.ndarray]]:
+def _quadratures(z, cases, mu_values, quad: QuadratureSpec,
+                 routes) -> dict[str, list[np.ndarray]]:
     """Each route's decay-rate ratio per z, for every case and then every mu.
 
     A case is (r, eta**2, t_other**2 / eta_other**2) of the atom's side.
@@ -190,17 +188,16 @@ def _quadratures(z, cases, mu_values, quad: QuadratureSpec, routes,
     raises QuadratureNotConverged, naming its first such z, before the
     next route runs.
     """
-    z = np.asarray(z, dtype=float)
+    z = rates._finite_z(z)
     if np.any(z < 0.0):
         raise ValueError("z must be non-negative")
     column = z.reshape(-1, 1)
     found = {}
     for route in routes:
         build, message = _ROUTES[route]
-        coarse_values = build(column, quad.order, cases, mu_values, n_phi)
+        coarse_values = build(column, quad.order, cases, mu_values)
         found[route] = []
-        for coarse, fine in zip(coarse_values,
-                                build(column, 2 * quad.order, cases, mu_values, n_phi)):
+        for coarse, fine in zip(coarse_values, build(column, 2 * quad.order, cases, mu_values)):
             moved = np.abs(fine - coarse)
             bad = np.flatnonzero(moved > quad.tolerance * np.maximum(1.0, np.abs(fine)))
             if bad.size:
@@ -232,7 +229,7 @@ def levelshift_contour_eval(z, mu_orient: float, r_a: float, eta_a_sq: float):
     is an algebraically independent route to the same analytic function as
     the trigonometric closed form. ``z`` is a scalar or an array.
     """
-    z = np.asarray(z, dtype=float)
+    z = rates._finite_z(z)
     if np.any(z <= 0.0):
         raise ZeroDistance("level shift requires z > 0")
     w = np.exp(1j * z)
@@ -244,7 +241,7 @@ def levelshift_contour_eval(z, mu_orient: float, r_a: float, eta_a_sq: float):
 
 def reset_rate_quadrature(z, mirror: MirrorSpec, mu_orient: float,
                           quad: QuadratureSpec = QuadratureSpec(),
-                          side: str = "a", n_phi: int = 32):
+                          side: str = "a"):
     """Decay-rate ratio assembled from the photon-emission route.
 
     Integrates the polarisation-summed emission amplitudes over the full
@@ -252,12 +249,8 @@ def reset_rate_quadrature(z, mirror: MirrorSpec, mu_orient: float,
     Gauss-Legendre). ``z`` is a scalar or an array. Must agree with
     angular_bracket_quadrature.
     """
-    eta = rates.eta_factors(mirror)
-    if side == "a":
-        case = (mirror.r_a, eta.eta_a_sq, mirror.t_b**2 / eta.eta_b_sq)
-    else:
-        case = (mirror.r_b, eta.eta_b_sq, mirror.t_a**2 / eta.eta_a_sq)
-    return _quadratures(z, [case], [mu_orient], quad, ["emission"], n_phi)["emission"][0]
+    return _quadratures(z, [rates._side_case(mirror, side)], [mu_orient], quad,
+                        ["emission"])["emission"][0]
 
 
 def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGrid,
@@ -303,13 +296,13 @@ def _z_grid(z_grid) -> np.ndarray:
     return 0.1 * np.arange(1, 501) if z_grid is None else np.asarray(z_grid, float)
 
 
-def _check_mirrors() -> list[tuple[str, MirrorSpec]]:
-    half = math.sqrt(0.5)
-    return [
-        ("perfect", MirrorSpec.perfect()),
-        ("symmetric_50_50", MirrorSpec.symmetric(r=half, t=half)),
-        ("asymmetric_admissible", MirrorSpec.symmetric(r=0.3, t=0.5)),
-    ]
+# The checked mirrors, on side a, and dipole orientations.
+_MIRRORS = (
+    MirrorSpec.perfect(),
+    MirrorSpec.symmetric(r=math.sqrt(0.5), t=math.sqrt(0.5)),
+    MirrorSpec.symmetric(r=0.3, t=0.5),
+)
+_MU = (0.0, 0.5, 1.0)
 
 
 def _worst_point_report(name: str, z_grid, tolerance: float, pairs,
@@ -318,33 +311,25 @@ def _worst_point_report(name: str, z_grid, tolerance: float, pairs,
 
     ``pairs`` yields the (oracle, reference) arrays of each mirror and mu.
     The deviation is |oracle - reference| over |reference| (over the
-    larger of the two when ``scale_by_both``); the report keeps, per z,
-    the worst deviation and the values behind it.
+    larger of the two when ``scale_by_both``); the report keeps the worst
+    deviation over every pair and z, NaN if any deviation is NaN.
     """
-    worst = np.zeros_like(z_grid)
-    oracle_vals = np.zeros_like(z_grid)
-    reference_vals = np.zeros_like(z_grid)
+    worst = []
     for got, reference in pairs:
         scale = np.abs(reference)
         if scale_by_both:
             scale = np.maximum(scale, np.abs(got))
-        dev = np.abs(got - reference) / np.maximum(scale, 1e-12)
-        better = dev > worst
-        worst = np.where(better, dev, worst)
-        oracle_vals = np.where(better, got, oracle_vals)
-        reference_vals = np.where(better, reference, reference_vals)
-    return OracleReport(name=name, z=z_grid, oracle=oracle_vals,
-                        closed_form=reference_vals, rel_dev=worst,
-                        max_rel_dev=float(worst.max()), tolerance=tolerance)
+        worst.append(np.max(np.abs(got - reference) / np.maximum(scale, 1e-12)))
+    return OracleReport(name=name, z=z_grid, max_rel_dev=float(np.max(worst)),
+                        tolerance=tolerance)
 
 
-def _decay_routes(z_grid, mu_values, quad: QuadratureSpec, routes):
+def _decay_routes(z_grid, quad: QuadratureSpec, routes):
     """(z grid, (mirror, mu) pairs, each route's values per pair), side a."""
     z_grid = _z_grid(z_grid)
-    mirrors = [(m, rates.eta_factors(m)) for _, m in _check_mirrors()]
-    cases = [(m.r_a, eta.eta_a_sq, m.t_b**2 / eta.eta_b_sq) for m, eta in mirrors]
-    pairs = [(m, mu) for m, _ in mirrors for mu in mu_values]
-    return z_grid, pairs, _quadratures(z_grid, cases, mu_values, quad, routes)
+    cases = [rates._side_case(m, "a") for m in _MIRRORS]
+    pairs = [(m, mu) for m in _MIRRORS for mu in _MU]
+    return z_grid, pairs, _quadratures(z_grid, cases, _MU, quad, routes)
 
 
 def _gamma_report(z_grid, pairs, found, tolerance: float) -> OracleReport:
@@ -357,30 +342,25 @@ def _route_report(z_grid, pairs, found, tolerance: float) -> OracleReport:
                                zip(found["emission"], found["angular"]))
 
 
-def gamma_quadrature_report(z_grid=None, mu_values=(0.0, 0.5, 1.0),
-                            quad: QuadratureSpec = QuadratureSpec(),
+def gamma_quadrature_report(z_grid=None, quad: QuadratureSpec = QuadratureSpec(),
                             tolerance: float = 1e-8) -> OracleReport:
     """Angular quadrature vs closed-form decay rate over the default grid."""
-    return _gamma_report(*_decay_routes(z_grid, mu_values, quad, ["angular"]), tolerance)
+    return _gamma_report(*_decay_routes(z_grid, quad, ["angular"]), tolerance)
 
 
-def delta_contour_report(z_grid=None, mu_values=(0.0, 0.5, 1.0),
-                         tolerance: float = 1e-8) -> OracleReport:
+def delta_contour_report(z_grid=None, tolerance: float = 1e-8) -> OracleReport:
     """Contour-form level shift vs the trigonometric closed form."""
     z_grid = _z_grid(z_grid)
-    mirrors = [(m, rates.eta_factors(m)) for _, m in _check_mirrors()]
+    sides = [(m, *rates._side_case(m, "a")[:2]) for m in _MIRRORS]
     return _worst_point_report("delta_contour_form", z_grid, tolerance, (
-        (levelshift_contour_eval(z_grid, mu, m.r_a, eta.eta_a_sq),
-         rates.delta_mirr(m, mu, z_grid)) for m, eta in mirrors for mu in mu_values),
-        scale_by_both=True)
+        (levelshift_contour_eval(z_grid, mu, r, eta_sq), rates.delta_mirr(m, mu, z_grid))
+        for m, r, eta_sq in sides for mu in _MU), scale_by_both=True)
 
 
-def route_consistency_report(z_grid=None, mu_values=(0.0, 0.5, 1.0),
-                             quad: QuadratureSpec = QuadratureSpec(),
+def route_consistency_report(z_grid=None, quad: QuadratureSpec = QuadratureSpec(),
                              tolerance: float = 1e-10) -> OracleReport:
     """No-emission route vs emission route for the decay rate."""
-    return _route_report(*_decay_routes(z_grid, mu_values, quad, ["angular", "emission"]),
-                         tolerance)
+    return _route_report(*_decay_routes(z_grid, quad, ["angular", "emission"]), tolerance)
 
 
 def field_energy_report(tolerance: float = 1e-3) -> dict:
@@ -408,7 +388,7 @@ def run_default_checks(quad: QuadratureSpec = QuadratureSpec(),
                        tol_energy: float = 1e-3) -> list[dict]:
     """Full verification suite, one report dict per check; the two decay-rate
     checks share one run of each quadrature route."""
-    decay = _decay_routes(None, (0.0, 0.5, 1.0), quad, ["angular", "emission"])
+    decay = _decay_routes(None, quad, ["angular", "emission"])
     return [
         _gamma_report(*decay, tol_gamma).to_dict(),
         delta_contour_report(tolerance=tol_delta).to_dict(),

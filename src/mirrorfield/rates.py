@@ -146,15 +146,23 @@ def _check_orientation(mu_orient: float) -> None:
         raise ValueError(f"mu_orient must lie in [0, 1], got {mu_orient}")
 
 
-def _side_params(mirror: MirrorSpec, eta: EtaFactors, side: str):
-    """(r, eta**2, distance-independent constant) for the requested side."""
+def _side_case(mirror: MirrorSpec, side: str):
+    """(r, eta**2, t_other**2 / eta_other**2) of the atom's side: its
+    reflection rate, its normalisation and the weight of light from the
+    far side."""
+    eta = eta_factors(mirror)
     if side == "a":
-        const = (1.0 + mirror.r_a**2) / eta.eta_a_sq + mirror.t_b**2 / eta.eta_b_sq
-        return mirror.r_a, eta.eta_a_sq, const
+        return mirror.r_a, eta.eta_a_sq, mirror.t_b**2 / eta.eta_b_sq
     if side == "b":
-        const = (1.0 + mirror.r_b**2) / eta.eta_b_sq + mirror.t_a**2 / eta.eta_a_sq
-        return mirror.r_b, eta.eta_b_sq, const
+        return mirror.r_b, eta.eta_b_sq, mirror.t_a**2 / eta.eta_a_sq
     raise ValueError(f"side must be 'a' or 'b', got {side!r}")
+
+
+def _finite_z(z) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z must be finite")
+    return z
 
 
 def gamma_mirr(mirror: MirrorSpec, mu_orient: float, z, side: str = "a"):
@@ -163,12 +171,12 @@ def gamma_mirr(mirror: MirrorSpec, mu_orient: float, z, side: str = "a"):
     z >= 0 is allowed; the z -> 0 limit is taken through the series branch.
     """
     _check_orientation(mu_orient)
-    z = np.asarray(z, dtype=float)
+    z = _finite_z(z)
     if np.any(z < 0.0):
         raise ValueError("z must be non-negative")
-    eta = eta_factors(mirror)
-    r, eta_sq, const = _side_params(mirror, eta, side)
-    out = const - (3.0 * r / eta_sq) * np.asarray(gamma_bracket(z, mu_orient))
+    r, eta_sq, other = _side_case(mirror, side)
+    out = (1.0 + r**2) / eta_sq + other - (3.0 * r / eta_sq) * np.asarray(
+        gamma_bracket(z, mu_orient))
     return out if z.shape else float(out)
 
 
@@ -179,9 +187,8 @@ def delta_mirr(mirror: MirrorSpec, mu_orient: float, z, side: str = "a"):
     self-interaction piece is absorbed into the transition frequency.
     """
     _check_orientation(mu_orient)
-    z = np.asarray(z, dtype=float)
-    eta = eta_factors(mirror)
-    r, eta_sq, _ = _side_params(mirror, eta, side)
+    z = _finite_z(z)
+    r, eta_sq, _ = _side_case(mirror, side)
     out = (3.0 * r / (2.0 * eta_sq)) * np.asarray(delta_bracket(z, mu_orient))
     return out if z.shape else float(out)
 
@@ -233,6 +240,5 @@ def preset_rates(kind: str, mu_orient: float, z, r: float | None = None,
 
 def far_field_gamma(mirror: MirrorSpec, side: str = "a") -> float:
     """Limit of the decay-rate ratio far from the mirror (equals 1)."""
-    eta = eta_factors(mirror)
-    _, _, const = _side_params(mirror, eta, side)
-    return const
+    r, eta_sq, other = _side_case(mirror, side)
+    return (1.0 + r**2) / eta_sq + other

@@ -278,6 +278,40 @@ def test_scatter_side_decomposition(tmp_path):
                                               abs=1e-12)
 
 
+def test_scatter_scene_warning_names_the_record(tmp_path, capsys):
+    """A packet that is not well localised gives one stderr line naming its
+    scene record, not a Python warning, and the frames are unchanged."""
+    from mirrorfield import classical, cli, io
+    from mirrorfield.core import GaussianPacket, Medium, MirrorSpec
+
+    payload = {**scene_payload(),
+               "packets_b": [scene_payload()["packets_b"][0],
+                             {"e0": 0.5, "x0": -1.0, "sigma": 2.5, "k0_carrier": 8.0}]}
+    scene_file = tmp_path / "scene.json"
+    scene_file.write_text(json.dumps(payload))
+    out = tmp_path / "frames.csv"
+    assert cli.main(["scatter", "--scene", str(scene_file), "--times", "0", "2.5",
+                     "--nx", "301", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: scene packets_b[1]: packet centred at x0=-1.0 is not well "
+        "localised on side b (|x0| < 3 sigma)\n")
+
+    with pytest.warns(UserWarning, match="not well localised"):
+        packets_b = tuple(GaussianPacket.moving(side="b", **p) for p in payload["packets_b"])
+    scene = classical.ScatterScene(
+        mirror=MirrorSpec.symmetric(r=0.6, t=0.6, phi_1=math.pi, phi_3=math.pi),
+        medium=Medium(), packets_b=packets_b,
+        packets_a=(GaussianPacket.moving(side="a", **payload["packets_a"][0]),))
+    x = np.linspace(-50.0, 50.0, 301)
+    rows = []
+    for t in (0.0, 2.5):
+        from_a, from_b = classical.mirror_field_1d_by_side(scene, x, t)
+        rows += io.table_rows(x, from_a + from_b, from_a, from_b, first=t)
+    expected = tmp_path / "expected.csv"
+    io.write_csv(expected, io.FRAME_HEADER, rows)
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_scatter_rejects_unknown_scene_keys(tmp_path):
     payload = scene_payload()
     payload["bogus"] = True

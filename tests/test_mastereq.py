@@ -572,3 +572,15 @@ def test_density_matrix_validation():
     with pytest.raises(ValueError):
         me.DensityMatrix(rho11=1.4, rho12=0.0, rho21=0.0, rho22=-0.4).validate()
     me.DensityMatrix.excited().validate()
+
+
+@pytest.mark.parametrize("rho0, needle", [
+    (np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex), "not Hermitian"),  # purity 1
+    (np.array([[math.nan, 0.0], [0.0, 1.0]], dtype=complex), "non-finite"),
+], ids=["not-hermitian", "nan"])
+def test_unravel_checks_the_initial_state_as_evolve_does(rho0, needle):
+    channel = me.AtomChannel(1.0, 0.0)
+    for run in (lambda: me.evolve(rho0, channel, 1.0, 0.01),
+                lambda: me.jump_unravel(rho0, channel, 1.0, 0.01, 10, seed=0)):
+        with pytest.raises(ValueError, match=needle):
+            run()

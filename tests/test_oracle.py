@@ -457,3 +457,46 @@ def test_hfield_check_rejects_unsuitable_grid(x_grid):
     amps = ms.ModeAmplitudes.vacuum(grid)
     with pytest.raises(ValueError, match="x_grid"):
         oracle.hfield_mode_sum_check(amps, grid, x_grid, medium=MED)
+
+
+# ------------------------------------------------------- non-finite input
+
+def _entry_points(bad):
+    z = np.array([1.0, bad])
+    return {
+        "angular": lambda: oracle.angular_bracket_quadrature(bad, 0.5, 1.5, 0.2, 0.3),
+        "reset": lambda: oracle.reset_rate_quadrature(z, PERFECT, 0.3),
+        "contour": lambda: oracle.levelshift_contour_eval(z, 0.3, 0.5, 1.5),
+        "gamma_report": lambda: oracle.gamma_quadrature_report(z_grid=z),
+        "delta_report": lambda: oracle.delta_contour_report(z_grid=z),
+        "route_report": lambda: oracle.route_consistency_report(z_grid=z),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_entry_points(math.nan)))
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_oracle_entry_points_reject_non_finite_z(entry, bad):
+    with pytest.raises(ValueError, match="z must be finite"):
+        _entry_points(bad)[entry]()
+
+
+def test_gamma_report_fails_on_a_nan_closed_form(monkeypatch):
+    gamma_mirr = rates.gamma_mirr
+
+    def nan_at_one_z(mirror, mu, z, side="a"):
+        values = np.array(gamma_mirr(mirror, mu, z, side=side))
+        values[3] = math.nan
+        return values
+
+    monkeypatch.setattr(rates, "gamma_mirr", nan_at_one_z)
+    report = oracle.gamma_quadrature_report(z_grid=np.linspace(0.5, 20.0, 40))
+    assert math.isnan(report.max_rel_dev)
+    assert not report.passed
+    assert report.to_dict()["pass"] is False
+
+
+@pytest.mark.parametrize("side", ["c", "", None])
+def test_reset_rate_quadrature_rejects_an_unknown_side(side):
+    with pytest.raises(ValueError, match="side must be 'a' or 'b'"):
+        oracle.reset_rate_quadrature(1.0, MirrorSpec.symmetric(r=0.3, t=0.5), 0.2,
+                                     side=side)

@@ -250,3 +250,22 @@ def test_rates_reject_orientation_outside_unit_interval(mu):
                          ("symmetric", {"r": 0.5, "t": 0.5})):
         with pytest.raises(ValueError, match="mu_orient"):
             rates.preset_rates(kind, mu, z, **params)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rates_reject_non_finite_z(bad):
+    for z in (bad, np.array([1.0, bad])):
+        with pytest.raises(ValueError, match="z must be finite"):
+            rates.gamma_mirr(PERFECT, 0.3, z)
+        with pytest.raises(ValueError, match="z must be finite"):
+            rates.delta_mirr(PERFECT, 0.3, z)
+
+
+@pytest.mark.parametrize("side", ["c", "", None])
+def test_rates_reject_an_unknown_side(side):
+    mirror = MirrorSpec.symmetric(r=0.3, t=0.5)
+    for call in (lambda: rates.gamma_mirr(mirror, 0.2, 1.0, side=side),
+                 lambda: rates.delta_mirr(mirror, 0.2, 1.0, side=side),
+                 lambda: rates.far_field_gamma(mirror, side=side)):
+        with pytest.raises(ValueError, match="side must be 'a' or 'b'"):
+            call()
