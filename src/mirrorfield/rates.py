@@ -215,7 +215,7 @@ def preset_rates(kind: str, mu_orient: float, z, r: float | None = None,
     part of the result.
     """
     _check_orientation(mu_orient)
-    z = np.asarray(z, dtype=float)
+    z = _finite_z(z)
     if kind == "perfect":
         gamma = 1.0 - 1.5 * gamma_bracket(z, mu_orient)
         delta = 0.75 * delta_bracket(z, mu_orient)

@@ -259,6 +259,10 @@ def test_rates_reject_non_finite_z(bad):
             rates.gamma_mirr(PERFECT, 0.3, z)
         with pytest.raises(ValueError, match="z must be finite"):
             rates.delta_mirr(PERFECT, 0.3, z)
+        for kind, params in (("perfect", {}), ("absorbing", {}),
+                             ("symmetric", {"r": 0.5, "t": 0.5})):
+            with pytest.raises(ValueError, match="z must be finite"):
+                rates.preset_rates(kind, 0.3, z, **params)
 
 
 @pytest.mark.parametrize("side", ["c", "", None])
