@@ -30,9 +30,8 @@ _EXPORTS = {
                   "expect_H_sys", "packet_to_amplitudes", "xi_transform"),
     "rates": ("EtaFactors", "RateResult", "delta_mirr", "eta_factors", "gamma_free",
               "gamma_mirr", "preset_rates"),
-    "oracle": ("OracleReport", "QuadratureSpec", "angular_bracket_quadrature",
-               "hfield_mode_sum_check", "levelshift_contour_eval",
-               "reset_rate_quadrature"),
+    "oracle": ("QuadratureSpec", "angular_bracket_quadrature", "hfield_mode_sum_check",
+               "levelshift_contour_eval", "reset_rate_quadrature"),
     "mastereq": ("AtomChannel", "DensityMatrix", "Trajectory", "UnravelResult",
                  "analytic_solution", "channel_at", "channel_from_mirror", "evolve",
                  "jump_unravel"),

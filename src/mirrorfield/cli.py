@@ -289,11 +289,10 @@ def _scan_rates(config: dict):
     preset = config["preset"]
     mirror = MirrorSpec.from_preset(preset, r=config["r"], t=config["t"])
     if preset in ("perfect", "absorbing"):
-        result = rates.preset_rates(preset, config["mu"], z, side=config["side"])
+        result = rates.preset_rates(preset, config["mu"], z)
         mirror_desc = {"preset": preset}
     else:
-        result = rates.preset_rates("symmetric", config["mu"], z, r=mirror.r_a, t=mirror.t_a,
-                                    side=config["side"])
+        result = rates.preset_rates("symmetric", config["mu"], z, r=mirror.r_a, t=mirror.t_a)
         mirror_desc = {"preset": preset, "r": mirror.r_a, "t": mirror.t_a}
     return k0x, result, mirror_desc
 

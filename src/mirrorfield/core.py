@@ -194,7 +194,8 @@ class MirrorSpec(_Record):
 
 
 def validate_mirror(spec: MirrorSpec) -> MirrorSpec:
-    """Check rate ranges and the absorption inequality.
+    """Check rate ranges, the absorption inequality and that every field is
+    finite.
 
     Returns the spec unchanged when every invariant holds, so validation is
     idempotent. Raises with the side and values that failed otherwise.
@@ -209,6 +210,7 @@ def validate_mirror(spec: MirrorSpec) -> MirrorSpec:
             raise AbsorptionViolation(
                 f"side {side}: t**2 + r**2 = {t * t + r * r} exceeds 1"
             )
+    _check_finite(spec)
     return spec
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modespace, rates
-from .core import MirrorSpec
+from .core import GaussianPacket, Medium, MirrorSpec
 from .errors import QuadratureNotConverged, ZeroDistance
 
 # Azimuths of the emission route's periodic trapezoid.
@@ -48,31 +48,6 @@ class QuadratureSpec:
             raise ValueError("quadrature order must be at least 16")
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Worst deviation of an oracle route from a closed form over a z grid."""
-
-    name: str
-    z: np.ndarray
-    max_rel_dev: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_dev < self.tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "grid": {"n_points": int(self.z.size),
-                     "z_min": float(self.z.min()),
-                     "z_max": float(self.z.max())},
-            "max_rel_dev": float(self.max_rel_dev),
-            "tolerance": float(self.tolerance),
-            "pass": bool(self.passed),
-        }
 
 
 def _angular_route(column: np.ndarray, order: int, cases, mu_values):
@@ -265,7 +240,6 @@ def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGr
     other grid raises ValueError.
     """
     from .classical import simpson_with_check
-    from .core import Medium
 
     medium = medium if medium is not None else Medium()
     x_grid = np.asarray(x_grid, dtype=float)
@@ -292,11 +266,8 @@ def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGr
     return {"mode_sum": mode_sum, "spatial": spatial, "rel_gap": rel_gap}
 
 
-def _z_grid(z_grid) -> np.ndarray:
-    return 0.1 * np.arange(1, 501) if z_grid is None else np.asarray(z_grid, float)
-
-
-# The checked mirrors, on side a, and dipole orientations.
+# The checked z grid, mirrors (on side a) and dipole orientations.
+_Z = 0.1 * np.arange(1, 501)
 _MIRRORS = (
     MirrorSpec.perfect(),
     MirrorSpec.symmetric(r=math.sqrt(0.5), t=math.sqrt(0.5)),
@@ -305,14 +276,12 @@ _MIRRORS = (
 _MU = (0.0, 0.5, 1.0)
 
 
-def _worst_point_report(name: str, z_grid, tolerance: float, pairs,
-                        scale_by_both: bool = False) -> OracleReport:
-    """Compare two routes over the z grid for every checked mirror and mu.
+def _worst_deviation(pairs, scale_by_both: bool = False) -> float:
+    """Worst deviation of two routes over every pair and z.
 
     ``pairs`` yields the (oracle, reference) arrays of each mirror and mu.
     The deviation is |oracle - reference| over |reference| (over the
-    larger of the two when ``scale_by_both``); the report keeps the worst
-    deviation over every pair and z, NaN if any deviation is NaN.
+    larger of the two when ``scale_by_both``); NaN if any deviation is NaN.
     """
     worst = []
     for got, reference in pairs:
@@ -320,78 +289,49 @@ def _worst_point_report(name: str, z_grid, tolerance: float, pairs,
         if scale_by_both:
             scale = np.maximum(scale, np.abs(got))
         worst.append(np.max(np.abs(got - reference) / np.maximum(scale, 1e-12)))
-    return OracleReport(name=name, z=z_grid, max_rel_dev=float(np.max(worst)),
-                        tolerance=tolerance)
+    return float(np.max(worst))
 
 
-def _decay_routes(z_grid, quad: QuadratureSpec, routes):
-    """(z grid, (mirror, mu) pairs, each route's values per pair), side a."""
-    z_grid = _z_grid(z_grid)
-    cases = [rates._side_case(m, "a") for m in _MIRRORS]
-    pairs = [(m, mu) for m in _MIRRORS for mu in _MU]
-    return z_grid, pairs, _quadratures(z_grid, cases, _MU, quad, routes)
-
-
-def _gamma_report(z_grid, pairs, found, tolerance: float) -> OracleReport:
-    return _worst_point_report("gamma_angular_quadrature", z_grid, tolerance, (
-        (got, rates.gamma_mirr(m, mu, z_grid)) for (m, mu), got in zip(pairs, found["angular"])))
-
-
-def _route_report(z_grid, pairs, found, tolerance: float) -> OracleReport:
-    return _worst_point_report("decay_route_consistency", z_grid, tolerance,
-                               zip(found["emission"], found["angular"]))
-
-
-def gamma_quadrature_report(z_grid=None, quad: QuadratureSpec = QuadratureSpec(),
-                            tolerance: float = 1e-8) -> OracleReport:
-    """Angular quadrature vs closed-form decay rate over the default grid."""
-    return _gamma_report(*_decay_routes(z_grid, quad, ["angular"]), tolerance)
-
-
-def delta_contour_report(z_grid=None, tolerance: float = 1e-8) -> OracleReport:
-    """Contour-form level shift vs the trigonometric closed form."""
-    z_grid = _z_grid(z_grid)
-    sides = [(m, *rates._side_case(m, "a")[:2]) for m in _MIRRORS]
-    return _worst_point_report("delta_contour_form", z_grid, tolerance, (
-        (levelshift_contour_eval(z_grid, mu, r, eta_sq), rates.delta_mirr(m, mu, z_grid))
-        for m, r, eta_sq in sides for mu in _MU), scale_by_both=True)
-
-
-def route_consistency_report(z_grid=None, quad: QuadratureSpec = QuadratureSpec(),
-                             tolerance: float = 1e-10) -> OracleReport:
-    """No-emission route vs emission route for the decay rate."""
-    return _route_report(*_decay_routes(z_grid, quad, ["angular", "emission"]), tolerance)
-
-
-def field_energy_report(tolerance: float = 1e-3) -> dict:
-    """Standing-wave mode energy vs spatial quadrature for a test packet."""
-    from .core import GaussianPacket, Medium
-
-    medium = Medium()
-    packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
-    grid = modespace.ModeGrid.for_packet(packet, n_modes=4096)
-    amps = modespace.packet_to_amplitudes(packet, grid, medium)
-    x_grid = np.linspace(-56.0, 56.0, 8193)
-    result = hfield_mode_sum_check(amps, grid, x_grid, medium=medium)
-    return {
-        "name": "field_energy_mode_sum",
-        "grid": {"n_modes": int(grid.k.size), "n_x": int(x_grid.size)},
-        "max_rel_dev": float(result["rel_gap"]),
-        "tolerance": float(tolerance),
-        "pass": bool(result["rel_gap"] < tolerance),
-    }
+def _report(name: str, grid: dict, max_rel_dev: float, tolerance: float) -> dict:
+    return {"name": name, "grid": dict(grid), "max_rel_dev": float(max_rel_dev),
+            "tolerance": float(tolerance), "pass": bool(max_rel_dev < tolerance)}
 
 
 def run_default_checks(quad: QuadratureSpec = QuadratureSpec(),
                        tol_gamma: float = 1e-8, tol_delta: float = 1e-8,
                        tol_route: float = 1e-10,
                        tol_energy: float = 1e-3) -> list[dict]:
-    """Full verification suite, one report dict per check; the two decay-rate
-    checks share one run of each quadrature route."""
-    decay = _decay_routes(None, quad, ["angular", "emission"])
+    """Full verification suite, one report dict per check.
+
+    In order: the angular quadrature against the closed-form decay rate,
+    the contour form against the closed-form level shift, the emission
+    route against the angular one, and the mode-sum field energy of a test
+    packet against its spatial quadrature. The two decay-rate checks share
+    one run of each quadrature route.
+    """
+    cases = [rates._side_case(m, "a") for m in _MIRRORS]
+    pairs = [(m, mu) for m in _MIRRORS for mu in _MU]
+    found = _quadratures(_Z, cases, _MU, quad, ["angular", "emission"])
+    gamma = _worst_deviation((got, rates.gamma_mirr(m, mu, _Z))
+                             for (m, mu), got in zip(pairs, found["angular"]))
+    delta = _worst_deviation(((levelshift_contour_eval(_Z, mu, r, eta_sq),
+                               rates.delta_mirr(m, mu, _Z))
+                              for m, (r, eta_sq, _) in zip(_MIRRORS, cases) for mu in _MU),
+                             scale_by_both=True)
+    route = _worst_deviation(zip(found["emission"], found["angular"]))
+
+    medium = Medium()
+    packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
+    grid = modespace.ModeGrid.for_packet(packet, n_modes=4096)
+    x_grid = np.linspace(-56.0, 56.0, 8193)
+    energy = hfield_mode_sum_check(modespace.packet_to_amplitudes(packet, grid, medium),
+                                   grid, x_grid, medium=medium)
+
+    z_grid = {"n_points": _Z.size, "z_min": float(_Z[0]), "z_max": float(_Z[-1])}
     return [
-        _gamma_report(*decay, tol_gamma).to_dict(),
-        delta_contour_report(tolerance=tol_delta).to_dict(),
-        _route_report(*decay, tol_route).to_dict(),
-        field_energy_report(tolerance=tol_energy),
+        _report("gamma_angular_quadrature", z_grid, gamma, tol_gamma),
+        _report("delta_contour_form", z_grid, delta, tol_delta),
+        _report("decay_route_consistency", z_grid, route, tol_route),
+        _report("field_energy_mode_sum", {"n_modes": grid.k.size, "n_x": x_grid.size},
+                energy["rel_gap"], tol_energy),
     ]

@@ -52,7 +52,6 @@ class RateResult:
     gamma_ratio: float | np.ndarray
     delta_ratio: float | np.ndarray
     z: float | np.ndarray
-    side: str = "a"
 
 
 def gamma_free(atom: AtomSpec, medium: Medium) -> float:
@@ -115,20 +114,27 @@ def _pair_factor(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finite_z(z) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z must be finite")
+    return z
+
+
 def gamma_bracket(z, mu_orient: float):
     """Distance-dependent bracket of the decay rate.
 
     Weighs the travelling-wave term with (1 - mu) and the near-field pair
     with (1 + mu); finite for all z >= 0.
     """
-    z = np.asarray(z, dtype=float)
+    z = _finite_z(z)
     out = _sinc_factor(z) * (1.0 - mu_orient) + _pair_factor(z) * (1.0 + mu_orient)
     return out if out.shape else float(out)
 
 
 def delta_bracket(z, mu_orient: float):
     """Distance-dependent bracket of the level shift; diverges as z -> 0."""
-    z = np.asarray(z, dtype=float)
+    z = _finite_z(z)
     if np.any(z <= 0.0):
         raise ZeroDistance("level shift requires z > 0")
     with np.errstate(divide="ignore", over="ignore"):
@@ -156,13 +162,6 @@ def _side_case(mirror: MirrorSpec, side: str):
     if side == "b":
         return mirror.r_b, eta.eta_b_sq, mirror.t_a**2 / eta.eta_a_sq
     raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-
-
-def _finite_z(z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("z must be finite")
-    return z
 
 
 def gamma_mirr(mirror: MirrorSpec, mu_orient: float, z, side: str = "a"):
@@ -207,7 +206,7 @@ def symmetric_prefactor(r: float, t: float) -> float:
 
 
 def preset_rates(kind: str, mu_orient: float, z, r: float | None = None,
-                 t: float | None = None, side: str = "a") -> RateResult:
+                 t: float | None = None) -> RateResult:
     """Specialised closed forms for the perfect, symmetric and absorbing cases.
 
     These evaluate the reduced expressions directly and must agree with the
@@ -233,9 +232,8 @@ def preset_rates(kind: str, mu_orient: float, z, r: float | None = None,
     else:
         raise ValueError(f"unknown preset kind {kind!r}")
     if z.shape:
-        return RateResult(gamma_ratio=gamma, delta_ratio=delta, z=z, side=side)
-    return RateResult(gamma_ratio=float(gamma), delta_ratio=float(delta),
-                      z=float(z), side=side)
+        return RateResult(gamma_ratio=gamma, delta_ratio=delta, z=z)
+    return RateResult(gamma_ratio=float(gamma), delta_ratio=float(delta), z=float(z))
 
 
 def far_field_gamma(mirror: MirrorSpec, side: str = "a") -> float:

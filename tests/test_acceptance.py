@@ -83,22 +83,26 @@ def test_criterion_3_absorbing_mirror_flatness():
 
 def test_criterion_4_oracle_agreement():
     start = time.perf_counter()
-    gamma_report = oracle.gamma_quadrature_report(tolerance=1e-8)
-    delta_report = oracle.delta_contour_report(tolerance=1e-8)
-    assert gamma_report.z.min() == pytest.approx(0.1)
-    assert gamma_report.z.max() == pytest.approx(50.0)
-    assert gamma_report.max_rel_dev < 1e-8, gamma_report.max_rel_dev
-    assert delta_report.max_rel_dev < 1e-8, delta_report.max_rel_dev
+    gamma_report, delta_report = oracle.run_default_checks()[:2]
     elapsed = time.perf_counter() - start
+    assert gamma_report["name"] == "gamma_angular_quadrature"
+    assert delta_report["name"] == "delta_contour_form"
+    for checked in (gamma_report, delta_report):
+        assert checked["grid"]["z_min"] == pytest.approx(0.1)
+        assert checked["grid"]["z_max"] == pytest.approx(50.0)
+        assert checked["tolerance"] == 1e-8
+        assert checked["max_rel_dev"] < 1e-8, checked
     assert elapsed < 30.0
-    report(4, f"gamma dev {gamma_report.max_rel_dev:.2e}, delta dev "
-              f"{delta_report.max_rel_dev:.2e} < 1e-8 ({elapsed:.1f} s)")
+    report(4, f"gamma dev {gamma_report['max_rel_dev']:.2e}, delta dev "
+              f"{delta_report['max_rel_dev']:.2e} < 1e-8 ({elapsed:.1f} s)")
 
 
 def test_criterion_5_route_consistency():
-    route_report = oracle.route_consistency_report(tolerance=1e-10)
-    assert route_report.max_rel_dev < 1e-10, route_report.max_rel_dev
-    report(5, f"no-emission vs emission route dev {route_report.max_rel_dev:.2e} "
+    route_report = oracle.run_default_checks()[2]
+    assert route_report["name"] == "decay_route_consistency"
+    assert route_report["tolerance"] == 1e-10
+    assert route_report["max_rel_dev"] < 1e-10, route_report
+    report(5, f"no-emission vs emission route dev {route_report['max_rel_dev']:.2e} "
               "< 1e-10")
 
 

@@ -57,6 +57,8 @@ def test_validate_rate_out_of_range():
         validate_mirror(MirrorSpec(t_a=1.2, t_b=0.0, r_a=0.0, r_b=0.0))
     with pytest.raises(RateOutOfRange):
         validate_mirror(MirrorSpec(t_a=0.5, t_b=0.5, r_a=-0.2, r_b=0.5))
+    with pytest.raises(RateOutOfRange, match="r_a = nan"):
+        validate_mirror(MirrorSpec.symmetric(r=math.nan, t=0.5))
 
 
 def test_validate_tolerates_float_roundoff():
@@ -119,8 +121,10 @@ def test_atom_spec_validation_and_k0():
                            xi_init=-math.inf),
     lambda: AtomSpec(omega_0=1.0, dipole_norm=1.0, mu_orient=0.5, x=math.inf),
     lambda: AtomSpec(omega_0=1.0, dipole_norm=math.nan, mu_orient=0.5, x=1.0),
+    lambda: MirrorSpec.from_preset("lossless", r=0.5, phi_2=math.inf),
+    lambda: validate_mirror(MirrorSpec.symmetric(r=0.3, t=0.5, phi_4=-math.inf)),
 ], ids=["medium-epsilon", "medium-mu_p", "packet-e0", "packet-xi_init",
-        "atom-x", "atom-dipole_norm"])
+        "atom-x", "atom-dipole_norm", "mirror-phi_2", "mirror-phi_4"])
 def test_records_reject_non_finite_fields(build):
     with pytest.raises(ValueError, match="must be finite"):
         build()

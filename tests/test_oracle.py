@@ -196,23 +196,15 @@ def test_hfield_check_vacuum():
 
 # ------------------------------------------------------- reports
 
-def test_gamma_report_passes_default_tolerance():
-    report = oracle.gamma_quadrature_report(z_grid=np.linspace(0.5, 20.0, 40))
-    assert report.passed
-    assert report.max_rel_dev < 1e-8
-
-
-def test_route_report_passes_default_tolerance():
-    report = oracle.route_consistency_report(z_grid=np.linspace(0.5, 20.0, 20))
-    assert report.passed
-    assert report.max_rel_dev < 1e-10
-
-
 def test_report_dict_shape():
-    report = oracle.delta_contour_report(z_grid=np.linspace(0.5, 10.0, 10))
-    payload = report.to_dict()
-    assert set(payload) == {"name", "grid", "max_rel_dev", "tolerance", "pass"}
-    assert payload["pass"] is True
+    reports = oracle.run_default_checks()
+    assert [r["name"] for r in reports] == [
+        "gamma_angular_quadrature", "delta_contour_form", "decay_route_consistency",
+        "field_energy_mode_sum"]
+    for report in reports:
+        assert set(report) == {"name", "grid", "max_rel_dev", "tolerance", "pass"}
+        assert report["pass"] is True
+        assert report["max_rel_dev"] < report["tolerance"]
 
 
 # ------------------------------------------------------- array z
@@ -424,7 +416,15 @@ def _reference_default_checks():
                         "grid": {"n_points": 500, "z_min": 0.1, "z_max": 50.0},
                         "max_rel_dev": float(worst.max()), "tolerance": tolerance,
                         "pass": bool(worst.max() < tolerance)})
-    return reports + [oracle.field_energy_report()]
+    packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
+    grid = ms.ModeGrid.for_packet(packet, n_modes=4096)
+    amps = ms.packet_to_amplitudes(packet, grid, MED)
+    energy = oracle.hfield_mode_sum_check(amps, grid, np.linspace(-56.0, 56.0, 8193),
+                                          medium=MED)
+    return reports + [{"name": "field_energy_mode_sum",
+                       "grid": {"n_modes": 4096, "n_x": 8193},
+                       "max_rel_dev": energy["rel_gap"], "tolerance": 1e-3,
+                       "pass": bool(energy["rel_gap"] < 1e-3)}]
 
 
 def test_default_checks_equal_the_per_pair_loop():
@@ -467,9 +467,6 @@ def _entry_points(bad):
         "angular": lambda: oracle.angular_bracket_quadrature(bad, 0.5, 1.5, 0.2, 0.3),
         "reset": lambda: oracle.reset_rate_quadrature(z, PERFECT, 0.3),
         "contour": lambda: oracle.levelshift_contour_eval(z, 0.3, 0.5, 1.5),
-        "gamma_report": lambda: oracle.gamma_quadrature_report(z_grid=z),
-        "delta_report": lambda: oracle.delta_contour_report(z_grid=z),
-        "route_report": lambda: oracle.route_consistency_report(z_grid=z),
     }
 
 
@@ -489,10 +486,11 @@ def test_gamma_report_fails_on_a_nan_closed_form(monkeypatch):
         return values
 
     monkeypatch.setattr(rates, "gamma_mirr", nan_at_one_z)
-    report = oracle.gamma_quadrature_report(z_grid=np.linspace(0.5, 20.0, 40))
-    assert math.isnan(report.max_rel_dev)
-    assert not report.passed
-    assert report.to_dict()["pass"] is False
+    gamma, delta, route, energy = oracle.run_default_checks()
+    assert gamma["name"] == "gamma_angular_quadrature"
+    assert math.isnan(gamma["max_rel_dev"])
+    assert gamma["pass"] is False
+    assert delta["pass"] and route["pass"] and energy["pass"]
 
 
 @pytest.mark.parametrize("side", ["c", "", None])

@@ -223,8 +223,7 @@ def test_preset_perfect_equals_frozen_value():
 
 
 def test_preset_result_record():
-    res = rates.preset_rates("perfect", 0.5, 2.0, side="b")
-    assert res.side == "b"
+    res = rates.preset_rates("perfect", 0.5, 2.0)
     assert res.z == 2.0
     assert res.gamma_ratio >= 0.0
 
@@ -259,6 +258,9 @@ def test_rates_reject_non_finite_z(bad):
             rates.gamma_mirr(PERFECT, 0.3, z)
         with pytest.raises(ValueError, match="z must be finite"):
             rates.delta_mirr(PERFECT, 0.3, z)
+        for bracket in (rates.gamma_bracket, rates.delta_bracket):
+            with pytest.raises(ValueError, match="z must be finite"):
+                bracket(z, 0.0)
         for kind, params in (("perfect", {}), ("absorbing", {}),
                              ("symmetric", {"r": 0.5, "t": 0.5})):
             with pytest.raises(ValueError, match="z must be finite"):
