@@ -196,6 +196,20 @@ def test_hfield_check_vacuum():
 
 # ------------------------------------------------------- reports
 
+def test_gamma_report_passes_default_tolerance():
+    gamma = oracle.run_default_checks()[0]
+    assert gamma["name"] == "gamma_angular_quadrature"
+    assert gamma["pass"] is True
+    assert gamma["max_rel_dev"] < 1e-8
+
+
+def test_route_report_passes_default_tolerance():
+    route = oracle.run_default_checks()[2]
+    assert route["name"] == "decay_route_consistency"
+    assert route["pass"] is True
+    assert route["max_rel_dev"] < 1e-10
+
+
 def test_report_dict_shape():
     reports = oracle.run_default_checks()
     assert [r["name"] for r in reports] == [
