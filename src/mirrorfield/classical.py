@@ -97,9 +97,6 @@ class ScatterScene:
                 raise ValueError("packets_b contains a packet tagged side a")
 
 
-ScatterScene3D = ScatterScene
-
-
 def _sides(scene: ScatterScene, x, t: float):
     """Per side: (packets, reflection rate, transmission rate, reflection
     phase, transmission phase, mask of the half-space the light starts in)."""

@@ -57,16 +57,21 @@ def _numbers(value):
 class Kind(NamedTuple):
     """How an option is given: the argparse keywords of its flag, the reader
     of its JSON value (the value, or None if of the wrong JSON type), what
-    that value must be, and the rule every number of the option obeys."""
+    that value must be, and the rule every number of the option obeys, in
+    words and as a test."""
     flag: dict
     read: Callable
     what: str
     domain: str = ""
+    inside: Callable = math.isfinite
 
 
 FLOAT = Kind({"type": float}, _number, "a number", "finite")
-POSITIVE = Kind({"type": float}, _number, "a number", "positive and finite")
+POSITIVE = Kind({"type": float}, _number, "a number", "positive and finite",
+                lambda x: math.isfinite(x) and x > 0.0)
 INT = Kind({"type": int}, lambda v: v if type(v) is int else None, "an integer")
+# A seed is the first key word of the unraveling's Philox stream.
+SEED = INT._replace(domain="in [0, 2**64)", inside=lambda n: 0 <= n < 2 ** 64)
 TEXT = Kind({}, lambda v: v if isinstance(v, str) else None, "a string")
 SWITCH = Kind({"action": "store_const", "const": True},
               lambda v: v if isinstance(v, bool) else None, "true or false")
@@ -133,7 +138,7 @@ def _check_domains(values: dict, options, name: Callable) -> None:
         if not domain or value is None:
             continue
         for number in value if isinstance(value, list) else [value]:
-            if not (math.isfinite(number) and (number > 0.0 or domain == "finite")):
+            if not option.kind.inside(number):
                 raise CliError(2, f"{name(option)} must be {domain}, got {number}")
 
 
@@ -370,7 +375,7 @@ EVOLVE_OPTIONS = (
     Option("gamma_free", FLOAT, 1.0),
     Option("unravel", INT, None,
            f"number of quantum-jump trajectories, at most {MAX_TRAJECTORIES}"),
-    Option("seed", INT, 0),
+    Option("seed", SEED, 0),
     Option("out", TEXT, "trajectory.csv"),
     FORMAT,
 )

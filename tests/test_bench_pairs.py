@@ -7,11 +7,16 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
 
-@pytest.fixture
-def bench_pairs(monkeypatch):
+def load_tool():
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    module = load_tool()
     monkeypatch.setattr(module, "revision", lambda checkout: checkout)
     return module
 
@@ -65,3 +70,22 @@ def test_needs_two_seeds_for_quartiles(bench_pairs, monkeypatch, tmp_path):
     with pytest.raises(SystemExit) as info:
         run_main(bench_pairs, monkeypatch, tmp_path, seeds=1)
     assert info.value.code == 2
+
+
+def test_plain_directories_record_a_null_revision(monkeypatch, tmp_path):
+    # A copy made with git archive has no HEAD to read.
+    module = load_tool()
+    monkeypatch.setattr(module, "run_bench", fake_runs(lambda checkout, seed: 1.0))
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr("sys.argv", ["bench_pairs.py", "--parent", str(parent), "--change",
+                                     str(change), "--out", str(out), "--seeds", "2"])
+    assert module.main() == 0
+    assert json.loads(out.read_text())["revisions"] == {"parent": None, "change": None}
+
+
+def test_revision_reads_only_the_top_of_a_checkout():
+    # A directory inside a checkout is not a checkout of its own.
+    assert load_tool().revision(str(TOOL.parent)) is None

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mirrorfield import classical
-from mirrorfield.classical import (PlaneWavePacket3D, ScatterScene,
-                                   ScatterScene3D, energy_between,
+from mirrorfield.classical import (PlaneWavePacket3D, ScatterScene, energy_between,
                                    field_energy_1d, free_field_1d,
                                    free_field_3d, interference_intensities,
                                    mirror_field_1d, mirror_field_1d_perfect,
@@ -175,7 +174,7 @@ def test_mirror_field_rejects_negative_time():
         mirror_field_1d(scene, 1.0, -0.5)
     with pytest.raises(NegativeTime):
         mirror_field_3d(
-            ScatterScene3D(mirror=MirrorSpec.perfect(), medium=MED),
+            ScatterScene(mirror=MirrorSpec.perfect(), medium=MED),
             np.zeros(3), -1.0)
 
 
@@ -218,7 +217,7 @@ def test_3d_reduces_to_1d_at_normal_incidence():
     mirror = MirrorSpec.symmetric(r=0.5, t=0.6, phi_1=math.pi, phi_2=0.3,
                                   phi_3=1.0, phi_4=0.2)
     scene1 = ScatterScene(mirror=mirror, packets_a=(p,), medium=MED)
-    scene3 = ScatterScene3D(mirror=mirror, packets_a=(p3,), medium=MED)
+    scene3 = ScatterScene(mirror=mirror, packets_a=(p3,), medium=MED)
     x = np.linspace(-40.0, 40.0, 801)
     r = np.stack([x, np.full_like(x, 2.0), np.full_like(x, -1.0)], axis=-1)
     for t in (0.0, 2.5, 3.6):
@@ -236,7 +235,7 @@ def test_3d_perfect_mirror_tangential_field_vanishes_on_surface():
     pol = np.cross(k_hat, [0.0, 0.0, 1.0])
     p3 = PlaneWavePacket3D(e0=1.0, u0=-30.0, sigma=3.0, k_vec=tuple(10.0 * k_hat),
                            polarization=tuple(pol), side="a")
-    scene = ScatterScene3D(mirror=MirrorSpec.perfect(), packets_a=(p3,), medium=MED)
+    scene = ScatterScene(mirror=MirrorSpec.perfect(), packets_a=(p3,), medium=MED)
     yy, zz = np.meshgrid(np.linspace(-15.0, 15.0, 13), np.linspace(-15.0, 15.0, 13))
     surface = np.stack([np.zeros_like(yy), yy, zz], axis=-1)
     for t in (20.0, 30.0, 40.0):
@@ -249,7 +248,7 @@ def test_3d_free_preset_is_identity():
     pol = np.array([0.6, 0.8, 0.0])
     p3 = PlaneWavePacket3D(e0=1.0, u0=-20.0, sigma=2.5, k_vec=tuple(9.0 * k_hat),
                            polarization=tuple(pol), side="a")
-    scene = ScatterScene3D(mirror=MirrorSpec.free_space(), packets_a=(p3,), medium=MED)
+    scene = ScatterScene(mirror=MirrorSpec.free_space(), packets_a=(p3,), medium=MED)
     rng = np.random.default_rng(7)
     pts = rng.uniform(-30.0, 30.0, size=(50, 3))
     for t in (0.0, 2.0):

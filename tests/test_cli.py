@@ -513,6 +513,10 @@ ARGV_REJECTS = [
     ["fig2", "--x0", "1e300", "--sigma", "1", "--t", "1e300", "--nx", "5"],
     ["evolve", "--from-mirror", "perfect"],
     ["scatter"],
+    # A seed outside 64 bits would alias seed mod 2**64's stream.
+    ["evolve", "--gamma", "1", "--rho22", "1", "--unravel", "50",
+     "--seed", "18446744073709551616"],
+    ["evolve", "--gamma", "1", "--rho22", "1", "--unravel", "50", "--seed", "-1"],
 ]
 
 
@@ -620,6 +624,8 @@ def test_evolve_unravel_underflow_names_dt(tmp_path):
     (["fig2", "--frames", "-1"], "--frames must be at least 1, got -1"),
     (["fig2", "--x-min=-1e308", "--x-max=1e308"],
      "--x-max 1e+308 minus --x-min -1e+308 must be finite"),
+    (["evolve", "--unravel", "50", "--seed=-18446744073709551616"],
+     "--seed must be in [0, 2**64), got -18446744073709551616"),
 ])
 def test_rejected_flag_is_named(tmp_path, monkeypatch, capsys, argv, flag):
     from mirrorfield import cli, oracle

@@ -184,6 +184,14 @@ def test_unravel_fixed_seed_reproducible():
     assert not np.array_equal(a.rho, c.rho)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, -(2 ** 64)])
+def test_unravel_rejects_a_seed_outside_64_bits(seed):
+    # Masking the seed would give seed mod 2**64's stream.
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        me.jump_unravel(me.DensityMatrix.excited(), me.AtomChannel(1.0, 0.0), 1.0, 0.01,
+                        n_traj=10, seed=seed)
+
+
 def test_unravel_requires_pure_state():
     mixed = np.diag([0.5, 0.5]).astype(complex)
     with pytest.raises(ValueError):
@@ -394,6 +402,31 @@ def test_first_jump_steps_property(n_steps, level, specials, shape_seed, seed, n
     p_jumped = np.maximum.accumulate(p_jumped)
     first = me._jump_steps(p_jumped, n_traj, seed)
     np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, n_traj, seed))
+
+
+_BLOCK_WORDS = 4 * me._PHILOX_BLOCK
+
+
+@pytest.mark.parametrize("n_words", [1, 3, 4, 5, _BLOCK_WORDS - 1, _BLOCK_WORDS,
+                                     _BLOCK_WORDS + 1, 2 * _BLOCK_WORDS - 1,
+                                     2 * _BLOCK_WORDS, 2 * _BLOCK_WORDS + 1])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+def test_philox_words_match_numpy_random_raw(seed, n_words):
+    blocks = list(me._philox_blocks(seed, n_words))
+    assert [lo for lo, _ in blocks] == list(range(0, n_words, _BLOCK_WORDS))
+    words = np.concatenate([w for _, w in blocks])
+    key = np.array([seed, 0], dtype=np.uint64)
+    assert words.dtype == np.uint64
+    np.testing.assert_array_equal(words, np.random.Philox(key=key).random_raw(n_words))
+
+
+def test_jump_steps_across_blocks_match_generator_random():
+    n_traj, seed = 2 * _BLOCK_WORDS + 3, 2127877499
+    p_jumped = -np.expm1(-np.linspace(0.0, 3.0, 301))
+    key = np.array([seed, 0], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random(n_traj)
+    np.testing.assert_array_equal(me._jump_steps(p_jumped, n_traj, seed),
+                                  np.searchsorted(p_jumped[1:], u, side="right"))
 
 
 def test_jump_steps_at_certain_and_impossible_steps():

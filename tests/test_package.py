@@ -23,18 +23,22 @@ try:
 except SystemExit as exc:
     code = exc.code
 package = os.path.dirname(sys.modules["mirrorfield"].__file__)
-print(json.dumps({"code": code, "ran": sorted(
+print(json.dumps({"code": code, "modules": sorted(sys.modules), "ran": sorted(
     os.path.basename(f)[:-3] for f in ran if os.path.dirname(f) == package)}))
 """
 
 
-def modules_run(tmp_path, *argv):
+def probe(tmp_path, *argv) -> dict:
     done = subprocess.run([sys.executable, "-c", PROBE, *argv, "--out",
                            str(tmp_path / "out.csv")],
                           capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["code"] == 0, done.stderr
-    return set(result["ran"])
+    return result
+
+
+def modules_run(tmp_path, *argv):
+    return set(probe(tmp_path, *argv)["ran"])
 
 
 def test_rates_scan_runs_no_other_layer(tmp_path):
@@ -47,6 +51,14 @@ def test_evolve_runs_no_field_layer(tmp_path):
     ran = modules_run(tmp_path, "evolve", "--gamma", "1")
     assert "mastereq" in ran
     assert ran.isdisjoint({"classical", "modespace", "oracle"})
+
+
+def test_unravel_loads_no_numpy_random(tmp_path):
+    # The Philox words are made in plain numpy: numpy.random would also load
+    # hashlib (OpenSSL) and secrets.
+    result = probe(tmp_path, "evolve", "--gamma", "1", "--rho22", "1", "--unravel", "50")
+    assert "mastereq" in result["ran"]
+    assert set(result["modules"]).isdisjoint({"numpy.random", "hashlib", "secrets"})
 
 
 def test_import_registers_every_layer_and_loads_none():

@@ -5,13 +5,13 @@
 For each workload and seed, ``bench/run.py --trace 0`` runs once in each
 checkout, the parent first on odd seeds and the change first on even ones.
 Then each checkout gets one ``--trace 1`` run per workload. Every result
-line is written to the output file with the git revision of each checkout,
-``nproc`` and the numpy and Python versions. For each workload and
-end-to-end metric it prints each side's median and quartiles and the
-number of pairs in which the change reads lower (ties count for neither
-side). Progress goes to standard error. The exit code is 1 if any run
-reported ``"correct": false`` or a failed operation, which ``bench/run.py``
-itself does not signal in its exit code.
+line is written to the output file with the git revision of each checkout
+(null for a directory that is not a git checkout), ``nproc`` and the numpy
+and Python versions. For each workload and end-to-end metric it prints each
+side's median and quartiles and the number of pairs in which the change
+reads lower (ties count for neither side). Progress goes to standard error.
+The exit code is 1 if any run reported ``"correct": false`` or a failed
+operation, which ``bench/run.py`` itself does not signal in its exit code.
 """
 
 from __future__ import annotations
@@ -45,10 +45,15 @@ def summary(values: list[float]) -> str:
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def revision(checkout: str) -> str:
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True, check=True)
-    return done.stdout.strip()
+def revision(checkout: str) -> str | None:
+    """The git HEAD of ``checkout``, or None if it is not the top of a git
+    checkout (a copy made with ``git archive``, say)."""
+    done = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True)
+    lines = done.stdout.split()
+    if done.returncode or lines[0] != os.path.realpath(checkout):
+        return None
+    return lines[1]
 
 
 def main() -> int:
