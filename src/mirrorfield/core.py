@@ -30,9 +30,9 @@ _RATE_TOL = 1e-9
 MAX_STEPS = 1_000_000
 
 # Largest trajectory count n_traj that mastereq.jump_unravel takes. Its
-# memory grows by about 16 bytes per trajectory, on top of the cost per
-# step, so a 10-step evolve --unravel at the cap peaks near 190 MB and
-# takes about 1 s; a larger count is rejected before any array is
+# trajectories are drawn and counted 32,768 at a time, so memory does not
+# grow with their number, but run time does: evolve --unravel at the cap
+# takes about 2 s; a larger count is rejected before any array is
 # allocated.
 MAX_TRAJECTORIES = 10_000_000
 

@@ -335,23 +335,22 @@ def _philox_blocks(seed: int, n_words: int):
         yield lo, np.stack((c0, c1, c2, c3), axis=1).ravel()[:n]
 
 
-def _jump_steps(p_jumped: np.ndarray, n_traj: int, seed: int) -> np.ndarray:
+def _jump_steps(p_jumped: np.ndarray, n_traj: int, seed: int):
     """Step at which each trajectory jumps, or len(p_jumped) - 1 if it never
-    does, given the probability p_jumped[j] of a jump within j steps.
+    does, given the probability p_jumped[j] of a jump within j steps, as
+    (lo, steps) pairs: steps[i] is trajectory lo + i's.
 
     Trajectory i draws one uniform u_i = (w_i >> 11) * 2**-53, the double
     numpy's Generator.random makes of word w_i, from word i of the
     counter-based Philox stream keyed by (seed mod 2**64, 0). It jumps in the
     first step j with u_i < p_jumped[j + 1]: the waiting-time form of the
     quantum-jump method. The words come block by block from _philox_blocks,
-    in plain numpy, so numpy.random is never imported and no array but the
-    result is n_traj long.
+    in plain numpy, so numpy.random is never imported and no array is
+    n_traj long.
     """
-    first = np.empty(n_traj, dtype=np.intp)
     for lo, words in _philox_blocks(seed & _MASK64, n_traj):
         u = (words >> np.uint64(11)) * 2.0 ** -53
-        first[lo:lo + len(words)] = np.searchsorted(p_jumped[1:], u, side="right")
-    return first
+        yield lo, np.searchsorted(p_jumped[1:], u, side="right")
 
 
 def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
@@ -379,10 +378,12 @@ def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
     n_steps = _step_count(t_final, dt)
     psi0 = _pure_state_from(rho0)
     c1, c2, p_jumped = _no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
-    first = _jump_steps(p_jumped, n_traj, seed)
+    per_step = np.zeros(n_steps + 1, dtype=np.intp)
+    for _, steps in _jump_steps(p_jumped, n_traj, seed):
+        per_step += np.bincount(steps, minlength=n_steps + 1)
     n = float(n_traj)
     jumped = np.zeros(n_steps + 1)
-    jumped[1:] = np.cumsum(np.bincount(first, minlength=n_steps + 1)[:n_steps])
+    jumped[1:] = np.cumsum(per_step[:n_steps])
     # q: fraction of trajectories still on the no-jump path after each step.
     q = (n - jumped) / n
     p2 = np.abs(c2) ** 2

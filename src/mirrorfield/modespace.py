@@ -185,7 +185,9 @@ def _chirp(scale: float, m: np.ndarray) -> np.ndarray:
     mantissa, exponent = math.frexp(scale)
     head = math.ldexp(round(math.ldexp(mantissa, 20)), exponent - 20)
     m2 = m * m
-    return np.exp(1j * (head * m2)) * np.exp(1j * ((scale - head) * m2))
+    out = np.exp(1j * (head * m2))
+    out *= np.exp(1j * ((scale - head) * m2))
+    return out
 
 
 def _chirp_field_sum(weights: np.ndarray, k_lattice, x_lattice) -> np.ndarray:
@@ -202,16 +204,24 @@ def _chirp_field_sum(weights: np.ndarray, k_lattice, x_lattice) -> np.ndarray:
     a = dk * dx
     p = np.arange(nk) - 0.5 * (nk - 1)
     q = np.arange(nx) - 0.5 * (nx - 1)
-    u = np.zeros(nk, dtype=complex)
-    np.add.at(u, k_index, weights)
-    u *= np.exp(1j * (dk * x_c) * p) * _chirp(0.5 * a, p)
     # Lag j - i between the x and k lattice indices; q - p = lag + (nk - nx) / 2.
     lags = np.arange(1 - nk, nx)
     size = 1 << (nx + nk - 2).bit_length()
     kernel = np.zeros(size, dtype=complex)
     kernel[lags % size] = _chirp(-0.5 * a, lags + 0.5 * (nk - nx))
-    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(kernel))[:nx]
-    out = np.exp(1j * k_c * (x_c + dx * q)) * _chirp(0.5 * a, q) * conv
+    np.fft.fft(kernel, out=kernel)
+    # u, zero-padded to the transform size, is transformed, convolved and
+    # transformed back in this one buffer.
+    conv = np.zeros(size, dtype=complex)
+    u = conv[:nk]
+    np.add.at(u, k_index, weights)
+    u *= np.exp(1j * (dk * x_c) * p) * _chirp(0.5 * a, p)
+    np.fft.fft(conv, out=conv)
+    conv *= kernel
+    np.fft.ifft(conv, out=conv)
+    out = np.exp(1j * k_c * (x_c + dx * q))
+    out *= _chirp(0.5 * a, q)
+    out *= conv[:nx]
     return 2.0 * out.real[x_index]
 
 

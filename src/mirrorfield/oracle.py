@@ -9,10 +9,12 @@ against a spatial quadrature of the field energy density.
 Per Gauss-Legendre order, a route's table (cos(z s) for the angular route;
 exp(-i z s) and the azimuth sums for the emission route) depends on neither
 the mirror nor the dipole orientation mu, so the suite builds it once per
-route and order; each mirror's reflection products are then formed once for
-all mu. The routes run one after the other, one order at a time, each in a
-few buffers it reuses, so only one table is alive at a time. Each route
-combines its own terms point by point, so the routes stay independent.
+route, order and chunk of z; each mirror's reflection products are then
+formed once for all mu. The routes run one after the other, over fixed
+chunks of z, one order at a time, each in a few buffers it reuses, so only
+one chunk's table is alive at a time and memory does not grow with the z
+grid. Each route combines its own terms point by point, so the routes stay
+independent.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ from .errors import QuadratureNotConverged, ZeroDistance
 
 # Azimuths of the emission route's periodic trapezoid.
 _N_PHI = 32
+# z values per quadrature chunk. A multiple of 4: numpy's OpenBLAS dgemv
+# sums rows in groups of four and takes tail rows with another kernel, so
+# only chunks of 4k rows give every z the same sum as one whole-grid call.
+_Z_CHUNK = 128
 
 
 @functools.cache
@@ -157,28 +163,37 @@ def _quadratures(z, cases, mu_values, quad: QuadratureSpec,
     """Each route's decay-rate ratio per z, for every case and then every mu.
 
     A case is (r, eta**2, t_other**2 / eta_other**2) of the atom's side.
-    Route by route, the order-n rule and then the order-2n rule run, each
-    with its own tables and buffers, freed before the next starts; the
-    first value that doubling the order moved by more than the tolerance
-    raises QuadratureNotConverged, naming its first such z, before the
-    next route runs.
+    Route by route, the order-n and order-2n rules run over chunks of
+    _Z_CHUNK z values, each chunk with its own tables and buffers, and fill
+    one (values, z) array per order; then the first value that doubling the
+    order moved by more than the tolerance raises QuadratureNotConverged,
+    naming its first such z, before the next route runs.
     """
     z = rates._finite_z(z)
     if np.any(z < 0.0):
         raise ValueError("z must be non-negative")
-    column = z.reshape(-1, 1)
+    flat = z.reshape(-1)
+    n_values = len(cases) * len(mu_values)
     found = {}
+    # Both rules' eigenproblems run before any chunk's table is freed: a
+    # freed table raises glibc's mmap threshold, and leggauss's work arrays
+    # would then stay on the heap (4.6 MB more at order 1024 with 128 rows).
+    _gl_nodes(quad.order), _gl_nodes(2 * quad.order)
     for route in routes:
         build, message = _ROUTES[route]
-        coarse_values = build(column, quad.order, cases, mu_values)
+        coarse_values, fine_values = np.empty((2, n_values, flat.size))
+        for lo in range(0, flat.size, _Z_CHUNK):
+            column = flat[lo:lo + _Z_CHUNK, None]
+            coarse_values[:, lo:lo + _Z_CHUNK] = build(column, quad.order, cases, mu_values)
+            fine_values[:, lo:lo + _Z_CHUNK] = build(column, 2 * quad.order, cases, mu_values)
         found[route] = []
-        for coarse, fine in zip(coarse_values, build(column, 2 * quad.order, cases, mu_values)):
+        for coarse, fine in zip(coarse_values, fine_values):
             moved = np.abs(fine - coarse)
             bad = np.flatnonzero(moved > quad.tolerance * np.maximum(1.0, np.abs(fine)))
             if bad.size:
                 raise QuadratureNotConverged(message.format(
                     coarse=quad.order, fine=2 * quad.order, moved=float(moved[bad[0]]),
-                    z=float(z.reshape(-1)[bad[0]])))
+                    z=float(flat[bad[0]])))
             found[route].append(_per_z(z, fine))
     return found
 
@@ -237,7 +252,9 @@ def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGr
     field over the symmetric doubled domain (the squared field is even, so
     half the full-line integral equals the half-space energy). Requires a
     uniform, ascending x_grid with 4m+1 points, symmetric about 0; any
-    other grid raises ValueError.
+    other grid raises ValueError. In front of a perfect mirror the field is
+    the free field minus its mirror image, so the free E and B fields are
+    summed once each, on x_grid, and read at -x_grid as those sums reversed.
     """
     from .classical import simpson_with_check
 
@@ -252,12 +269,10 @@ def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGr
         raise ValueError("x_grid must be uniform, ascending and symmetric about 0")
     mode_sum = modespace.expect_H_field_one_sided(amps, grid, medium,
                                                   hbar=hbar, side=side)
-    e_plus = modespace.expect_E_free(amps, grid, medium, x_grid, side=side, hbar=hbar)
-    e_minus = modespace.expect_E_free(amps, grid, medium, -x_grid, side=side, hbar=hbar)
-    b_plus = modespace.expect_B_free(amps, grid, medium, x_grid, side=side, hbar=hbar)
-    b_minus = modespace.expect_B_free(amps, grid, medium, -x_grid, side=side, hbar=hbar)
-    e_odd = (e_plus - e_minus) / math.sqrt(2.0)
-    b_even = (b_plus + b_minus) / math.sqrt(2.0)
+    e_free = modespace.expect_E_free(amps, grid, medium, x_grid, side=side, hbar=hbar)
+    b_free = modespace.expect_B_free(amps, grid, medium, x_grid, side=side, hbar=hbar)
+    e_odd = (e_free - e_free[::-1]) / math.sqrt(2.0)
+    b_even = (b_free + b_free[::-1]) / math.sqrt(2.0)
     density = medium.epsilon * e_odd**2 + b_even**2 / medium.mu_p
     # A/2 times the half-line integral, written as A/4 times the full line.
     spatial = 0.25 * grid.area * simpson_with_check(density, dx)

@@ -54,6 +54,28 @@ def test_prints_quartiles_and_lower_pairs_with_ties_for_neither(bench_pairs, mon
            "change lower in 0/4 pairs" in lines
 
 
+def test_verdict_needs_nine_in_ten_lower_pairs_and_a_gap_beyond_the_parent_iqr(
+        bench_pairs, monkeypatch, tmp_path, capsys):
+    # Parent 1..10 s (median 5.5, Q1 2.75, Q3 8.25); verify's change is 6 s
+    # lower throughout, ensemble's 2 s lower and survey's 6 s lower but for
+    # two pairs.
+    shift = {"verify": lambda seed: 6.0, "ensemble": lambda seed: 2.0,
+             "survey": lambda seed: 6.0 if seed > 2 else -1.0}
+
+    def run_bench(checkout, name, seed, seconds, trace):
+        wall_s = lambda c, s: float(s) if c == "P" else s - shift[name](s)  # noqa: E731
+        return fake_runs(wall_s)(checkout, name, seed, seconds, trace)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    code, _ = run_main(bench_pairs, monkeypatch, tmp_path, seeds=10)
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "verify wall_s verdict: resolved" in lines
+    assert "ensemble wall_s verdict: unresolved" in lines  # 2 s is inside the 5.5 s IQR
+    assert "survey wall_s verdict: unresolved" in lines  # lower in only 8/10 pairs
+    assert "verify peak_rss_mb verdict: unresolved" in lines  # a tie is not lower
+
+
 @pytest.mark.parametrize("broken", [
     lambda checkout, workload, seed: int(checkout == "C" and seed == 3),
     lambda checkout, workload, seed: int(checkout == "P" and workload == "survey"),

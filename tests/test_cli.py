@@ -186,6 +186,9 @@ def test_oracle_verify_grid_coarse_structured_error(tmp_path):
     assert result.returncode == 3
     payload = json.loads(out.read_text())
     assert payload["error"]["type"] == "QuadratureNotConverged"
+    message = payload["error"]["message"]
+    assert message.startswith("order 16 -> 32 ") and message.endswith(" at z=12.3")
+    assert message in result.stderr
 
 
 # ------------------------------------------------------------- evolve

@@ -268,6 +268,14 @@ def _jump_steps_walk(p_jumped, n_traj, seed):
     return np.array(first)
 
 
+def _jump_steps(p_jumped, n_traj, seed):
+    """Every trajectory's jump step, the blocks of me._jump_steps joined in
+    order; each block starts where the one before it ended."""
+    blocks = list(me._jump_steps(p_jumped, n_traj, seed))
+    assert [lo for lo, _ in blocks] == list(np.cumsum([0] + [len(b) for _, b in blocks[:-1]]))
+    return np.concatenate([steps for _, steps in blocks])
+
+
 def _no_jump_stepwise(psi0, gamma, delta, dt, n_steps):
     """Reference: the no-jump state renormalised step by step, with the
     probability of a jump within j steps accumulated per step."""
@@ -310,13 +318,13 @@ def test_no_jump_path_matches_stepwise_path(psi0, gamma, delta, dt):
 def test_first_jump_steps_on_a_no_jump_path():
     psi0 = np.array([0.4, np.sqrt(0.84) * np.exp(0.3j)])
     _, _, p_jumped = me._no_jump_path(psi0, 0.9, 0.4, 1e-3 / 0.9, 5000)
-    first = me._jump_steps(p_jumped, 300, 2127877499)
+    first = _jump_steps(p_jumped, 300, 2127877499)
     np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, 300, 2127877499))
     assert 0 < np.count_nonzero(first < 5000) < 300
     for psi0, channel in UNRAVEL_CASES:
         _, _, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, 0.005, 500)
         for seed in (2024, -5, 2 ** 64 - 1):
-            first = me._jump_steps(p_jumped, 300, seed)
+            first = _jump_steps(p_jumped, 300, seed)
             np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, 300, seed))
             assert 0 < np.count_nonzero(first < 500) < 300
 
@@ -352,7 +360,7 @@ def _edge_case_p(n_steps, which):
 def test_first_jump_steps_match_reference(n_steps, n_traj, which):
     p_jumped = _edge_case_p(n_steps, which)
     assert np.all(np.diff(p_jumped) >= 0.0)
-    first = me._jump_steps(p_jumped, n_traj, 99)
+    first = _jump_steps(p_jumped, n_traj, 99)
     np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, n_traj, 99))
 
 
@@ -361,7 +369,7 @@ def test_first_jump_steps_edge_probabilities(value):
     # A jump in step 0 with probability value, and none after it.
     p_jumped = np.full(601, value)
     p_jumped[0] = 0.0
-    first = me._jump_steps(p_jumped, 40, 3)
+    first = _jump_steps(p_jumped, 40, 3)
     np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, 40, 3))
     assert set(first.tolist()) <= {0, 600}
     if value == 1.0:
@@ -378,7 +386,7 @@ def test_first_jump_steps_threshold_at_the_draw(step):
         for value in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)):
             p_jumped = np.zeros(step + 2)
             p_jumped[step + 1] = value
-            first = me._jump_steps(p_jumped, n_traj, seed)
+            first = _jump_steps(p_jumped, n_traj, seed)
             np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, n_traj, seed))
             assert first[row] == (step if u < value else step + 1)
 
@@ -400,7 +408,7 @@ def test_first_jump_steps_property(n_steps, level, specials, shape_seed, seed, n
         if position < n_steps:
             p_jumped[position + 1] = value
     p_jumped = np.maximum.accumulate(p_jumped)
-    first = me._jump_steps(p_jumped, n_traj, seed)
+    first = _jump_steps(p_jumped, n_traj, seed)
     np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, n_traj, seed))
 
 
@@ -425,16 +433,33 @@ def test_jump_steps_across_blocks_match_generator_random():
     p_jumped = -np.expm1(-np.linspace(0.0, 3.0, 301))
     key = np.array([seed, 0], dtype=np.uint64)
     u = np.random.Generator(np.random.Philox(key=key)).random(n_traj)
-    np.testing.assert_array_equal(me._jump_steps(p_jumped, n_traj, seed),
+    np.testing.assert_array_equal(_jump_steps(p_jumped, n_traj, seed),
                                   np.searchsorted(p_jumped[1:], u, side="right"))
+
+
+def test_unravel_counts_jumps_across_blocks():
+    # Three blocks of trajectories: the per-block histograms must sum to
+    # the histogram of every trajectory's jump step.
+    n_traj, n_steps, dt, seed = 2 * _BLOCK_WORDS + 3, 200, 0.01, 77
+    psi0 = np.array([0.6, 0.8 * np.exp(2.1j)])
+    channel = me.AtomChannel(1.3, 0.4)
+    c1, c2, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
+    first = _jump_steps(p_jumped, n_traj, seed)
+    result = me.jump_unravel(np.outer(psi0, psi0.conj()), channel, n_steps * dt, dt,
+                             n_traj=n_traj, seed=seed)
+    jumped = np.zeros(n_steps + 1)
+    jumped[1:] = np.cumsum(np.bincount(first, minlength=n_steps + 1)[:n_steps])
+    q = (n_traj - jumped) / n_traj
+    assert 0.0 < q[-1] < 1.0
+    np.testing.assert_array_equal(result.rho[:, 1, 1], q * np.abs(c2) ** 2)
 
 
 def test_jump_steps_at_certain_and_impossible_steps():
     certain = np.array([0.0, 0.0, 1e-3, 1.0, 1.0])
-    np.testing.assert_array_equal(me._jump_steps(certain, 50, 3),
+    np.testing.assert_array_equal(_jump_steps(certain, 50, 3),
                                   _jump_steps_walk(certain, 50, 3))
-    assert set(me._jump_steps(certain, 50, 3).tolist()) <= {1, 2}
-    np.testing.assert_array_equal(me._jump_steps(np.zeros(7), 50, 3), 6)
+    assert set(_jump_steps(certain, 50, 3).tolist()) <= {1, 2}
+    np.testing.assert_array_equal(_jump_steps(np.zeros(7), 50, 3), 6)
 
 
 # The 0.999 quantile of chi-squared with 20 degrees of freedom. Two correct
@@ -453,7 +478,7 @@ def test_jump_step_histogram_matches_per_step_scheme(psi0, channel):
     n_traj, n_steps, dt = 4000, 400, 0.005
     _, ref_jumps, _ = _unravel_stepwise(psi0, channel, dt, n_steps, n_traj, 2024)
     _, _, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
-    first = me._jump_steps(p_jumped, n_traj, 2025)
+    first = _jump_steps(p_jumped, n_traj, 2025)
     ref_hist = np.append(ref_jumps.reshape(20, 20).sum(axis=1), n_traj - ref_jumps.sum())
     hist = np.bincount(first // 20, minlength=21)
     assert hist.sum() == ref_hist.sum() == n_traj and ref_hist.min() > 20
@@ -489,7 +514,7 @@ def test_first_jump_unravel_matches_stepwise_reference(psi0, channel):
 def test_zero_gamma_never_jumps(psi0):
     _, _, p_jumped = me._no_jump_path(psi0, 0.0, 1.2, 0.01, 300)
     np.testing.assert_array_equal(p_jumped, 0.0)
-    np.testing.assert_array_equal(me._jump_steps(p_jumped, 1000, 8), 300)
+    np.testing.assert_array_equal(_jump_steps(p_jumped, 1000, 8), 300)
 
 
 @pytest.mark.parametrize("rho22", [1.0, 1.0 - 1e-12, 0.5])
@@ -512,7 +537,7 @@ def test_unravel_certain_first_step_jump():
     c1, c2, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, 40.0, 3)
     assert p_jumped[1] == 1.0
     assert np.isfinite(c1).all() and np.isfinite(c2).all()
-    first = me._jump_steps(p_jumped, 50, 1)
+    first = _jump_steps(p_jumped, 50, 1)
     assert not first.any()
     _, ref_jumps, _ = _unravel_stepwise(psi0, channel, 40.0, 3, 50, 1)
     np.testing.assert_array_equal(np.bincount(first, minlength=4)[:3], ref_jumps)

@@ -291,6 +291,56 @@ def test_chirp_field_sum_matches_dense_off_centre_k(monkeypatch, rng):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def _chirp_out_of_place(scale, m):
+    """The chirp with both factors made as new arrays."""
+    mantissa, exponent = math.frexp(scale)
+    head = math.ldexp(round(math.ldexp(mantissa, 20)), exponent - 20)
+    m2 = m * m
+    return np.exp(1j * (head * m2)) * np.exp(1j * ((scale - head) * m2))
+
+
+def _chirp_field_sum_out_of_place(weights, k_lattice, x_lattice):
+    """The chirp-z field sum with u padded by np.fft.fft(u, size) and every
+    transform and product made as a new array."""
+    k_c, dk, k_index, nk = k_lattice
+    x_c, dx, x_index, nx = x_lattice
+    a = dk * dx
+    p = np.arange(nk) - 0.5 * (nk - 1)
+    q = np.arange(nx) - 0.5 * (nx - 1)
+    u = np.zeros(nk, dtype=complex)
+    np.add.at(u, k_index, weights)
+    u *= np.exp(1j * (dk * x_c) * p) * _chirp_out_of_place(0.5 * a, p)
+    lags = np.arange(1 - nk, nx)
+    size = 1 << (nx + nk - 2).bit_length()
+    kernel = np.zeros(size, dtype=complex)
+    kernel[lags % size] = _chirp_out_of_place(-0.5 * a, lags + 0.5 * (nk - nx))
+    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(kernel))[:nx]
+    out = np.exp(1j * k_c * (x_c + dx * q)) * _chirp_out_of_place(0.5 * a, q) * conv
+    return 2.0 * out.real[x_index]
+
+
+@pytest.mark.parametrize("k, x", [
+    ("suite", np.linspace(-56.0, 56.0, 8193)),
+    ("suite", -np.linspace(-56.0, 56.0, 8193)),
+    (3.0 + 0.01 * np.arange(700), np.linspace(-20.0, 92.0, 8193)),
+    ("suite", 0.02 * np.arange(3000) + 7.5),
+    (np.linspace(-9.0, 9.0, 301), np.linspace(-4.0, 4.0, 33)),
+], ids=["suite", "suite-mirrored", "off-centre-k", "even-off-centre-x", "short"])
+def test_chirp_field_sum_equals_the_out_of_place_form(rng, grid, k, x):
+    k = grid.k if isinstance(k, str) else k
+    weights = _random_weights(rng, k.size)
+    k_lattice, x_lattice = ms._lattice(k), ms._lattice(x)
+    assert k_lattice is not None and x_lattice is not None
+    np.testing.assert_array_equal(ms._chirp_field_sum(weights, k_lattice, x_lattice),
+                                  _chirp_field_sum_out_of_place(weights, k_lattice, x_lattice))
+
+
+def test_chirp_equals_the_out_of_place_form():
+    m = np.arange(-3000, 3001) * 0.5
+    for scale in (1e-3, -0.37, 2.5e-5 * math.pi):
+        np.testing.assert_array_equal(ms._chirp(scale, m), _chirp_out_of_place(scale, m))
+
+
 @pytest.mark.parametrize("x", [
     0.7,
     np.linspace(-5.0, 5.0, 200).reshape(10, 20),

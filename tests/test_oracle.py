@@ -391,6 +391,53 @@ def test_coarse_default_checks_name_first_unconverged_z():
     assert str(info.value) == "order 16 -> 32 moved the result by 1.150e-10 at z=12.3"
 
 
+SUITE_CASES = [rates._side_case(m, "a") for m in oracle._MIRRORS]
+
+
+@pytest.mark.parametrize("route", ["angular", "emission"])
+@pytest.mark.parametrize("order", [64, 128])
+@pytest.mark.parametrize("z", [oracle._Z, 0.37 * np.arange(130)], ids=["suite", "130"])
+def test_chunked_routes_equal_one_whole_grid_call(route, order, z):
+    # The chunk boundaries must not move a single bit: each chunk keeps
+    # every row in the same dgemv kernel as one call over the whole grid.
+    assert oracle._Z_CHUNK % 4 == 0 and z.size > oracle._Z_CHUNK
+    quad = oracle.QuadratureSpec(order=order // 2, tolerance=1.0)  # the fine rule is order
+    got = oracle._quadratures(z, SUITE_CASES, oracle._MU, quad, [route])[route]
+    build = oracle._ROUTES[route][0]
+    whole = build(z.reshape(-1, 1), order, SUITE_CASES, oracle._MU)
+    assert len(got) == len(whole) == len(SUITE_CASES) * len(oracle._MU)
+    for value, expected in zip(got, whole):
+        np.testing.assert_array_equal(value, expected)
+
+
+def _hfield_four_sums(amps, grid, x_grid, medium):
+    """The energy check with the fields at x and at -x each summed."""
+    from mirrorfield.classical import simpson_with_check
+
+    mode_sum = ms.expect_H_field_one_sided(amps, grid, medium)
+    e_plus = ms.expect_E_free(amps, grid, medium, x_grid)
+    e_minus = ms.expect_E_free(amps, grid, medium, -x_grid)
+    b_plus = ms.expect_B_free(amps, grid, medium, x_grid)
+    b_minus = ms.expect_B_free(amps, grid, medium, -x_grid)
+    e_odd = (e_plus - e_minus) / math.sqrt(2.0)
+    b_even = (b_plus + b_minus) / math.sqrt(2.0)
+    density = medium.epsilon * e_odd**2 + b_even**2 / medium.mu_p
+    spatial = 0.25 * grid.area * simpson_with_check(density, x_grid[1] - x_grid[0])
+    scale = max(abs(mode_sum), abs(spatial))
+    return {"mode_sum": mode_sum, "spatial": spatial,
+            "rel_gap": abs(mode_sum - spatial) / scale if scale > 0.0 else 0.0}
+
+
+def test_hfield_check_equals_the_four_sum_form_on_the_suite_grid():
+    packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
+    grid = ms.ModeGrid.for_packet(packet, n_modes=4096)
+    amps = ms.packet_to_amplitudes(packet, grid, MED)
+    x_grid = np.linspace(-56.0, 56.0, 8193)
+    got = oracle.hfield_mode_sum_check(amps, grid, x_grid, medium=MED)
+    assert got == _hfield_four_sums(amps, grid, x_grid, MED)
+    assert got["rel_gap"] < 1e-15
+
+
 def _reference_default_checks():
     """The default suite, one (mirror, mu) pair at a time through the public
     per-pair functions: the loop the shared tables must reproduce exactly."""
@@ -455,7 +502,7 @@ def test_default_checks_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.0e6
+    assert peak <= 3.0e6
 
 
 # ------------------------------------------------------- field energy grid

@@ -9,7 +9,10 @@ line is written to the output file with the git revision of each checkout
 (null for a directory that is not a git checkout), ``nproc`` and the numpy
 and Python versions. For each workload and end-to-end metric it prints each
 side's median and quartiles and the number of pairs in which the change
-reads lower (ties count for neither side). Progress goes to standard error.
+reads lower (ties count for neither side), then a verdict: ``resolved``
+when the change reads lower in at least 9 of 10 pairs and its median is
+below the parent's by more than the parent's Q3 - Q1, else
+``unresolved``. Progress goes to standard error.
 The exit code is 1 if any run reported ``"correct": false`` or a failed
 operation, which ``bench/run.py`` itself does not signal in its exit code.
 """
@@ -43,6 +46,16 @@ def summary(values: list[float]) -> str:
     """Median [Q1, Q3] of one side's runs."""
     q1, median, q3 = statistics.quantiles(values, n=4)
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def verdict(parent: list[float], change: list[float]) -> str:
+    """Whether the change reads lower than the parent beyond the noise: in
+    at least 9 of 10 pairs, and by more than the parent's interquartile
+    range between the medians."""
+    q1, median, q3 = statistics.quantiles(parent, n=4)
+    lower = sum(c < p for p, c in zip(parent, change))
+    resolved = 10 * lower >= 9 * len(parent) and median - statistics.median(change) > q3 - q1
+    return "resolved" if resolved else "unresolved"
 
 
 def revision(checkout: str) -> str | None:
@@ -99,6 +112,7 @@ def main() -> int:
             lower = sum(c < p for p, c in zip(parent, change))
             print(f"{workload} {metric}: parent {summary(parent)} -> change {summary(change)}; "
                   f"change lower in {lower}/{len(parent)} pairs")
+            print(f"{workload} {metric} verdict: {verdict(parent, change)}")
     bad = [f"{kind} {side} {workload} seed {result['seed']}"
            for kind in ("trace0", "trace1") for side in sides
            for workload, results in record[kind][side].items()
