@@ -32,8 +32,8 @@ MAX_STEPS = 1_000_000
 # Largest trajectory count n_traj that mastereq.jump_unravel takes. Its
 # trajectories are drawn and counted 32,768 at a time, so memory does not
 # grow with their number, but run time does: evolve --unravel at the cap
-# takes about 2 s; a larger count is rejected before any array is
-# allocated.
+# takes about 1.3 s on a 2-core machine; a larger count is rejected before
+# any array is allocated.
 MAX_TRAJECTORIES = 10_000_000
 
 

@@ -335,12 +335,6 @@ def test_chirp_field_sum_equals_the_out_of_place_form(rng, grid, k, x):
                                   _chirp_field_sum_out_of_place(weights, k_lattice, x_lattice))
 
 
-def test_chirp_equals_the_out_of_place_form():
-    m = np.arange(-3000, 3001) * 0.5
-    for scale in (1e-3, -0.37, 2.5e-5 * math.pi):
-        np.testing.assert_array_equal(ms._chirp(scale, m), _chirp_out_of_place(scale, m))
-
-
 @pytest.mark.parametrize("x", [
     0.7,
     np.linspace(-5.0, 5.0, 200).reshape(10, 20),
