@@ -34,7 +34,8 @@ class ZeroDistance(MirrorFieldError):
 
 
 class QuadratureNotConverged(MirrorFieldError):
-    """Doubling the quadrature order moved the result beyond tolerance."""
+    """Doubling the quadrature order moved the result beyond tolerance, or
+    the Newton iteration for a rule's nodes did not converge."""
 
 
 class StepTooLarge(MirrorFieldError):

@@ -9,6 +9,7 @@ bookkeeping testable without any Fock-space machinery.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -190,6 +191,21 @@ def _chirp(scale: float, m: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _chirp_kernel(a: float, nk: int, nx: int) -> np.ndarray:
+    """The transformed convolution kernel exp(-i a (q - p)**2 / 2) of
+    _chirp_field_sum, zero-padded to a power of two. Read-only: the E and
+    B sums of one energy check share it."""
+    # Lag j - i between the x and k lattice indices; q - p = lag + (nk - nx) / 2.
+    lags = np.arange(1 - nk, nx)
+    size = 1 << (nx + nk - 2).bit_length()
+    kernel = np.zeros(size, dtype=complex)
+    kernel[lags % size] = _chirp(-0.5 * a, lags + 0.5 * (nk - nx))
+    np.fft.fft(kernel, out=kernel)
+    kernel.flags.writeable = False
+    return kernel
+
+
 def _chirp_field_sum(weights: np.ndarray, k_lattice, x_lattice) -> np.ndarray:
     """2 Re sum_k w_k exp(i k x) for k and x on lattices, by chirp-z.
 
@@ -204,15 +220,10 @@ def _chirp_field_sum(weights: np.ndarray, k_lattice, x_lattice) -> np.ndarray:
     a = dk * dx
     p = np.arange(nk) - 0.5 * (nk - 1)
     q = np.arange(nx) - 0.5 * (nx - 1)
-    # Lag j - i between the x and k lattice indices; q - p = lag + (nk - nx) / 2.
-    lags = np.arange(1 - nk, nx)
-    size = 1 << (nx + nk - 2).bit_length()
-    kernel = np.zeros(size, dtype=complex)
-    kernel[lags % size] = _chirp(-0.5 * a, lags + 0.5 * (nk - nx))
-    np.fft.fft(kernel, out=kernel)
+    kernel = _chirp_kernel(a, nk, nx)
     # u, zero-padded to the transform size, is transformed, convolved and
     # transformed back in this one buffer.
-    conv = np.zeros(size, dtype=complex)
+    conv = np.zeros(kernel.size, dtype=complex)
     u = conv[:nk]
     np.add.at(u, k_index, weights)
     u *= np.exp(1j * (dk * x_c) * p) * _chirp(0.5 * a, p)

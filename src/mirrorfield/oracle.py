@@ -35,11 +35,49 @@ _N_PHI = 32
 # sums rows in groups of four and takes tail rows with another kernel, so
 # only chunks of 4k rows give every z the same sum as one whole-grid call.
 _Z_CHUNK = 128
+# Newton steps allowed for the Gauss-Legendre nodes; each order tried from
+# 16 to 8192 needs at most 4.
+_NEWTON_STEPS = 10
+
+
+def _legendre(n: int, x: np.ndarray):
+    """P_{n-1}(x) and P_n(x), by j P_j = (2j - 1) x P_{j-1} - (j - 1) P_{j-2}."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p_prev, p
 
 
 @functools.cache
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes, ascending, and weights on [-1, 1].
+
+    Newton's method on P_n from x_k = cos(pi (k + 3/4) / (n + 1/2)), for
+    all the non-negative nodes at once, with P_n' = n (x P_n - P_{n-1}) /
+    (x**2 - 1), until the largest step is at the rounding level; the weights
+    are 2 / ((1 - x**2) P_n'**2) at the converged nodes (Hale & Townsend
+    2013). The negative half is the mirror image, so the nodes are exactly
+    antisymmetric and the weights exactly symmetric; an odd order's middle
+    node is 0. This takes O(n) memory, where the companion-matrix
+    eigenproblem (Golub & Welsch 1969) takes O(n**2).
+    """
+    n = order
+    x = np.cos(math.pi * (np.arange((n + 1) // 2) + 0.75) / (n + 0.5))
+    if n % 2:
+        x[-1] = 0.0  # P_n(0) = 0 exactly, so Newton keeps it
+    for _ in range(_NEWTON_STEPS):
+        p_prev, p = _legendre(n, x)
+        step = p * (x * x - 1.0) / (n * (x * p - p_prev))
+        x = x - step
+        if np.abs(step).max() <= 4.0 * np.finfo(float).eps:
+            break
+    else:
+        raise QuadratureNotConverged(
+            f"Gauss-Legendre nodes of order {n} not converged in {_NEWTON_STEPS} Newton steps")
+    p_prev, p = _legendre(n, x)
+    w = 2.0 * (1.0 - x * x) / (n * (x * p - p_prev)) ** 2
+    half = n // 2
+    return np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
 
 
 @dataclass(frozen=True)
@@ -175,10 +213,6 @@ def _quadratures(z, cases, mu_values, quad: QuadratureSpec,
     flat = z.reshape(-1)
     n_values = len(cases) * len(mu_values)
     found = {}
-    # Both rules' eigenproblems run before any chunk's table is freed: a
-    # freed table raises glibc's mmap threshold, and leggauss's work arrays
-    # would then stay on the heap (4.6 MB more at order 1024 with 128 rows).
-    _gl_nodes(quad.order), _gl_nodes(2 * quad.order)
     for route in routes:
         build, message = _ROUTES[route]
         coarse_values, fine_values = np.empty((2, n_values, flat.size))

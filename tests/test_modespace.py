@@ -335,6 +335,23 @@ def test_chirp_field_sum_equals_the_out_of_place_form(rng, grid, k, x):
                                   _chirp_field_sum_out_of_place(weights, k_lattice, x_lattice))
 
 
+def test_cached_chirp_kernel_gives_the_inline_field_sum(rng, grid):
+    # Like the energy check's E and B sums: two weight sets on one pair of
+    # lattices, the second served by the cached kernel.
+    x = np.linspace(-56.0, 56.0, 8193)
+    k_lattice, x_lattice = ms._lattice(grid.k), ms._lattice(x)
+    ms._chirp_kernel.cache_clear()
+    for _ in range(2):
+        weights = _random_weights(rng, grid.k.size)
+        np.testing.assert_array_equal(ms._chirp_field_sum(weights, k_lattice, x_lattice),
+                                      _chirp_field_sum_out_of_place(weights, k_lattice, x_lattice))
+    info = ms._chirp_kernel.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    kernel = ms._chirp_kernel(k_lattice[1] * x_lattice[1], k_lattice[3], x_lattice[3])
+    with pytest.raises(ValueError):
+        kernel[0] = 0.0
+
+
 @pytest.mark.parametrize("x", [
     0.7,
     np.linspace(-5.0, 5.0, 200).reshape(10, 20),

@@ -22,6 +22,45 @@ def test_quadrature_spec_validation():
         oracle.QuadratureSpec(tolerance=0.0)
 
 
+# --------------------------------------------------- Gauss-Legendre rule
+
+def test_gl_nodes_match_leggauss():
+    for order in range(16, 101):
+        s, w = oracle._gl_nodes(order)
+        s_ref, w_ref = np.polynomial.legendre.leggauss(order)
+        assert np.abs(s - s_ref).max() <= 4e-16, order
+        assert np.abs(w / w_ref - 1.0).max() <= 1e-11, order
+
+
+@pytest.mark.parametrize("order", [16, 17, 64, 128, 129, 1024, 1025, 2048])
+def test_gl_nodes_are_ascending_and_mirror_symmetric(order):
+    s, w = oracle._gl_nodes(order)
+    assert s.shape == w.shape == (order,)
+    assert np.all(np.diff(s) > 0.0)
+    assert np.array_equal(s, -s[::-1]) and np.array_equal(w, w[::-1])
+    if order % 2:
+        assert s[order // 2] == 0.0
+
+
+@pytest.mark.parametrize("order", [16, 17, 64, 128, 1024, 2048, 4096])
+def test_gl_rule_integrates_even_monomials_exactly(order):
+    s, w = oracle._gl_nodes(order)
+    for degree in range(0, 2 * order - 1, 2):
+        assert abs(w @ s**degree - 2.0 / (degree + 1)) <= 1e-15, degree
+
+
+def test_gl_rule_integrates_a_fast_cosine_at_order_2048():
+    # The companion-matrix rule of leggauss misses this by 3e-13.
+    s, w = oracle._gl_nodes(2048)
+    assert abs(w @ np.cos(50.0 * s) - 2.0 * math.sin(50.0) / 50.0) <= 1e-14
+
+
+def test_gl_nodes_raise_when_newton_has_not_converged(monkeypatch):
+    monkeypatch.setattr(oracle, "_NEWTON_STEPS", 2)
+    with pytest.raises(QuadratureNotConverged, match="order 64"):
+        oracle._gl_nodes.__wrapped__(64)
+
+
 # ------------------------------------------------------- angular quadrature
 
 def test_angular_quadrature_zero_distance_brackets():
@@ -285,7 +324,7 @@ def _route_by_whole_arrays(route, z, case, mu, order, n_phi=32):
     expressions: the reference the buffered routes must equal bit for bit."""
     r, eta_sq, other_ratio = case
     column = np.asarray(z, dtype=float).reshape(-1, 1)
-    s, w = np.polynomial.legendre.leggauss(order)
+    s, w = oracle._gl_nodes(order)
     s_minus, s_plus = 1.0 - s**2, 1.0 + s**2
     if route == "angular":
         cos_term = 2.0 * r * np.cos(column * s)

@@ -61,6 +61,14 @@ def test_unravel_loads_no_numpy_random(tmp_path):
     assert set(result["modules"]).isdisjoint({"numpy.random", "hashlib", "secrets"})
 
 
+def test_oracle_verify_loads_no_numpy_polynomial(tmp_path):
+    # The Gauss-Legendre rules come from a Newton iteration in plain numpy,
+    # not from numpy.polynomial's companion-matrix eigenproblem.
+    result = probe(tmp_path, "oracle-verify")
+    assert "oracle" in result["ran"]
+    assert not [name for name in result["modules"] if name.startswith("numpy.polynomial")]
+
+
 def test_import_registers_every_layer_and_loads_none():
     code = ("import json, sys, mirrorfield; print(json.dumps("
             "[name for name in sys.modules if name.startswith(('mirrorfield', 'numpy'))]))")
