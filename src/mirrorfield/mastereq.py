@@ -335,7 +335,48 @@ def _philox_blocks(seed: int, n_words: int):
         yield lo, np.stack((c0, c1, c2, c3), axis=1).ravel()[:n]
 
 
-def _jump_steps(p_jumped: np.ndarray, n_traj: int, seed: int):
+def _steps_for(u: np.ndarray, p_jumped: np.ndarray, c2_sq: float,
+               gamma_dt: float) -> np.ndarray:
+    """The step j of each uniform u with p_jumped[j] <= u < p_jumped[j + 1]
+    (j = 0 below p_jumped[1], n = len(p_jumped) - 1 from p_jumped[n] up),
+    where np.searchsorted(p_jumped[1:], u, side="right") would put it.
+
+    j starts from the inverse of p_jumped[j] = c2_sq (1 - exp(-gamma_dt j)),
+    floor(-log1p(-u / c2_sq) / gamma_dt) clipped to [0, n], or from n when
+    c2_sq or gamma_dt is 0; then each j moves one step per pass against the
+    table itself until it brackets u. So the steps hold for any
+    non-decreasing table and do not hang on log1p's last bit. The estimate
+    is off by a step or so, by hundreds only for u within a few ulps of
+    c2_sq, where the table's top rounds to c2_sq. A j that steps down never
+    steps up again and stops at 0 at the latest, one that steps up stops at
+    n, so n + 2 passes settle any start; the cap raises all the same.
+    After the first pass only the j still moving are read.
+    """
+    n = p_jumped.size - 1
+    edges = np.concatenate(([-np.inf], p_jumped[1:], [np.inf]))
+    if c2_sq > 0.0 and gamma_dt > 0.0:
+        # u >= c2_sq never jumps: log1p gives -inf or NaN there, and fmin n.
+        start = np.divide(u, -c2_sq)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log1p(start, out=start)
+        np.divide(start, -gamma_dt, out=start)
+        j = np.fmin(start, n, out=start).astype(np.intp)
+    else:
+        j = np.full(u.size, n, dtype=np.intp)
+    at = None
+    for _ in range(edges.size):
+        j_at, u_at = (j, u) if at is None else (j[at], u[at])
+        step = (edges[1:][j_at] <= u_at).view(np.int8) - (edges[j_at] > u_at).view(np.int8)
+        moving = np.flatnonzero(step)
+        if not moving.size:
+            return j
+        at = moving if at is None else at[moving]
+        j[at] += step[moving]
+    raise RuntimeError(f"jump steps not settled in {edges.size} passes")
+
+
+def _jump_steps(p_jumped: np.ndarray, n_traj: int, seed: int,
+                c2_sq: float = 0.0, gamma_dt: float = 0.0):
     """Step at which each trajectory jumps, or len(p_jumped) - 1 if it never
     does, given the probability p_jumped[j] of a jump within j steps, as
     (lo, steps) pairs: steps[i] is trajectory lo + i's.
@@ -346,11 +387,12 @@ def _jump_steps(p_jumped: np.ndarray, n_traj: int, seed: int):
     first step j with u_i < p_jumped[j + 1]: the waiting-time form of the
     quantum-jump method. The words come block by block from _philox_blocks,
     in plain numpy, so numpy.random is never imported and no array is
-    n_traj long.
+    n_traj long. _steps_for inverts p_jumped, starting from its closed form
+    with c2_sq = |c2(0)|**2 and gamma_dt = gamma dt.
     """
     for lo, words in _philox_blocks(seed & _MASK64, n_traj):
         u = (words >> np.uint64(11)) * 2.0 ** -53
-        yield lo, np.searchsorted(p_jumped[1:], u, side="right")
+        yield lo, _steps_for(u, p_jumped, c2_sq, gamma_dt)
 
 
 def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
@@ -379,7 +421,8 @@ def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
     psi0 = _pure_state_from(rho0)
     c1, c2, p_jumped = _no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
     per_step = np.zeros(n_steps + 1, dtype=np.intp)
-    for _, steps in _jump_steps(p_jumped, n_traj, seed):
+    for _, steps in _jump_steps(p_jumped, n_traj, seed, abs(psi0[1]) ** 2,
+                                channel.gamma * dt):
         per_step += np.bincount(steps, minlength=n_steps + 1)
     n = float(n_traj)
     jumped = np.zeros(n_steps + 1)

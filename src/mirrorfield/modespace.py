@@ -48,10 +48,21 @@ class ModeGrid:
             raise ValueError("grid needs an even number of modes")
         if np.any(k == 0.0):
             raise ValueError("k = 0 is excluded from the grid")
-        if not np.allclose(k, -k[::-1], rtol=0.0, atol=1e-12 * abs(k[-1])):
+        # Max-abs comparisons with np.allclose's bounds. A finite bound and
+        # the exact-equality fallback keep allclose's rule that an infinite
+        # entry is close only to itself, so a grid holding inf or NaN fails
+        # the same check as it would there, and inf - inf does not warn.
+        tol = 1e-12 * abs(k[-1])
+        with np.errstate(invalid="ignore"):
+            symmetric = (np.abs(k + k[::-1]).max() <= tol < math.inf
+                         or np.array_equal(k, -k[::-1]))
+            steps = np.diff(k[k.size // 2:])
+            uniform = (not steps.size
+                       or np.abs(steps - self.dk).max() <= 1e-9 * self.dk < math.inf
+                       or np.all(steps == self.dk))
+        if not symmetric:
             raise ValueError("grid must be symmetric under k -> -k")
-        steps = np.diff(k[k.size // 2:])
-        if steps.size and not np.allclose(steps, self.dk, rtol=1e-9, atol=0.0):
+        if not uniform:
             raise ValueError("grid spacing is not uniform")
 
     @classmethod
@@ -162,7 +173,9 @@ def _lattice(values: np.ndarray):
     """
     lo, hi = values.min(), values.max()
     tol = _LATTICE_ULPS * np.finfo(float).eps * max(abs(lo), abs(hi))
-    gaps = np.diff(np.sort(values))
+    gaps = np.diff(values)
+    if not gaps.min() >= 0.0:  # sort only samples that are not ascending yet
+        gaps = np.diff(np.sort(values))
     gaps = gaps[gaps > tol]
     if not (np.isfinite(hi - lo) and gaps.size):
         return None

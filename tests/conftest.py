@@ -5,14 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mirrorfield
 from mirrorfield.rates import symmetric_prefactor
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+# The src directory of the package under test, wherever it was imported from.
+SRC = str(Path(mirrorfield.__file__).resolve().parent.parent)
 
 
 @pytest.fixture(scope="session", autouse=True)
 def src_on_subprocess_path():
-    """Let CLI subprocesses import the package whatever their cwd."""
+    """Let CLI subprocesses import the package under test whatever their
+    cwd: the one this process imported, not the tests' own checkout."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", SRC, prepend=os.pathsep)
         yield

@@ -268,10 +268,12 @@ def _jump_steps_walk(p_jumped, n_traj, seed):
     return np.array(first)
 
 
-def _jump_steps(p_jumped, n_traj, seed):
+def _jump_steps(p_jumped, n_traj, seed, *closed_form):
     """Every trajectory's jump step, the blocks of me._jump_steps joined in
-    order; each block starts where the one before it ended."""
-    blocks = list(me._jump_steps(p_jumped, n_traj, seed))
+    order; each block starts where the one before it ended. ``closed_form``
+    is (|c2(0)|**2, gamma dt), the start jump_unravel gives; without it every
+    trajectory starts from the last step."""
+    blocks = list(me._jump_steps(p_jumped, n_traj, seed, *closed_form))
     assert [lo for lo, _ in blocks] == list(np.cumsum([0] + [len(b) for _, b in blocks[:-1]]))
     return np.concatenate([steps for _, steps in blocks])
 
@@ -327,6 +329,34 @@ def test_first_jump_steps_on_a_no_jump_path():
             first = _jump_steps(p_jumped, 300, seed)
             np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, 300, seed))
             assert 0 < np.count_nonzero(first < 500) < 300
+
+
+def test_first_jump_steps_from_the_closed_form_start():
+    # Started from the inverse of p_jumped's closed form, as jump_unravel
+    # starts them, the steps are still the walk's.
+    for psi0, channel in UNRAVEL_CASES:
+        for dt, n_steps in ((0.005, 500), (0.05, 2000)):
+            _, _, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
+            for seed in (2024, 2 ** 64 - 1):
+                first = _jump_steps(p_jumped, 300, seed, abs(psi0[1]) ** 2, channel.gamma * dt)
+                np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, 300, seed))
+
+
+@pytest.mark.parametrize("c2_sq, gamma_dt, n_steps", [
+    (1.0, 1e-3, 5000), (0.84, 1e-3, 100000), (1.0, 40.0, 100), (0.84, 1e-6, 100000),
+    (1.0, 0.0, 50), (0.0, 1.0, 50),
+], ids=["excited", "mixed-saturated", "large-gamma-dt", "small-gamma-dt", "gamma-0", "c2-0"])
+def test_steps_for_equals_a_binary_search(c2_sq, gamma_dt, n_steps, rng):
+    # Uniforms a few ulps below c2_sq start up to hundreds of steps from
+    # their own, where the table's top rounds to c2_sq; the table's own
+    # entries sit on step boundaries.
+    psi0 = np.array([math.sqrt(1.0 - c2_sq), math.sqrt(c2_sq)], dtype=complex)
+    _, _, p_jumped = me._no_jump_path(psi0, gamma_dt, 0.0, 1.0, n_steps)
+    top = np.floor((c2_sq - np.arange(1, 3000) * 2.0 ** -53) * 2.0 ** 53) * 2.0 ** -53
+    u = np.concatenate([top[top >= 0.0], rng.random(20000), p_jumped[1::97],
+                        [0.0, 1.0 - 2.0 ** -53]])
+    np.testing.assert_array_equal(me._steps_for(u, p_jumped, c2_sq, gamma_dt),
+                                  np.searchsorted(p_jumped[1:], u, side="right"))
 
 
 # Probabilities at the edges of the comparison u < p_jumped: exactly 0 and

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,35 @@ def test_grid_rejects_zero_mode():
 def test_grid_rejects_asymmetric():
     with pytest.raises(ValueError):
         ms.ModeGrid(k=np.array([-2.0, 1.0]), dk=1.0)
+
+
+def _with(values, at, value):
+    out = np.array(values, dtype=float)
+    out[at] = value
+    return out
+
+
+_K = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
+_SYMMETRY, _SPACING = "grid must be symmetric under k -> -k", "grid spacing is not uniform"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ms.ModeGrid.symmetric(k_max=math.nan, n_half=4), _SYMMETRY),
+    (lambda: ms.ModeGrid(k=_with(_K, 5, math.nan), dk=1.0), _SYMMETRY),
+    (lambda: ms.ModeGrid(k=_with(_K, 1, math.nan), dk=1.0), _SYMMETRY),
+    (lambda: ms.ModeGrid(k=_K, dk=math.nan), _SPACING),
+    (lambda: ms.ModeGrid.symmetric(k_max=math.inf, n_half=4), _SPACING),
+    (lambda: ms.ModeGrid(k=_with(_K, 7, math.inf), dk=1.0), _SYMMETRY),
+    (lambda: ms.ModeGrid(k=_with(_K, 0, -math.inf), dk=1.0), _SYMMETRY),
+    (lambda: ms.ModeGrid(k=_with(_with(_K, 0, -math.inf), 7, math.inf), dk=1.0), _SPACING),
+    (lambda: ms.ModeGrid(k=_K, dk=math.inf), _SPACING),
+], ids=["k_max-nan", "nan-k", "nan-negative-k", "nan-dk", "k_max-inf", "inf-end",
+        "minus-inf-start", "plus-minus-inf-ends", "inf-dk"])
+def test_grid_rejects_non_finite_values(make, message):
+    # The check that fails is the one np.allclose's rule picks (an infinite
+    # entry is close only to itself), with no RuntimeWarning from inf - inf.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 # ------------------------------------------------------------- amplitudes

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import mirrorfield
 
@@ -39,6 +40,14 @@ def probe(tmp_path, *argv) -> dict:
 
 def modules_run(tmp_path, *argv):
     return set(probe(tmp_path, *argv)["ran"])
+
+
+def test_subprocesses_import_the_package_under_test(tmp_path):
+    # With another checkout's src on PYTHONPATH, every CLI subprocess must
+    # test that checkout too, not the one these tests sit in.
+    done = subprocess.run([sys.executable, "-c", "import mirrorfield; print(mirrorfield.__file__)"],
+                          cwd=tmp_path, capture_output=True, text=True, check=True)
+    assert Path(done.stdout.strip()).resolve() == Path(mirrorfield.__file__).resolve()
 
 
 def test_rates_scan_runs_no_other_layer(tmp_path):
