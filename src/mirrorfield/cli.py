@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import re
@@ -562,5 +563,18 @@ def main(argv=None) -> int:
         return 4
 
 
+def entry() -> None:
+    """Run ``main`` as a process and exit with its code. However ``main``
+    ends, the objects still alive are frozen first, so the interpreter's
+    shutdown skips the collector's passes over them; output is still
+    flushed and atexit handlers still run. ``main`` itself leaves the
+    collector alone, since it may run many times in one process."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

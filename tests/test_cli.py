@@ -893,6 +893,62 @@ def test_a_command_builds_only_its_own_parser(tmp_path, monkeypatch, capsys, com
         assert list(built) == list(SURFACE) and with_flags() == []
 
 
+# ------------------------------------------------------------- process entry
+
+def test_main_leaves_the_collector_alone(tmp_path, capsys):
+    """main runs many times in one process (tests, the benchmark's tracer),
+    so only the process entry may freeze the heap."""
+    import gc
+
+    from mirrorfield import cli
+
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert cli.main(["rates-scan", "--k0x-max", "1", "--out", str(tmp_path / "o.csv")]) == 0
+    assert cli.main(["rates-scan", "--mu", "2", "--out", str(tmp_path / "o.csv")]) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["bogus"])
+    assert exit_info.value.code == 2
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+@pytest.mark.parametrize("ending", [3, SystemExit(2), RuntimeError("escaped")])
+def test_entry_freezes_however_main_ends(monkeypatch, ending):
+    import gc
+
+    from mirrorfield import cli
+
+    def main():
+        if isinstance(ending, BaseException):
+            raise ending
+        return ending
+
+    monkeypatch.setattr(cli, "main", main)
+    try:
+        with pytest.raises(BaseException) as raised:
+            cli.entry()
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    if isinstance(ending, BaseException):
+        assert raised.value is ending
+    else:
+        assert isinstance(raised.value, SystemExit) and raised.value.code == ending
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["rates-scan", "--help"], 0),
+                                        ([], 2), (["bogus"], 2),
+                                        (["rates-scan", "--mu", "2"], 2)])
+def test_every_process_entry_prints_and_exits_alike(tmp_path, argv, code):
+    """python -m mirrorfield, python -m mirrorfield.cli and the installed
+    script's call of cli.entry give the same output and exit code."""
+    script = "import sys; from mirrorfield.cli import entry; sys.exit(entry())"
+    runs = {(run.returncode, run.stdout, run.stderr) for run in (
+        subprocess.run([sys.executable, *launch, *argv], capture_output=True, text=True,
+                       cwd=tmp_path)
+        for launch in (["-m", "mirrorfield"], ["-m", "mirrorfield.cli"], ["-c", script]))}
+    assert len(runs) == 1 and runs.pop()[0] == code
+
+
 # ------------------------------------------------------------- in-process fuzz
 
 # The edge values every numeric input is drawn from; 10**30 overflows an

@@ -9,11 +9,12 @@ import mirrorfield
 
 LAYERS = ("core", "classical", "modespace", "rates", "oracle", "mastereq", "io")
 
-# Runs the CLI as ``python -m mirrorfield`` does and prints the names of the
-# package files whose code ran. The interpreter raises an "exec" audit
+# Runs the CLI as ``python -m mirrorfield`` does and prints its exit code,
+# the number of objects its exit left frozen, and the names of the package
+# files whose code ran. The interpreter raises an "exec" audit
 # event, with the code object, for every module body the import system runs.
 PROBE = """
-import json, os, runpy, sys
+import gc, json, os, runpy, sys
 ran = set()
 def hook(event, args):
     if event == "exec":
@@ -24,7 +25,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 package = os.path.dirname(sys.modules["mirrorfield"].__file__)
-print(json.dumps({"code": code, "modules": sorted(sys.modules), "ran": sorted(
+print(json.dumps({"code": code, "frozen": gc.get_freeze_count(),
+                  "modules": sorted(sys.modules), "ran": sorted(
     os.path.basename(f)[:-3] for f in ran if os.path.dirname(f) == package)}))
 """
 
@@ -54,6 +56,24 @@ def test_rates_scan_runs_no_other_layer(tmp_path):
     ran = modules_run(tmp_path, "rates-scan")
     assert {"__init__", "__main__", "cli", "core", "rates", "io"} <= ran
     assert ran.isdisjoint({"classical", "modespace", "oracle", "mastereq"})
+
+
+def test_oracle_verify_runs_no_mastereq(tmp_path):
+    ran = modules_run(tmp_path, "oracle-verify")
+    assert {"cli", "errors", "core", "classical", "modespace", "rates", "oracle", "io"} <= ran
+    assert "mastereq" not in ran
+
+
+def test_module_entry_freezes_the_heap_at_exit(tmp_path):
+    # The shutdown's collector passes skip what cli.entry froze.
+    assert probe(tmp_path, "rates-scan", "--k0x-max", "1")["frozen"] > 0
+
+
+def test_installed_script_calls_the_entry():
+    # Read as text: Python 3.10 has no tomllib.
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'mirrorfield = "mirrorfield.cli:entry"'
 
 
 def test_evolve_runs_no_field_layer(tmp_path):
