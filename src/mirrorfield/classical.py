@@ -249,42 +249,6 @@ def mirror_field_3d(scene: ScatterScene, r, t: float) -> np.ndarray:
     return 2.0 * total.real
 
 
-# Relative agreement the energy quadratures require of a grid and the one
-# of half its step.
-_REL_TOL = 1e-6
-
-
-def _simpson(y: np.ndarray, dx: float) -> float:
-    n = y.size
-    if n < 3 or n % 2 == 0:
-        raise ValueError("composite Simpson needs an odd number of samples >= 3")
-    weights = np.ones(n)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(np.dot(weights, y)) * dx / 3.0
-
-
-def simpson_with_check(y: np.ndarray, dx: float) -> float:
-    """Composite Simpson with a step-halving consistency check.
-
-    Compares the full-resolution result against the one from every second
-    sample and raises GridTooCoarse when they disagree beyond a relative
-    1e-6. Needs 4m+1 samples.
-    """
-    y = np.asarray(y, dtype=float)
-    if (y.size - 1) % 4 != 0:
-        raise ValueError("need 4m+1 samples to compare steps h and 2h")
-    fine = _simpson(y, dx)
-    coarse = _simpson(y[::2], 2.0 * dx)
-    scale = max(abs(fine), abs(coarse))
-    if scale > 0.0 and abs(fine - coarse) > _REL_TOL * scale:
-        raise GridTooCoarse(
-            f"Simpson results for h and 2h differ by {abs(fine - coarse):.3e} "
-            f"(relative {abs(fine - coarse) / scale:.3e})"
-        )
-    return fine
-
-
 def _energy_density(e_field, b_field, medium: Medium, area: float) -> np.ndarray:
     """Energy per unit length, area times (epsilon E**2 + B**2 / mu) / 2."""
     return 0.5 * area * (
@@ -300,6 +264,8 @@ def field_energy_1d(e_field: np.ndarray, b_field: np.ndarray, dx: float,
     The grid must cover the field support (envelope below 1e-8 of the peak
     outside) and carry 4m+1 points so the step-halving check can run.
     """
+    from .modespace import simpson_with_check
+
     return simpson_with_check(_energy_density(e_field, b_field, medium, area), dx)
 
 
@@ -315,6 +281,8 @@ def energy_between(field_fn, x_min: float, x_max: float,
     (complete destructive interference), where a relative criterion can
     never be met.
     """
+    from .modespace import _REL_TOL, _simpson
+
     n = 1025
     previous = None
     for _ in range(11):

@@ -12,8 +12,6 @@ import json
 from itertools import islice, repeat
 from pathlib import Path
 
-import numpy as np
-
 
 def format_value(value) -> str:
     if isinstance(value, float):
@@ -73,7 +71,13 @@ TRAJECTORY_HEADER = ["t", "rho11", "rho22", "re_rho12", "im_rho12"]
 
 def table_rows(*columns, first: float | None = None) -> list:
     """Rows of Python floats from equal-length columns of numbers; ``first``,
-    if given, leads every row as one shared object (a frame's time)."""
+    if given, leads every row as one shared object (a frame's time).
+    Columns that are all lists of floats are zipped as they are; others go
+    through numpy."""
+    if all(isinstance(column, list) for column in columns):
+        return list(zip(*columns) if first is None else zip(repeat(first), *columns))
+    import numpy as np
+
     columns = [np.asarray(column, dtype=float) for column in columns]
     rows = []
     for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):

@@ -4,7 +4,9 @@ The field is represented by complex coherent amplitudes on a symmetric
 wavenumber grid, one sequence per Hilbert-space copy (side a and side b).
 Expectation values of the field observables are then exact classical
 functionals of the amplitudes, which makes the operator-level energy
-bookkeeping testable without any Fock-space machinery.
+bookkeeping testable without any Fock-space machinery. The composite
+Simpson rule with its step-halving check, which integrates the spatial
+side of those energy checks, lives here too.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GaussianPacket, Medium
-from .errors import BandwidthNotCovered
+from .errors import BandwidthNotCovered, GridTooCoarse
 
 # Width, in units of 1/sigma, that a grid must cover around the carrier.
 _COVERAGE = 6.0
@@ -381,3 +383,39 @@ def evolve_amplitudes(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
     phase = np.exp(-1j * grid.omega(medium) * t)
     return ModeAmplitudes(alpha_a=amps.alpha_a * phase,
                           alpha_b=amps.alpha_b * phase)
+
+
+# Relative agreement the energy quadratures require of a grid and the one
+# of half its step.
+_REL_TOL = 1e-6
+
+
+def _simpson(y: np.ndarray, dx: float) -> float:
+    n = y.size
+    if n < 3 or n % 2 == 0:
+        raise ValueError("composite Simpson needs an odd number of samples >= 3")
+    weights = np.ones(n)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return float(np.dot(weights, y)) * dx / 3.0
+
+
+def simpson_with_check(y: np.ndarray, dx: float) -> float:
+    """Composite Simpson with a step-halving consistency check.
+
+    Compares the full-resolution result against the one from every second
+    sample and raises GridTooCoarse when they disagree beyond a relative
+    1e-6. Needs 4m+1 samples.
+    """
+    y = np.asarray(y, dtype=float)
+    if (y.size - 1) % 4 != 0:
+        raise ValueError("need 4m+1 samples to compare steps h and 2h")
+    fine = _simpson(y, dx)
+    coarse = _simpson(y[::2], 2.0 * dx)
+    scale = max(abs(fine), abs(coarse))
+    if scale > 0.0 and abs(fine - coarse) > _REL_TOL * scale:
+        raise GridTooCoarse(
+            f"Simpson results for h and 2h differ by {abs(fine - coarse):.3e} "
+            f"(relative {abs(fine - coarse) / scale:.3e})"
+        )
+    return fine

@@ -287,8 +287,6 @@ def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGr
     the free field minus its mirror image, so the free E and B fields are
     summed once each, on x_grid, and read at -x_grid as those sums reversed.
     """
-    from .classical import simpson_with_check
-
     medium = medium if medium is not None else Medium()
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.ndim != 1 or x_grid.size < 5 or x_grid.size % 4 != 1:
@@ -307,7 +305,7 @@ def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGr
     b_even = (b_free + b_free[::-1]) / math.sqrt(2.0)
     density = medium.epsilon * e_odd**2 + b_even**2 / medium.mu_p
     # A/2 times the half-line integral, written as A/4 times the full line.
-    spatial = 0.25 * grid.area * simpson_with_check(density, dx)
+    spatial = 0.25 * grid.area * modespace.simpson_with_check(density, dx)
     scale = max(abs(mode_sum), abs(spatial))
     rel_gap = abs(mode_sum - spatial) / scale if scale > 0.0 else 0.0
     return {"mode_sum": mode_sum, "spatial": spatial, "rel_gap": rel_gap}

@@ -468,8 +468,6 @@ def test_chunked_routes_equal_one_whole_grid_call(route, order, z):
 
 def _hfield_four_sums(amps, grid, x_grid, medium):
     """The energy check with the fields at x and at -x each summed."""
-    from mirrorfield.classical import simpson_with_check
-
     mode_sum = ms.expect_H_field_one_sided(amps, grid, medium)
     e_plus = ms.expect_E_free(amps, grid, medium, x_grid)
     e_minus = ms.expect_E_free(amps, grid, medium, -x_grid)
@@ -478,7 +476,7 @@ def _hfield_four_sums(amps, grid, x_grid, medium):
     e_odd = (e_plus - e_minus) / math.sqrt(2.0)
     b_even = (b_plus + b_minus) / math.sqrt(2.0)
     density = medium.epsilon * e_odd**2 + b_even**2 / medium.mu_p
-    spatial = 0.25 * grid.area * simpson_with_check(density, x_grid[1] - x_grid[0])
+    spatial = 0.25 * grid.area * ms.simpson_with_check(density, x_grid[1] - x_grid[0])
     scale = max(abs(mode_sum), abs(spatial))
     return {"mode_sum": mode_sum, "spatial": spatial,
             "rel_gap": abs(mode_sum - spatial) / scale if scale > 0.0 else 0.0}

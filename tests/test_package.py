@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mirrorfield
 
 LAYERS = ("core", "classical", "modespace", "rates", "oracle", "mastereq", "io")
@@ -58,10 +60,26 @@ def test_rates_scan_runs_no_other_layer(tmp_path):
     assert ran.isdisjoint({"classical", "modespace", "oracle", "mastereq"})
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("mirror", [["perfect"], ["absorbing"], ["symmetric", "--r", "0.3",
+                                     "--t", "0.5"], ["lossless", "--r", "0.5"]],
+                         ids=lambda mirror: mirror[0])
+def test_rates_scan_loads_no_numpy(tmp_path, mirror, fmt):
+    # The scan's closed forms run on floats; only array inputs load numpy.
+    result = probe(tmp_path, "rates-scan", "--preset", *mirror, "--format", fmt)
+    assert "rates" in result["ran"]
+    assert not [name for name in result["modules"] if name.split(".")[0] == "numpy"]
+
+
 def test_oracle_verify_runs_no_mastereq(tmp_path):
     ran = modules_run(tmp_path, "oracle-verify")
-    assert {"cli", "errors", "core", "classical", "modespace", "rates", "oracle", "io"} <= ran
+    assert {"cli", "errors", "core", "modespace", "rates", "oracle", "io"} <= ran
     assert "mastereq" not in ran
+
+
+def test_oracle_verify_runs_no_classical(tmp_path):
+    # The energy check's Simpson rule lives in modespace.
+    assert "classical" not in modules_run(tmp_path, "oracle-verify")
 
 
 def test_module_entry_freezes_the_heap_at_exit(tmp_path):

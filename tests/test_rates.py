@@ -1,7 +1,11 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorfield import rates
 from mirrorfield.core import AtomSpec, Medium, MirrorSpec
@@ -165,15 +169,20 @@ def test_mu_dependence_is_affine(rng):
 
 
 def test_series_branch_matches_direct_at_switchover():
-    # Each oscillatory factor individually agrees across the branch point;
-    # combined brackets can cross zero there, which would inflate any
-    # relative measure.
-    z_lo = np.array([rates.SMALL_Z * (1.0 - 1e-12)])
-    z_hi = np.array([rates.SMALL_Z * (1.0 + 1e-12)])
-    for factor in (rates._sinc_factor, rates._pair_factor):
-        below = float(factor(z_lo)[0])
-        above = float(factor(z_hi)[0])
-        assert below == pytest.approx(above, rel=1e-10)
+    # Each oscillatory factor individually agrees across the branch point,
+    # on either path; combined brackets can cross zero there, which would
+    # inflate any relative measure. The bracket is sin(z)/z + pair at
+    # mu = 0 and twice the pair at mu = 1.
+    for points in (float, lambda z: np.array([z])):
+        def factors(z):
+            both, twice_pair = (float(np.ravel(rates.gamma_bracket(points(z), mu))[0])
+                                for mu in (0.0, 1.0))
+            return both - 0.5 * twice_pair, 0.5 * twice_pair
+
+        below = factors(rates.SMALL_Z * (1.0 - 1e-12))
+        above = factors(rates.SMALL_Z * (1.0 + 1e-12))
+        for lo, hi in zip(below, above):
+            assert lo == pytest.approx(hi, rel=1e-10)
 
 
 def test_gamma_rejects_negative_z():
@@ -275,3 +284,146 @@ def test_rates_reject_an_unknown_side(side):
                  lambda: rates.far_field_gamma(mirror, side=side)):
         with pytest.raises(ValueError, match="side must be 'a' or 'b'"):
             call()
+
+
+# ------------------------------------------------------------- two paths
+
+# The scaled distances of the figure scans: k0x = 0.025 (0.025) 12.575.
+GOLDEN_Z = [2.0 * (0.025 + 0.025 * i) for i in range(503)]
+RATE_MIRRORS = [PERFECT, MirrorSpec.absorbing(), MirrorSpec.symmetric(r=0.35, t=0.35),
+                MirrorSpec.symmetric(r=0.3, t=0.5), MirrorSpec.lossless(r=0.5),
+                MirrorSpec(t_a=0.6, t_b=0.5, r_a=0.7, r_b=0.4)]
+RATE_PRESETS = [("perfect", {}), ("absorbing", {}), ("symmetric", {"r": 0.35, "t": 0.35}),
+                ("symmetric", {"r": 2**-0.5, "t": 2**-0.5}),
+                ("symmetric", {"r": 0.3, "t": 0.5})]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_paths_agree(route, z: list) -> None:
+    """route(z) on a list, on each float of it and on an array: floats on
+    the first two, an array on the last, all with the same bits."""
+    on_list = route(z)
+    on_floats = [route(v) for v in z]
+    on_array = route(np.array(z))
+    assert type(on_list) is list and {type(v) for v in on_list + on_floats} <= {float}
+    assert isinstance(on_array, np.ndarray) and on_array.shape == (len(z),)
+    assert _bits(on_list) == _bits(on_floats) == _bits(on_array)
+
+
+def _preset_route(kind, mu, params, field):
+    return lambda z: getattr(rates.preset_rates(kind, mu, z, **params), field)
+
+
+def test_float_and_array_paths_agree_bit_for_bit_on_the_golden_grid():
+    for mu in (0.0, 0.5, 1.0):
+        for mirror in RATE_MIRRORS:
+            for side in ("a", "b"):
+                for route in (rates.gamma_mirr, rates.delta_mirr):
+                    assert_paths_agree(lambda z: route(mirror, mu, z, side=side), GOLDEN_Z)
+        for kind, params in RATE_PRESETS:
+            for field in ("gamma_ratio", "delta_ratio"):
+                assert_paths_agree(_preset_route(kind, mu, params, field), GOLDEN_Z)
+
+
+_Z_POINTS = st.one_of(
+    st.floats(min_value=1e-6, max_value=1e4),
+    st.floats(min_value=rates.SMALL_Z * (1.0 - 1e-6), max_value=rates.SMALL_Z * (1.0 + 1e-6)),
+    st.floats(min_value=0.5 * rates.SMALL_Z, max_value=2.0 * rates.SMALL_Z),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(z=st.lists(_Z_POINTS, min_size=1, max_size=20), mu=st.floats(0.0, 1.0),
+       side=st.sampled_from("ab"), mirror=st.sampled_from(RATE_MIRRORS),
+       preset=st.sampled_from(RATE_PRESETS))
+def test_float_and_array_paths_agree_bit_for_bit_on_drawn_z(z, mu, side, mirror, preset):
+    kind, params = preset
+    assert_paths_agree(lambda zz: rates.gamma_mirr(mirror, mu, zz, side=side), z)
+    assert_paths_agree(lambda zz: rates.delta_mirr(mirror, mu, zz, side=side), z)
+    for field in ("gamma_ratio", "delta_ratio"):
+        assert_paths_agree(_preset_route(kind, mu, params, field), z)
+
+
+def test_each_path_keeps_the_shape_and_type_of_z():
+    z = np.linspace(0.5, 3.0, 6).reshape(2, 3)
+    gamma = rates.gamma_mirr(PERFECT, 0.2, z)
+    assert gamma.shape == (2, 3)
+    assert _bits(gamma.ravel()) == _bits(rates.gamma_mirr(PERFECT, 0.2, list(z.ravel())))
+    for zero_d in (np.array(1.5), np.float64(1.5), np.int64(2), 2):
+        value = rates.delta_mirr(PERFECT, 0.2, zero_d)
+        assert type(value) is float
+        assert value == rates.delta_mirr(PERFECT, 0.2, float(zero_d))
+    res = rates.preset_rates("absorbing", 0.3, [0.5, 1.0])
+    assert (res.gamma_ratio, res.delta_ratio, res.z) == ([1.0, 1.0], [0.0, 0.0], [0.5, 1.0])
+    res = rates.preset_rates("absorbing", 0.3, np.array([0.5, 1.0]))
+    assert _bits(res.gamma_ratio) == _bits([1.0, 1.0])
+    assert _bits(res.delta_ratio) == _bits([0.0, 0.0])
+
+
+# ------------------------------------------------------------- the cube
+
+def test_cube_is_correctly_rounded(rng):
+    z = np.concatenate([rng.uniform(0.01, 60.0, 20000),
+                        np.exp(rng.uniform(math.log(rates._CUBE_MIN),
+                                           math.log(rates._CUBE_MAX), 2000))])
+    z = z * rng.choice([-1.0, 1.0], z.size)
+    on_array = rates._cube(z)
+    for v, cubed in zip(z.tolist(), on_array.tolist()):
+        exact = float(Fraction(v) ** 3)
+        assert rates._cube(v) == exact == cubed, v
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=rates._CUBE_MIN, max_value=rates._CUBE_MAX))
+def test_cube_is_correctly_rounded_on_drawn_z(z):
+    assert rates._cube(z) == float(Fraction(z) ** 3)
+
+
+@pytest.mark.parametrize("z", [1e103, 1e200])
+def test_cube_falls_back_to_the_plain_product_above_its_range(z):
+    # z**3 overflows to inf there; the two-products would give NaN.
+    assert z > rates._CUBE_MAX and math.isnan(rates._cube(z))
+    mu = 0.3
+    s, c, z2 = math.sin(z), math.cos(z), z * z
+    expected = c / z * (1.0 - mu) - (s / z2 + c / (z2 * z)) * (1.0 + mu)
+    assert math.isfinite(expected)
+    for points in (z, [z], np.array([z])):
+        assert _bits(rates.delta_bracket(points, mu)) == _bits(expected)
+        assert math.isfinite(np.ravel(rates.gamma_bracket(points, mu))[0])
+
+
+def test_cube_falls_back_to_the_plain_product_below_its_range():
+    # z**3 underflows to zero at z = 1e-110, and the shift overflows.
+    z = 1e-110
+    assert z < rates._CUBE_MIN and z * z * z == 0.0
+    for points in (z, [2.0, z], np.array([2.0, z])):
+        with pytest.raises(ZeroDistance, match="^level shift overflows at z = 1e-110$"):
+            rates.delta_bracket(points, 0.0)
+        with pytest.raises(ZeroDistance, match="^level shift overflows at z = 1e-110$"):
+            rates.preset_rates("perfect", 0.0, points)
+    assert rates.gamma_mirr(PERFECT, 1.0, z) == rates.gamma_mirr(PERFECT, 1.0, [z])[0]
+
+
+@pytest.mark.parametrize("form", [lambda z: z, lambda z: [1.0, z], lambda z: np.array([1.0, z])],
+                         ids=["float", "list", "array"])
+def test_error_messages_are_the_same_on_either_path(form):
+    messages = [
+        (lambda z: rates.delta_mirr(PERFECT, 0.0, z), 0.0, ZeroDistance,
+         "level shift requires z > 0"),
+        (lambda z: rates.preset_rates("absorbing", 0.0, z), -1.0, ZeroDistance,
+         "level shift requires z > 0"),
+        (lambda z: rates.gamma_mirr(PERFECT, 0.0, z), -1.0, ValueError,
+         "z must be non-negative"),
+        (lambda z: rates.gamma_mirr(PERFECT, 0.0, z), math.nan, ValueError,
+         "z must be finite"),
+        (lambda z: rates.preset_rates("perfect", 0.0, z), math.inf, ValueError,
+         "z must be finite"),
+        (lambda z: rates.delta_mirr(PERFECT, 0.0, z), 1e-104, ZeroDistance,
+         "level shift overflows at z = 1e-104"),
+    ]
+    for call, bad, error, message in messages:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(form(bad))
