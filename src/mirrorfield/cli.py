@@ -167,9 +167,9 @@ def _meta(command: str, parameters: dict, tolerances: dict | None = None) -> dic
 
 
 # Largest frame series, nx points times the number of frame times, that
-# fig2 and scatter write. Writing it costs about 0.24 kB per row as CSV
-# (0.95 kB as JSON), so the cap peaks near 0.28 GB (1.0 GB); a larger
-# series is rejected before any array is allocated.
+# fig2 and scatter write. Writing it costs about 0.28 kB per row, as CSV
+# or as JSON, so the cap peaks near 0.28 GB; a larger series is rejected
+# before any array is allocated.
 MAX_FRAME_ROWS = 1_000_000
 
 
@@ -269,10 +269,9 @@ def cmd_fig2(config: dict) -> int:
 # ---------------------------------------------------------------- rates-scan
 
 # Largest k0x grid rates-scan takes. Writing it costs about 0.2 kB per
-# point as CSV (0.74 kB as JSON), so the cap peaks near 0.24 GB (0.76 GB)
-# and takes about 2.5 s (4.7 s) on a 2-core x86 host, 0.8 s of it the
-# closed forms on floats; a larger grid is rejected before any list is
-# built.
+# point, as CSV or as JSON, so the cap peaks near 0.24 GB and takes about
+# 2.5 s on a 2-core x86 host, 0.8 s of it the closed forms on floats; a
+# larger grid is rejected before any list is built.
 MAX_SCAN_POINTS = 1_000_000
 
 RATES_SCAN_OPTIONS = (
@@ -401,28 +400,33 @@ def _evolve_channel(config: dict) -> mastereq.AtomChannel:
 
 
 def cmd_evolve(config: dict) -> int:
-    import numpy as np
-
     channel = _evolve_channel(config)
     scale = max(channel.gamma, abs(channel.delta), 1e-12)
     t_final = 5.0 / scale if config["t_final"] is None else config["t_final"]
     dt = 1e-3 / scale if config["dt"] is None else config["dt"]
     rho22 = config["rho22"]
     rho12 = complex(config["rho12_re"], config["rho12_im"])
-    rho0 = np.array([[1.0 - rho22, rho12], [np.conj(rho12), rho22]], dtype=complex)
-    mastereq.DensityMatrix.from_matrix(rho0).validate()
+    rho0 = mastereq.DensityMatrix(rho11=1.0 - rho22, rho12=rho12, rho21=rho12.conjugate(),
+                                  rho22=rho22).validate()
     parameters = {**config, "channel": {"gamma": channel.gamma, "delta": channel.delta},
                   "t_final": t_final, "dt": dt}
-    header, extra = io.TRAJECTORY_HEADER, []
-    if config["unravel"] is not None:
+    if config["unravel"] is None:
+        # The populations are floats, since the diagonal of rho0 is real. At
+        # the step cap each column holds 10**6 numbers, 32-40 MB, so rho21
+        # and the complex rho12 are let go before the rows are built.
+        result = mastereq.evolve(rho0, channel, t_final, dt)
+        times, (ground, coherence, _, excited) = result.times, result.entries
+        del result, _
+        re12, im12 = [c.real for c in coherence], [c.imag for c in coherence]
+        del coherence
+        header, rows = io.TRAJECTORY_HEADER, io.table_rows(times, ground, excited, re12, im12)
+    else:
         result = mastereq.jump_unravel(rho0, channel, t_final, dt,
                                        n_traj=config["unravel"], seed=config["seed"])
-        header, extra = header + ["stderr_rho22"], [result.stderr_rho22]
-    else:
-        result = mastereq.evolve(rho0, channel, t_final, dt)
-    rho = result.rho
-    rows = io.table_rows(result.t, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1].real,
-                         rho[:, 0, 1].imag, *extra)
+        rho = result.rho
+        header = io.TRAJECTORY_HEADER + ["stderr_rho22"]
+        rows = io.table_rows(result.t, rho[:, 0, 0].real, rho[:, 1, 1].real,
+                             rho[:, 0, 1].real, rho[:, 0, 1].imag, result.stderr_rho22)
     io.write_table(config["out"], header, rows, _meta("evolve", parameters), config["format"])
     return 0
 

@@ -48,9 +48,37 @@ def write_sidecar(path, meta: dict) -> None:
     _write_json(sidecar_path(path), meta)
 
 
+# The item separator of a value in a row of the payload's two-space indent.
+_ROW_ITEM = ",\n      "
+
+
 def write_json_payload(path, meta: dict, header, rows) -> None:
-    _write_json(path, {"meta": meta, "columns": list(header),
-                      "rows": [list(row) for row in rows]})
+    """The table as one JSON document, byte for byte as _write_json writes
+    {"columns": header, "meta": meta, "rows": rows}; each row is a sequence
+    of numbers.
+
+    json.dumps runs its pure-Python encoder whenever it indents, and builds
+    the whole text at once. So the rows, which sort last, are encoded a
+    chunk at a time by the C encoder with the indent's item separator, and
+    only the row brackets are moved to their indented places; numbers hold
+    no brackets.
+    """
+    head, tail = json.dumps({"meta": meta, "columns": list(header), "rows": []},
+                            sort_keys=True, indent=2).rsplit("[]", 1)
+    encode = json.JSONEncoder(separators=(_ROW_ITEM, ": ")).encode
+    rows = iter(rows)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(head)
+        opening = "[\n"
+        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+            text = "    " + encode(chunk)[1:-1].replace("]" + _ROW_ITEM + "[", "],\n    [")
+            text = text.replace("[", "[\n      ").replace("]", "\n    ]")
+            if not all(chunk):  # an empty row stays []
+                text = text.replace("[\n      \n    ]", "[]")
+            handle.write(opening + text)
+            opening = ",\n"
+        handle.write("[]" if opening == "[\n" else "\n  ]")
+        handle.write(tail + "\n")
 
 
 def write_table(path, header, rows, meta: dict, fmt: str = "csv") -> None:

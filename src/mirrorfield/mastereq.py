@@ -4,7 +4,10 @@ The no-emission part of the dynamics is generated by a non-Hermitian
 Hamiltonian proportional to the excited-state projector; the emission part
 restores the trace through the reset term gamma * sm rho sp. Both the
 deterministic integrator and the quantum-jump unraveling live here, along
-with the composition that wires mirror-modified rates into a channel.
+with the composition that wires mirror-modified rates into a channel. The
+integrator steps Python floats and complex numbers; numpy is imported only
+where arrays are made: by the unraveling, analytic_solution and the array
+views of a state or a trajectory.
 
 Sign convention, locked by a regression test: the coherence rho12 (ground
 row, excited column) rotates as exp(+i delta t).
@@ -14,16 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from . import rates
 from .core import MAX_STEPS, MAX_TRAJECTORIES, AtomSpec, Medium, MirrorSpec
 from .errors import IntegratorInvariantBroken, StepTooLarge, ZeroDistance
 
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |1><2|
-SIGMA_PLUS = SIGMA_MINUS.conj().T
-PROJ_EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+if TYPE_CHECKING:
+    import numpy as np
 
 _TRACE_TOL = 1e-10
 _POS_TOL = 1e-10
@@ -53,10 +55,10 @@ class DensityMatrix:
     rho22: complex
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "DensityMatrix":
-        m = np.asarray(m, dtype=complex)
-        return cls(rho11=complex(m[0, 0]), rho12=complex(m[0, 1]),
-                   rho21=complex(m[1, 0]), rho22=complex(m[1, 1]))
+    def from_matrix(cls, m) -> "DensityMatrix":
+        """The state of a 2x2 matrix: an array or nested sequences of numbers."""
+        return cls(rho11=complex(m[0][0]), rho12=complex(m[0][1]),
+                   rho21=complex(m[1][0]), rho22=complex(m[1][1]))
 
     @classmethod
     def excited(cls) -> "DensityMatrix":
@@ -68,46 +70,61 @@ class DensityMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[self.rho11, self.rho12],
                          [self.rho21, self.rho22]], dtype=complex)
 
     def validate(self, trace_tol: float = _TRACE_TOL, pos_tol: float = _POS_TOL) -> "DensityMatrix":
-        m = self.matrix
-        if not np.isfinite(m).all():
+        entries = (self.rho11, self.rho12, self.rho21, self.rho22)
+        if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in entries):
             raise ValueError("density matrix has a non-finite entry")
-        if abs(m[1, 0] - np.conj(m[0, 1])) > 1e-10:
+        if abs(self.rho21 - self.rho12.conjugate()) > 1e-10:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > trace_tol or abs(np.trace(m).imag) > trace_tol:
+        trace = self.rho11 + self.rho22
+        if abs(trace.real - 1.0) > trace_tol or abs(trace.imag) > trace_tol:
             raise ValueError(f"trace deviates from 1 by more than {trace_tol}")
-        if min_eigenvalue(m) < -pos_tol:
+        if min_eigenvalue(((self.rho11, self.rho12), (self.rho21, self.rho22))) < -pos_tol:
             raise ValueError("density matrix has a negative eigenvalue")
         return self
 
 
-def min_eigenvalue(m: np.ndarray):
-    """Smaller eigenvalue of a Hermitian 2x2 matrix, in closed form; for a
-    stack of shape (..., 2, 2) one eigenvalue per matrix."""
-    a = m[..., 0, 0].real
-    d = m[..., 1, 1].real
-    half_diff = 0.5 * (a - d)
-    radius = np.hypot(half_diff, np.abs(m[..., 0, 1]))
-    return 0.5 * (a + d) - radius
+def min_eigenvalue(m) -> float:
+    """Smaller eigenvalue of a Hermitian 2x2 matrix (an array or nested
+    sequences of numbers), in closed form."""
+    a, d = m[0][0].real, m[1][1].real
+    return 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(m[0][1]))
 
 
-def _rhs(rho: np.ndarray, gamma: float, delta: float) -> np.ndarray:
-    """Right-hand side of the master equation."""
-    hc = delta - 0.5j * gamma  # coefficient of the excited projector
-    cond = hc * (PROJ_EXCITED @ rho) - np.conj(hc) * (rho @ PROJ_EXCITED)
-    reset = gamma * (SIGMA_MINUS @ rho @ SIGMA_PLUS)
-    return -1j * cond + reset
+def _state(rho0) -> DensityMatrix:
+    return rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix.from_matrix(rho0)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Deterministic solution sampled on a uniform time grid."""
+    """Deterministic solution sampled on a uniform time grid.
 
-    t: np.ndarray
-    rho: np.ndarray  # shape (n_times, 2, 2)
+    ``times`` and the ``entries`` rho11, rho12, rho21 and rho22 are lists,
+    one number per time, as _rk4_columns gives them. The numpy arrays ``t``
+    and ``rho`` are built on first read, and ``rho11``, ``rho22`` and
+    ``rho12`` are views of ``rho``.
+    """
+
+    times: list
+    entries: tuple
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.times, dtype=float)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """Shape (n_times, 2, 2)."""
+        import numpy as np
+
+        return np.array(self.entries, dtype=complex).T.reshape(-1, 2, 2)
 
     @property
     def rho11(self) -> np.ndarray:
@@ -122,12 +139,6 @@ class Trajectory:
         return self.rho[:, 0, 1]
 
 
-def _as_matrix(rho0) -> np.ndarray:
-    if isinstance(rho0, DensityMatrix):
-        return rho0.matrix
-    return np.asarray(rho0, dtype=complex)
-
-
 def _step_count(t_final: float, dt: float) -> int:
     """Number of steps of size dt up to t_final, checked against MAX_STEPS."""
     if not (math.isfinite(dt) and math.isfinite(t_final)):
@@ -140,44 +151,65 @@ def _step_count(t_final: float, dt: float) -> int:
     return int(round(ratio))
 
 
-def _rk4_increment(gamma: float, delta: float, dt: float) -> np.ndarray:
-    """Increment of one classical RK4 step as a 4x4 matrix A acting on
-    rho.ravel(), so that a step maps rho to rho + A rho.
-
-    For the constant linear right-hand side L the four stages add up to
-    the Taylor polynomial sum_{k<=4} (dt L)^k / k!; A is that sum without
-    its k = 0 term. Adding A rho to rho, instead of multiplying by I + A,
-    keeps the rounding of the matrix entries relative to |dt L|: over 5000
-    steps the trajectory stays within about 1e-16 of the stage-wise step,
-    where iterating I + A drifts by about 5e-14.
-    """
-    basis = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    step_l = dt * np.stack([_rhs(b, gamma, delta).ravel() for b in basis], axis=1)
-    term = np.eye(4, dtype=complex)
-    increment = np.zeros((4, 4), dtype=complex)
+def _taylor4(x):
+    """sum_{k=1..4} x**k / k!, each term built from the last as term * x / k."""
+    term, total = 1.0, 0.0
     for k in range(1, 5):
-        term = term @ step_l / k
-        increment = increment + term
-    return increment
+        term = term * x / k
+        total = total + term
+    return total
 
 
-def _check_invariants(rho: np.ndarray) -> None:
-    """Raise for the first step (then the first invariant in the order
-    trace, hermiticity, positivity) where rho[step], step >= 1, breaks one."""
-    rho = rho[1:]
-    trace = rho[:, 0, 0] + rho[:, 1, 1]
-    broken = (
-        ("trace", (np.abs(trace.real - 1.0) > _TRACE_TOL) | (np.abs(trace.imag) > _TRACE_TOL)),
-        ("hermiticity", np.abs(rho[:, 1, 0] - np.conj(rho[:, 0, 1])) > _TRACE_TOL),
-        ("positivity", min_eigenvalue(rho) < -_POS_TOL),
-    )
-    first = None
-    for invariant, bad in broken:
-        hits = np.flatnonzero(bad)
-        if hits.size and (first is None or hits[0] + 1 < first[1]):
-            first = (invariant, int(hits[0]) + 1)
-    if first is not None:
-        raise IntegratorInvariantBroken(*first)
+def _rk4_columns(state: DensityMatrix, gamma: float, delta: float, dt: float,
+                 n_steps: int) -> tuple:
+    """rho11, rho12, rho21 and rho22 after 0 .. n_steps classical RK4 steps,
+    as four lists, each led by the state's own entry. The populations after
+    it are floats if the state's diagonal is real, else complex numbers.
+
+    Without a drive the generator is diagonal in rho22, rho12 and rho21, and
+    the reset moves what rho22 loses into rho11. For a constant linear
+    right-hand side the four stages add up to the Taylor polynomial of
+    dt L, so a step adds a * rho22 to rho22 (and takes it from rho11),
+    b * rho12 to rho12 and conj(b) * rho21 to rho21, where a and b are
+    _taylor4 of -gamma dt and (i delta - gamma / 2) dt. Adding the increment,
+    instead of multiplying by 1 + a, keeps its rounding relative to |dt L|.
+
+    Each step is checked for unit trace, hermiticity and positivity (the
+    closed form of min_eigenvalue), in that order; the first step that breaks
+    one raises IntegratorInvariantBroken.
+    """
+    a = _taylor4(-gamma * dt)
+    b = _taylor4(complex(-0.5 * gamma * dt, delta * dt))
+    b_bar = b.conjugate()
+    r11, r12, r21, r22 = state.rho11, state.rho12, state.rho21, state.rho22
+    columns = ([r11], [r12], [r21], [r22])
+    if r11.imag == 0.0 and r22.imag == 0.0:
+        r11, r22 = float(r11.real), float(r22.real)
+    else:
+        r11, r22 = complex(r11), complex(r22)
+    # A step of the 4x4 matrix form adds zero products into every entry, so
+    # an entry of -0.0 stepped as 0.0 there; adding 0.0 keeps that.
+    r11, r12, r21, r22 = r11 + 0.0, complex(r12) + 0.0, complex(r21) + 0.0, r22 + 0.0
+    add11, add12, add21, add22 = (column.append for column in columns)
+    trace_tol, eig_floor, hypot = _TRACE_TOL, -_POS_TOL, math.hypot
+    for step in range(1, n_steps + 1):
+        decay = a * r22
+        r11 = r11 - decay
+        r22 = r22 + decay
+        r12 = r12 + b * r12
+        r21 = r21 + b_bar * r21
+        trace = r11 + r22
+        if abs(trace.real - 1.0) > trace_tol or abs(trace.imag) > trace_tol:
+            raise IntegratorInvariantBroken("trace", step)
+        if abs(r21 - r12.conjugate()) > trace_tol:
+            raise IntegratorInvariantBroken("hermiticity", step)
+        if 0.5 * trace.real - hypot(0.5 * (r11 - r22).real, abs(r12)) < eig_floor:
+            raise IntegratorInvariantBroken("positivity", step)
+        add11(r11)
+        add12(r12)
+        add21(r21)
+        add22(r22)
+    return columns
 
 
 def evolve(rho0, channel: AtomChannel, t_final: float, dt: float) -> Trajectory:
@@ -193,17 +225,9 @@ def evolve(rho0, channel: AtomChannel, t_final: float, dt: float) -> Trajectory:
         raise StepTooLarge(
             f"dt = {dt} exceeds 1e-2 / max(gamma, |delta|) = {1e-2 / scale}"
         )
-    rho = _as_matrix(rho0)
-    DensityMatrix.from_matrix(rho).validate()
-    increment = _rk4_increment(channel.gamma, channel.delta, dt)
-    out = np.empty((n_steps + 1, 2, 2), dtype=complex)
-    flat = out.reshape(n_steps + 1, 4)
-    flat[0] = rho.ravel()
-    for step in range(1, n_steps + 1):
-        flat[step] = flat[step - 1] + increment @ flat[step - 1]
-    _check_invariants(out)
-    t = dt * np.arange(n_steps + 1)
-    return Trajectory(t=t, rho=out)
+    state = _state(rho0).validate()
+    columns = _rk4_columns(state, channel.gamma, channel.delta, dt, n_steps)
+    return Trajectory(times=[dt * i for i in range(n_steps + 1)], entries=columns)
 
 
 def analytic_solution(rho0, channel: AtomChannel, t) -> np.ndarray:
@@ -213,7 +237,9 @@ def analytic_solution(rho0, channel: AtomChannel, t) -> np.ndarray:
     gamma/2 while rho12 rotates as exp(+i delta t). For an array of times
     the result has shape (n_times, 2, 2).
     """
-    rho = _as_matrix(rho0)
+    import numpy as np
+
+    rho = _state(rho0).matrix
     t = np.asarray(t, dtype=float)
     decay = np.exp(-channel.gamma * t)
     coh = np.exp((1j * channel.delta - 0.5 * channel.gamma) * t)
@@ -239,8 +265,9 @@ class UnravelResult:
 def _pure_state_from(rho0) -> np.ndarray:
     """Extract (c1, c2) from a pure density matrix, checked as evolve checks
     its initial state."""
-    m = _as_matrix(rho0)
-    DensityMatrix.from_matrix(m).validate()
+    import numpy as np
+
+    m = _state(rho0).validate().matrix
     purity = np.trace(m @ m).real
     if abs(purity - 1.0) > 1e-10:
         raise ValueError(f"unraveling needs a pure initial state, purity={purity}")
@@ -264,6 +291,8 @@ def _no_jump_path(psi0: np.ndarray, gamma: float, delta: float, dt: float,
     step so large that the state underflows to 0 after one step raises
     ValueError.
     """
+    import numpy as np
+
     steps = np.arange(n_steps + 1)
     rate = gamma * dt * steps
     phase = np.exp(-1j * delta * dt * steps)
@@ -289,22 +318,24 @@ def _no_jump_path(psi0: np.ndarray, gamma: float, delta: float, dt: float,
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_BLOCK = 8192
-_MASK32, _MASK64 = np.uint64(0xFFFFFFFF), 2 ** 64 - 1
-_SHIFT32 = np.uint64(32)
+_MASK64 = 2 ** 64 - 1
 
 
 def _mulhilo(m: int, x: np.ndarray):
     """High and low words of the 128-bit products m * x, the high word built
     from 32-bit halves (Hacker's Delight, mulhu)."""
+    import numpy as np
+
+    mask32, shift32 = np.uint64(0xFFFFFFFF), np.uint64(32)
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _MASK32, x >> _SHIFT32
+    x_lo, x_hi = x & mask32, x >> shift32
     low_cross = m_hi * x_lo
-    low_cross += (m_lo * x_lo) >> _SHIFT32
+    low_cross += (m_lo * x_lo) >> shift32
     high_cross = m_lo * x_hi
-    high_cross += low_cross & _MASK32
+    high_cross += low_cross & mask32
     hi = m_hi * x_hi
-    hi += low_cross >> _SHIFT32
-    hi += high_cross >> _SHIFT32
+    hi += low_cross >> shift32
+    hi += high_cross >> shift32
     return hi, np.uint64(m) * x
 
 
@@ -316,6 +347,8 @@ def _philox_blocks(seed: int, n_words: int):
     Word j is lane j % 4 of counter block (j // 4 + 1, 0, 0, 0). The key is
     bumped in Python integers, which wrap without numpy's overflow warning.
     """
+    import numpy as np
+
     per_block = 4 * _PHILOX_BLOCK
     for lo in range(0, n_words, per_block):
         n = min(per_block, n_words - lo)
@@ -352,6 +385,8 @@ def _steps_for(u: np.ndarray, p_jumped: np.ndarray, c2_sq: float,
     n, so n + 2 passes settle any start; the cap raises all the same.
     After the first pass only the j still moving are read.
     """
+    import numpy as np
+
     n = p_jumped.size - 1
     edges = np.concatenate(([-np.inf], p_jumped[1:], [np.inf]))
     if c2_sq > 0.0 and gamma_dt > 0.0:
@@ -390,6 +425,8 @@ def _jump_steps(p_jumped: np.ndarray, n_traj: int, seed: int,
     n_traj long. _steps_for inverts p_jumped, starting from its closed form
     with c2_sq = |c2(0)|**2 and gamma_dt = gamma dt.
     """
+    import numpy as np
+
     for lo, words in _philox_blocks(seed & _MASK64, n_traj):
         u = (words >> np.uint64(11)) * 2.0 ** -53
         yield lo, _steps_for(u, p_jumped, c2_sq, gamma_dt)
@@ -413,6 +450,8 @@ def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
     so large that the no-jump state underflows to 0 raises ValueError. Fixed
     seeds give bit-identical results.
     """
+    import numpy as np
+
     if not 1 <= n_traj <= MAX_TRAJECTORIES:
         raise ValueError(f"n_traj must be between 1 and {MAX_TRAJECTORIES}, got {n_traj}")
     if not 0 <= seed < 2 ** 64:

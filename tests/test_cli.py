@@ -595,7 +595,7 @@ def test_evolve_step_cap_allocates_nothing(tmp_path, monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("a trajectory was allocated")
 
-    monkeypatch.setattr(mastereq, "_rk4_increment", forbidden)
+    monkeypatch.setattr(mastereq, "_rk4_columns", forbidden)
     monkeypatch.setattr(mastereq, "_no_jump_path", forbidden)
     out = tmp_path / "x.csv"
     too_long = str(mastereq.MAX_STEPS + 1)

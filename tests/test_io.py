@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorfield import io
 
@@ -33,6 +36,34 @@ def test_write_csv_in_chunks_equals_joined_text(tmp_path, n_rows):
     io.write_csv(path, header, iter(rows))
     lines = [",".join(header)] + [",".join(map(io.format_value, row)) for row in rows]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]),
+    st.integers(-2 ** 70, 2 ** 70),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_columns=st.integers(0, 6), data=st.data(),
+       meta=st.dictionaries(st.text(max_size=5), st.one_of(st.none(), _NUMBERS, st.text()),
+                            max_size=4))
+def test_json_payload_equals_indented_dumps(tmp_path_factory, n_columns, data, meta):
+    # Tables of 0, 1, a few and more than one chunk of rows; a row of no
+    # columns is written as [] too.
+    n_rows = data.draw(st.sampled_from([0, 1, 2, 7, io.CSV_CHUNK_ROWS + 3]))
+    row = st.tuples(*[_NUMBERS] * n_columns)
+    rows = data.draw(st.lists(row, min_size=n_rows, max_size=n_rows)
+                     if n_rows < 10 else st.just([tuple(float(i) / 7.0 - j for j in
+                                                        range(n_columns))
+                                                  for i in range(n_rows)]))
+    header = [f"c{j}" for j in range(n_columns)]
+    path = tmp_path_factory.mktemp("payload") / "table.json"
+    io.write_json_payload(path, meta, header, rows)
+    expected = json.dumps({"meta": meta, "columns": header, "rows": [list(r) for r in rows]},
+                          sort_keys=True, indent=2) + "\n"
+    assert path.read_text(encoding="utf-8") == expected
 
 
 def test_frame_rows_row_major_ordering(tmp_path):

@@ -95,18 +95,74 @@ def test_gamma_scaling_covariance():
     assert np.abs(base.rho - scaled.rho).max() < 1e-10
 
 
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |1><2|
+SIGMA_PLUS = SIGMA_MINUS.conj().T
+PROJ_EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+
+
+def _rhs(rho, gamma, delta):
+    """Right-hand side of the master equation, in operator form."""
+    hc = delta - 0.5j * gamma  # coefficient of the excited projector
+    cond = hc * (PROJ_EXCITED @ rho) - np.conj(hc) * (rho @ PROJ_EXCITED)
+    reset = gamma * (SIGMA_MINUS @ rho @ SIGMA_PLUS)
+    return -1j * cond + reset
+
+
 def _rk4_stagewise(rho, channel, t_final, dt):
     """Reference: the classical four-stage RK4 loop on the 2x2 matrix."""
     g, d = channel.gamma, channel.delta
     out = [rho]
     for _ in range(int(round(t_final / dt))):
-        k1 = me._rhs(rho, g, d)
-        k2 = me._rhs(rho + 0.5 * dt * k1, g, d)
-        k3 = me._rhs(rho + 0.5 * dt * k2, g, d)
-        k4 = me._rhs(rho + dt * k3, g, d)
+        k1 = _rhs(rho, g, d)
+        k2 = _rhs(rho + 0.5 * dt * k1, g, d)
+        k3 = _rhs(rho + 0.5 * dt * k2, g, d)
+        k4 = _rhs(rho + dt * k3, g, d)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(rho)
     return np.array(out)
+
+
+def _rk4_increment(gamma, delta, dt):
+    """The RK4 step as a 4x4 matrix A acting on rho.ravel(): the Taylor
+    polynomial sum_{1<=k<=4} (dt L)^k / k! of the right-hand side L."""
+    basis = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    step_l = dt * np.stack([_rhs(b, gamma, delta).ravel() for b in basis], axis=1)
+    term = np.eye(4, dtype=complex)
+    increment = np.zeros((4, 4), dtype=complex)
+    for k in range(1, 5):
+        term = term @ step_l / k
+        increment = increment + term
+    return increment
+
+
+def _rk4_matrix_route(rho, channel, n_steps, dt):
+    """Reference: each step adds _rk4_increment times rho.ravel() to rho."""
+    increment = _rk4_increment(channel.gamma, channel.delta, dt)
+    out = np.empty((n_steps + 1, 4), dtype=complex)
+    out[0] = np.asarray(rho, dtype=complex).ravel()
+    for step in range(1, n_steps + 1):
+        out[step] = out[step - 1] + increment @ out[step - 1]
+    return out.reshape(n_steps + 1, 2, 2)
+
+
+def _first_broken_invariant(rho):
+    """Reference: (invariant, step) of the first step >= 1 where rho breaks
+    one, the first in the order trace, hermiticity, positivity; or None."""
+    rho = rho[1:]
+    trace = rho[:, 0, 0] + rho[:, 1, 1]
+    radius = np.hypot(0.5 * (rho[:, 0, 0].real - rho[:, 1, 1].real), np.abs(rho[:, 0, 1]))
+    broken = (
+        ("trace", (np.abs(trace.real - 1.0) > me._TRACE_TOL)
+         | (np.abs(trace.imag) > me._TRACE_TOL)),
+        ("hermiticity", np.abs(rho[:, 1, 0] - np.conj(rho[:, 0, 1])) > me._TRACE_TOL),
+        ("positivity", 0.5 * trace.real - radius < -me._POS_TOL),
+    )
+    first = None
+    for invariant, bad in broken:
+        hits = np.flatnonzero(bad)
+        if hits.size and (first is None or hits[0] + 1 < first[1]):
+            first = (invariant, int(hits[0]) + 1)
+    return first
 
 
 def test_propagator_matches_stagewise_rk4():
@@ -117,6 +173,55 @@ def test_propagator_matches_stagewise_rk4():
     reference = _rk4_stagewise(rho0, channel, 5.0, 1e-3)
     assert traj.rho.shape == reference.shape == (5001, 2, 2)
     assert np.abs(traj.rho - reference).max() < 1e-13
+
+
+def _state(p, coherence, phase, pure):
+    """A pure state with excited population p, its rho built as an outer
+    product (whose diagonal can carry a rounding-sized imaginary part), or
+    a mixed one with |rho12| = coherence * sqrt(p (1 - p))."""
+    if pure:
+        psi = np.array([math.sqrt(1.0 - p), math.sqrt(p) * np.exp(1j * phase)])
+        return np.outer(psi, psi.conj())
+    rho12 = coherence * math.sqrt(p * (1.0 - p)) * np.exp(1j * phase)
+    return np.array([[1.0 - p, rho12], [np.conj(rho12), p]])
+
+
+@settings(max_examples=120, deadline=None)
+@given(gamma=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+       delta=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)),
+       p=st.floats(0.0, 1.0), coherence=st.floats(0.0, 1.0),
+       phase=st.floats(-math.pi, math.pi), pure=st.booleans(),
+       step_fraction=st.floats(1e-3, 1.0), n_steps=st.integers(0, 3000))
+def test_evolve_equals_the_matrix_route(gamma, delta, p, coherence, phase, pure,
+                                        step_fraction, n_steps):
+    # The scalar recurrence takes the same roundings as the 4x4 matrix
+    # step, to the sign of every zero.
+    channel = me.AtomChannel(gamma, delta)
+    dt = step_fraction * 1e-2 / max(gamma, abs(delta), 1e-300)
+    rho0 = _state(p, coherence, phase, pure)
+    traj = me.evolve(rho0, channel, n_steps * dt, dt)
+    reference = _rk4_matrix_route(rho0, channel, len(traj.times) - 1, dt)
+    assert traj.rho.tobytes() == reference.tobytes()
+    assert traj.t.tobytes() == (dt * np.arange(len(traj.times))).tobytes()
+
+
+@pytest.mark.parametrize("rho0, tolerances, invariant", [
+    # Exact trace only: breaks at the first step whose trace rounds off 1.
+    (coherent_state().matrix, {"_TRACE_TOL": 0.0}, "trace"),
+    # rho21 off conj(rho12) by 5e-11, which decays with the coherence.
+    (np.array([[0.5, 0.4], [0.4 + 5e-11, 0.5]]), {"_TRACE_TOL": 4e-11}, "hermiticity"),
+    # The smaller eigenvalue, rho22 = 0.5 exp(-gamma t), falls below 0.1.
+    (np.diag([0.5, 0.5]), {"_POS_TOL": -0.1}, "positivity"),
+], ids=["trace", "hermiticity", "positivity"])
+def test_broken_invariant_matches_the_array_check(monkeypatch, rho0, tolerances, invariant):
+    for name, value in tolerances.items():
+        monkeypatch.setattr(me, name, value)
+    channel = me.AtomChannel(1.0, 0.3)
+    first = _first_broken_invariant(_rk4_matrix_route(rho0, channel, 3000, 1e-3))
+    assert first is not None and first[0] == invariant
+    with pytest.raises(IntegratorInvariantBroken) as info:
+        me.evolve(rho0, channel, 3.0, 1e-3)
+    assert (info.value.invariant, info.value.step) == first
 
 
 def test_broken_invariant_names_first_step(monkeypatch):
@@ -589,7 +694,7 @@ def test_step_count_cap_checked_before_allocation(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a trajectory was allocated")
 
-    monkeypatch.setattr(me, "_rk4_increment", forbidden)
+    monkeypatch.setattr(me, "_rk4_columns", forbidden)
     monkeypatch.setattr(me, "_no_jump_path", forbidden)
     too_long = me.MAX_STEPS + 1.0
     with pytest.raises(ValueError, match="exceeds the cap"):

@@ -100,6 +100,24 @@ def test_evolve_runs_no_field_layer(tmp_path):
     assert ran.isdisjoint({"classical", "modespace", "oracle"})
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["--gamma", "1.3", "--delta", "-0.4", "--rho22", "0.6", "--rho12-re", "0.3",
+     "--rho12-im", "-0.2"],
+    ["--from-mirror", "perfect", "--k0x", "1.5", "--mu", "0.3"],
+    ["--from-mirror", "absorbing", "--k0x", "1.5"],
+    ["--from-mirror", "symmetric", "--r", "0.3", "--t-rate", "0.5", "--k0x", "2.5"],
+    ["--from-mirror", "lossless", "--r", "0.5", "--k0x", "0.7", "--rho22", "0.5",
+     "--rho12-im", "0.5"],
+], ids=["channel", "perfect", "absorbing", "symmetric", "lossless"])
+def test_evolve_loads_no_numpy(tmp_path, argv, fmt):
+    # The RK4 recurrence steps on floats and the columns are written as
+    # lists; only --unravel loads numpy.
+    result = probe(tmp_path, "evolve", *argv, "--format", fmt)
+    assert "mastereq" in result["ran"]
+    assert not [name for name in result["modules"] if name.split(".")[0] == "numpy"]
+
+
 def test_unravel_loads_no_numpy_random(tmp_path):
     # The Philox words are made in plain numpy: numpy.random would also load
     # hashlib (OpenSSL) and secrets.
