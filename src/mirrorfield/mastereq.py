@@ -342,7 +342,7 @@ def _mulhilo(m: int, x: np.ndarray):
 def _philox_blocks(seed: int, n_words: int):
     """Words 0 .. n_words - 1 of the Philox4x64-10 stream keyed by (seed, 0),
     bit for bit those of numpy's Philox(key=[seed, 0]).random_raw(n_words),
-    as (offset, words) pairs of at most 4 * _PHILOX_BLOCK words.
+    in blocks of 4 * _PHILOX_BLOCK words, the last one shorter.
 
     Word j is lane j % 4 of counter block (j // 4 + 1, 0, 0, 0). The key is
     bumped in Python integers, which wrap without numpy's overflow warning.
@@ -365,71 +365,32 @@ def _philox_blocks(seed: int, n_words: int):
             hi0 ^= c3
             hi0 ^= np.uint64(k1)
             c0, c1, c2, c3 = hi1, lo1, hi0, lo0
-        yield lo, np.stack((c0, c1, c2, c3), axis=1).ravel()[:n]
+        yield np.stack((c0, c1, c2, c3), axis=1).ravel()[:n]
 
 
-def _steps_for(u: np.ndarray, p_jumped: np.ndarray, c2_sq: float,
-               gamma_dt: float) -> np.ndarray:
-    """The step j of each uniform u with p_jumped[j] <= u < p_jumped[j + 1]
-    (j = 0 below p_jumped[1], n = len(p_jumped) - 1 from p_jumped[n] up),
-    where np.searchsorted(p_jumped[1:], u, side="right") would put it.
-
-    j starts from the inverse of p_jumped[j] = c2_sq (1 - exp(-gamma_dt j)),
-    floor(-log1p(-u / c2_sq) / gamma_dt) clipped to [0, n], or from n when
-    c2_sq or gamma_dt is 0; then each j moves one step per pass against the
-    table itself until it brackets u. So the steps hold for any
-    non-decreasing table and do not hang on log1p's last bit. The estimate
-    is off by a step or so, by hundreds only for u within a few ulps of
-    c2_sq, where the table's top rounds to c2_sq. A j that steps down never
-    steps up again and stops at 0 at the latest, one that steps up stops at
-    n, so n + 2 passes settle any start; the cap raises all the same.
-    After the first pass only the j still moving are read.
-    """
-    import numpy as np
-
-    n = p_jumped.size - 1
-    edges = np.concatenate(([-np.inf], p_jumped[1:], [np.inf]))
-    if c2_sq > 0.0 and gamma_dt > 0.0:
-        # u >= c2_sq never jumps: log1p gives -inf or NaN there, and fmin n.
-        start = np.divide(u, -c2_sq)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log1p(start, out=start)
-        np.divide(start, -gamma_dt, out=start)
-        j = np.fmin(start, n, out=start).astype(np.intp)
-    else:
-        j = np.full(u.size, n, dtype=np.intp)
-    at = None
-    for _ in range(edges.size):
-        j_at, u_at = (j, u) if at is None else (j[at], u[at])
-        step = (edges[1:][j_at] <= u_at).view(np.int8) - (edges[j_at] > u_at).view(np.int8)
-        moving = np.flatnonzero(step)
-        if not moving.size:
-            return j
-        at = moving if at is None else at[moving]
-        j[at] += step[moving]
-    raise RuntimeError(f"jump steps not settled in {edges.size} passes")
-
-
-def _jump_steps(p_jumped: np.ndarray, n_traj: int, seed: int,
-                c2_sq: float = 0.0, gamma_dt: float = 0.0):
-    """Step at which each trajectory jumps, or len(p_jumped) - 1 if it never
-    does, given the probability p_jumped[j] of a jump within j steps, as
-    (lo, steps) pairs: steps[i] is trajectory lo + i's.
+def _jumped_counts(p_jumped: np.ndarray, n_traj: int, seed: int) -> np.ndarray:
+    """How many of n_traj trajectories have jumped within j steps, for
+    j = 0 .. len(p_jumped) - 1, given the probability p_jumped[j] of a jump
+    within j steps, which never decreases.
 
     Trajectory i draws one uniform u_i = (w_i >> 11) * 2**-53, the double
     numpy's Generator.random makes of word w_i, from word i of the
     counter-based Philox stream keyed by (seed mod 2**64, 0). It jumps in the
     first step j with u_i < p_jumped[j + 1]: the waiting-time form of the
-    quantum-jump method. The words come block by block from _philox_blocks,
+    quantum-jump method. So it has jumped within j steps exactly when
+    u_i < p_jumped[j], and a search in each block's sorted uniforms counts
+    those trajectories. The words come block by block from _philox_blocks,
     in plain numpy, so numpy.random is never imported and no array is
-    n_traj long. _steps_for inverts p_jumped, starting from its closed form
-    with c2_sq = |c2(0)|**2 and gamma_dt = gamma dt.
+    n_traj long.
     """
     import numpy as np
 
-    for lo, words in _philox_blocks(seed & _MASK64, n_traj):
+    counts = np.zeros(p_jumped.size, dtype=np.intp)
+    for words in _philox_blocks(seed & _MASK64, n_traj):
         u = (words >> np.uint64(11)) * 2.0 ** -53
-        yield lo, _steps_for(u, p_jumped, c2_sq, gamma_dt)
+        u.sort()
+        counts += np.searchsorted(u, p_jumped, side="left")
+    return counts
 
 
 def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
@@ -459,15 +420,9 @@ def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
     n_steps = _step_count(t_final, dt)
     psi0 = _pure_state_from(rho0)
     c1, c2, p_jumped = _no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
-    per_step = np.zeros(n_steps + 1, dtype=np.intp)
-    for _, steps in _jump_steps(p_jumped, n_traj, seed, abs(psi0[1]) ** 2,
-                                channel.gamma * dt):
-        per_step += np.bincount(steps, minlength=n_steps + 1)
     n = float(n_traj)
-    jumped = np.zeros(n_steps + 1)
-    jumped[1:] = np.cumsum(per_step[:n_steps])
     # q: fraction of trajectories still on the no-jump path after each step.
-    q = (n - jumped) / n
+    q = (n - _jumped_counts(p_jumped, n_traj, seed)) / n
     p2 = np.abs(c2) ** 2
     rho = np.empty((n_steps + 1, 2, 2), dtype=complex)
     rho[:, 0, 0] = q * np.abs(c1) ** 2 + (1.0 - q)

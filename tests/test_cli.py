@@ -767,7 +767,7 @@ def test_evolve_unravel_cap_allocates_nothing(tmp_path, monkeypatch, capsys):
         raise AssertionError("a trajectory was allocated")
 
     monkeypatch.setattr(mastereq, "_no_jump_path", forbidden)
-    monkeypatch.setattr(mastereq, "_jump_steps", forbidden)
+    monkeypatch.setattr(mastereq, "_jumped_counts", forbidden)
     out = tmp_path / "x.csv"
     too_many = str(mastereq.MAX_TRAJECTORIES + 1)
     assert cli.main(["evolve", "--gamma", "1", "--rho22", "1", "--unravel", too_many,

@@ -373,14 +373,14 @@ def _jump_steps_walk(p_jumped, n_traj, seed):
     return np.array(first)
 
 
-def _jump_steps(p_jumped, n_traj, seed, *closed_form):
-    """Every trajectory's jump step, the blocks of me._jump_steps joined in
-    order; each block starts where the one before it ended. ``closed_form``
-    is (|c2(0)|**2, gamma dt), the start jump_unravel gives; without it every
-    trajectory starts from the last step."""
-    blocks = list(me._jump_steps(p_jumped, n_traj, seed, *closed_form))
-    assert [lo for lo, _ in blocks] == list(np.cumsum([0] + [len(b) for _, b in blocks[:-1]]))
-    return np.concatenate([steps for _, steps in blocks])
+def _counts_walk(p_jumped, n_traj, seed):
+    """Reference: how many trajectories have jumped within j steps, for
+    j = 0 .. len(p_jumped) - 1, counted from _jump_steps_walk's steps."""
+    n_steps = len(p_jumped) - 1
+    jumped = np.zeros(n_steps + 1, dtype=np.intp)
+    jumped[1:] = np.cumsum(np.bincount(_jump_steps_walk(p_jumped, n_traj, seed),
+                                       minlength=n_steps + 1)[:n_steps])
+    return jumped
 
 
 def _no_jump_stepwise(psi0, gamma, delta, dt, n_steps):
@@ -425,43 +425,16 @@ def test_no_jump_path_matches_stepwise_path(psi0, gamma, delta, dt):
 def test_first_jump_steps_on_a_no_jump_path():
     psi0 = np.array([0.4, np.sqrt(0.84) * np.exp(0.3j)])
     _, _, p_jumped = me._no_jump_path(psi0, 0.9, 0.4, 1e-3 / 0.9, 5000)
-    first = _jump_steps(p_jumped, 300, 2127877499)
-    np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, 300, 2127877499))
-    assert 0 < np.count_nonzero(first < 5000) < 300
+    counts = me._jumped_counts(p_jumped, 300, 2127877499)
+    assert counts.dtype == np.intp
+    np.testing.assert_array_equal(counts, _counts_walk(p_jumped, 300, 2127877499))
+    assert 0 < counts[-1] < 300
     for psi0, channel in UNRAVEL_CASES:
         _, _, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, 0.005, 500)
         for seed in (2024, -5, 2 ** 64 - 1):
-            first = _jump_steps(p_jumped, 300, seed)
-            np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, 300, seed))
-            assert 0 < np.count_nonzero(first < 500) < 300
-
-
-def test_first_jump_steps_from_the_closed_form_start():
-    # Started from the inverse of p_jumped's closed form, as jump_unravel
-    # starts them, the steps are still the walk's.
-    for psi0, channel in UNRAVEL_CASES:
-        for dt, n_steps in ((0.005, 500), (0.05, 2000)):
-            _, _, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
-            for seed in (2024, 2 ** 64 - 1):
-                first = _jump_steps(p_jumped, 300, seed, abs(psi0[1]) ** 2, channel.gamma * dt)
-                np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, 300, seed))
-
-
-@pytest.mark.parametrize("c2_sq, gamma_dt, n_steps", [
-    (1.0, 1e-3, 5000), (0.84, 1e-3, 100000), (1.0, 40.0, 100), (0.84, 1e-6, 100000),
-    (1.0, 0.0, 50), (0.0, 1.0, 50),
-], ids=["excited", "mixed-saturated", "large-gamma-dt", "small-gamma-dt", "gamma-0", "c2-0"])
-def test_steps_for_equals_a_binary_search(c2_sq, gamma_dt, n_steps, rng):
-    # Uniforms a few ulps below c2_sq start up to hundreds of steps from
-    # their own, where the table's top rounds to c2_sq; the table's own
-    # entries sit on step boundaries.
-    psi0 = np.array([math.sqrt(1.0 - c2_sq), math.sqrt(c2_sq)], dtype=complex)
-    _, _, p_jumped = me._no_jump_path(psi0, gamma_dt, 0.0, 1.0, n_steps)
-    top = np.floor((c2_sq - np.arange(1, 3000) * 2.0 ** -53) * 2.0 ** 53) * 2.0 ** -53
-    u = np.concatenate([top[top >= 0.0], rng.random(20000), p_jumped[1::97],
-                        [0.0, 1.0 - 2.0 ** -53]])
-    np.testing.assert_array_equal(me._steps_for(u, p_jumped, c2_sq, gamma_dt),
-                                  np.searchsorted(p_jumped[1:], u, side="right"))
+            counts = me._jumped_counts(p_jumped, 300, seed)
+            np.testing.assert_array_equal(counts, _counts_walk(p_jumped, 300, seed))
+            assert 0 < counts[-1] < 300
 
 
 # Probabilities at the edges of the comparison u < p_jumped: exactly 0 and
@@ -495,8 +468,8 @@ def _edge_case_p(n_steps, which):
 def test_first_jump_steps_match_reference(n_steps, n_traj, which):
     p_jumped = _edge_case_p(n_steps, which)
     assert np.all(np.diff(p_jumped) >= 0.0)
-    first = _jump_steps(p_jumped, n_traj, 99)
-    np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, n_traj, 99))
+    np.testing.assert_array_equal(me._jumped_counts(p_jumped, n_traj, 99),
+                                  _counts_walk(p_jumped, n_traj, 99))
 
 
 @pytest.mark.parametrize("value", EDGE_P)
@@ -504,11 +477,12 @@ def test_first_jump_steps_edge_probabilities(value):
     # A jump in step 0 with probability value, and none after it.
     p_jumped = np.full(601, value)
     p_jumped[0] = 0.0
-    first = _jump_steps(p_jumped, 40, 3)
-    np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, 40, 3))
-    assert set(first.tolist()) <= {0, 600}
+    counts = me._jumped_counts(p_jumped, 40, 3)
+    np.testing.assert_array_equal(counts, _counts_walk(p_jumped, 40, 3))
+    assert counts[0] == 0
+    np.testing.assert_array_equal(counts[1:], counts[1])
     if value == 1.0:
-        assert not first.any()  # every uniform is below 1
+        assert counts[1] == 40  # every uniform is below 1
 
 
 @pytest.mark.parametrize("step", [0, 700])
@@ -517,13 +491,17 @@ def test_first_jump_steps_threshold_at_the_draw(step):
     # trajectory's own uniform in the given step: only the last catches
     # it, since a jump needs u < p_jumped.
     n_traj, seed = 24, 5
-    for row, u in enumerate(_uniforms(n_traj, seed)):
+    uniforms = _uniforms(n_traj, seed)
+    assert len(set(uniforms)) == n_traj
+    for u in uniforms:
+        below = sum(v < u for v in uniforms)
         for value in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)):
             p_jumped = np.zeros(step + 2)
             p_jumped[step + 1] = value
-            first = _jump_steps(p_jumped, n_traj, seed)
-            np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, n_traj, seed))
-            assert first[row] == (step if u < value else step + 1)
+            counts = me._jumped_counts(p_jumped, n_traj, seed)
+            np.testing.assert_array_equal(counts, _counts_walk(p_jumped, n_traj, seed))
+            np.testing.assert_array_equal(counts[:step + 1], 0)
+            assert counts[step + 1] == below + (u < value)
 
 
 @settings(max_examples=150, deadline=None)
@@ -543,8 +521,8 @@ def test_first_jump_steps_property(n_steps, level, specials, shape_seed, seed, n
         if position < n_steps:
             p_jumped[position + 1] = value
     p_jumped = np.maximum.accumulate(p_jumped)
-    first = _jump_steps(p_jumped, n_traj, seed)
-    np.testing.assert_array_equal(first, _jump_steps_walk(p_jumped, n_traj, seed))
+    np.testing.assert_array_equal(me._jumped_counts(p_jumped, n_traj, seed),
+                                  _counts_walk(p_jumped, n_traj, seed))
 
 
 _BLOCK_WORDS = 4 * me._PHILOX_BLOCK
@@ -556,45 +534,67 @@ _BLOCK_WORDS = 4 * me._PHILOX_BLOCK
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
 def test_philox_words_match_numpy_random_raw(seed, n_words):
     blocks = list(me._philox_blocks(seed, n_words))
-    assert [lo for lo, _ in blocks] == list(range(0, n_words, _BLOCK_WORDS))
-    words = np.concatenate([w for _, w in blocks])
+    # Every block is full but the last.
+    assert [len(w) for w in blocks] == [min(_BLOCK_WORDS, n_words - lo)
+                                        for lo in range(0, n_words, _BLOCK_WORDS)]
+    words = np.concatenate(blocks)
     key = np.array([seed, 0], dtype=np.uint64)
     assert words.dtype == np.uint64
     np.testing.assert_array_equal(words, np.random.Philox(key=key).random_raw(n_words))
 
 
+def _counts_of_generator_random(p_jumped, n_traj, seed):
+    """Reference: for each j, how many of numpy's Generator.random uniforms
+    on the Philox stream keyed by (seed, 0) lie below p_jumped[j]."""
+    key = np.array([seed, 0], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random(n_traj)
+    return np.array([np.count_nonzero(u < p) for p in p_jumped])
+
+
 def test_jump_steps_across_blocks_match_generator_random():
     n_traj, seed = 2 * _BLOCK_WORDS + 3, 2127877499
     p_jumped = -np.expm1(-np.linspace(0.0, 3.0, 301))
-    key = np.array([seed, 0], dtype=np.uint64)
-    u = np.random.Generator(np.random.Philox(key=key)).random(n_traj)
-    np.testing.assert_array_equal(_jump_steps(p_jumped, n_traj, seed),
-                                  np.searchsorted(p_jumped[1:], u, side="right"))
+    np.testing.assert_array_equal(me._jumped_counts(p_jumped, n_traj, seed),
+                                  _counts_of_generator_random(p_jumped, n_traj, seed))
 
 
 def test_unravel_counts_jumps_across_blocks():
-    # Three blocks of trajectories: the per-block histograms must sum to
-    # the histogram of every trajectory's jump step.
+    # Three blocks of trajectories: the per-block counts must sum to the
+    # count over every trajectory's uniform.
     n_traj, n_steps, dt, seed = 2 * _BLOCK_WORDS + 3, 200, 0.01, 77
     psi0 = np.array([0.6, 0.8 * np.exp(2.1j)])
     channel = me.AtomChannel(1.3, 0.4)
     c1, c2, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
-    first = _jump_steps(p_jumped, n_traj, seed)
     result = me.jump_unravel(np.outer(psi0, psi0.conj()), channel, n_steps * dt, dt,
                              n_traj=n_traj, seed=seed)
-    jumped = np.zeros(n_steps + 1)
-    jumped[1:] = np.cumsum(np.bincount(first, minlength=n_steps + 1)[:n_steps])
+    jumped = _counts_of_generator_random(p_jumped, n_traj, seed)
     q = (n_traj - jumped) / n_traj
     assert 0.0 < q[-1] < 1.0
     np.testing.assert_array_equal(result.rho[:, 1, 1], q * np.abs(c2) ** 2)
 
 
+@pytest.mark.parametrize("block", [1, 3, 8192])
+def test_unravel_does_not_depend_on_the_block_size(block, monkeypatch):
+    # Two blocks at the default size, thousands at sizes 1 and 3, each with
+    # a short last block: rho and its standard error are the same bytes.
+    n_traj, seed = _BLOCK_WORDS + 5, 2 ** 64 - 1
+    psi0 = np.array([0.6, 0.8 * np.exp(2.1j)])
+    args = (np.outer(psi0, psi0.conj()), me.AtomChannel(1.3, 0.4), 2.0, 0.01)
+    expected = me.jump_unravel(*args, n_traj=n_traj, seed=seed)
+    monkeypatch.setattr(me, "_PHILOX_BLOCK", block)
+    result = me.jump_unravel(*args, n_traj=n_traj, seed=seed)
+    assert 0.0 < result.rho[-1, 1, 1].real < expected.rho[0, 1, 1].real
+    assert result.rho.tobytes() == expected.rho.tobytes()
+    assert result.stderr_rho22.tobytes() == expected.stderr_rho22.tobytes()
+
+
 def test_jump_steps_at_certain_and_impossible_steps():
     certain = np.array([0.0, 0.0, 1e-3, 1.0, 1.0])
-    np.testing.assert_array_equal(_jump_steps(certain, 50, 3),
-                                  _jump_steps_walk(certain, 50, 3))
-    assert set(_jump_steps(certain, 50, 3).tolist()) <= {1, 2}
-    np.testing.assert_array_equal(_jump_steps(np.zeros(7), 50, 3), 6)
+    counts = me._jumped_counts(certain, 50, 3)
+    np.testing.assert_array_equal(counts, _counts_walk(certain, 50, 3))
+    # Every trajectory jumps in step 1 or 2.
+    np.testing.assert_array_equal(counts, [0, 0, counts[2], 50, 50])
+    np.testing.assert_array_equal(me._jumped_counts(np.zeros(7), 50, 3), 0)
 
 
 # The 0.999 quantile of chi-squared with 20 degrees of freedom. Two correct
@@ -613,9 +613,10 @@ def test_jump_step_histogram_matches_per_step_scheme(psi0, channel):
     n_traj, n_steps, dt = 4000, 400, 0.005
     _, ref_jumps, _ = _unravel_stepwise(psi0, channel, dt, n_steps, n_traj, 2024)
     _, _, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
-    first = _jump_steps(p_jumped, n_traj, 2025)
+    counts = me._jumped_counts(p_jumped, n_traj, 2025)
     ref_hist = np.append(ref_jumps.reshape(20, 20).sum(axis=1), n_traj - ref_jumps.sum())
-    hist = np.bincount(first // 20, minlength=21)
+    # Jumps in steps 20 b .. 20 b + 19, then the never-jumped trajectories.
+    hist = np.diff(np.append(counts[::20], n_traj))
     assert hist.sum() == ref_hist.sum() == n_traj and ref_hist.min() > 20
     chi2 = np.sum((hist - ref_hist) ** 2 / (hist + ref_hist))
     assert chi2 < CHI2_20_Q999
@@ -649,7 +650,7 @@ def test_first_jump_unravel_matches_stepwise_reference(psi0, channel):
 def test_zero_gamma_never_jumps(psi0):
     _, _, p_jumped = me._no_jump_path(psi0, 0.0, 1.2, 0.01, 300)
     np.testing.assert_array_equal(p_jumped, 0.0)
-    np.testing.assert_array_equal(_jump_steps(p_jumped, 1000, 8), 300)
+    np.testing.assert_array_equal(me._jumped_counts(p_jumped, 1000, 8), 0)
 
 
 @pytest.mark.parametrize("rho22", [1.0, 1.0 - 1e-12, 0.5])
@@ -672,10 +673,10 @@ def test_unravel_certain_first_step_jump():
     c1, c2, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, 40.0, 3)
     assert p_jumped[1] == 1.0
     assert np.isfinite(c1).all() and np.isfinite(c2).all()
-    first = _jump_steps(p_jumped, 50, 1)
-    assert not first.any()
+    counts = me._jumped_counts(p_jumped, 50, 1)
+    np.testing.assert_array_equal(counts[1:], 50)
     _, ref_jumps, _ = _unravel_stepwise(psi0, channel, 40.0, 3, 50, 1)
-    np.testing.assert_array_equal(np.bincount(first, minlength=4)[:3], ref_jumps)
+    np.testing.assert_array_equal(np.diff(counts), ref_jumps)
     result = me.jump_unravel(me.DensityMatrix.excited(), channel, 120.0, 40.0,
                              n_traj=50, seed=1)
     np.testing.assert_array_equal(result.rho[1:, 0, 0], 1.0)
