@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # Each layer module and the public names it exports at package level.
 _EXPORTS = {
     "core": ("AtomSpec", "GaussianPacket", "Medium", "MirrorSpec",
-             "PhaseConstraintResult", "phase_constraint_check", "validate_mirror"),
+             "PhaseConstraintResult", "phase_constraint_check"),
     "classical": ("PlaneWavePacket3D", "ScatterScene", "energy_between", "field_energy_1d",
                   "free_field_1d", "free_field_3d", "interference_intensities",
                   "mirror_field_1d", "mirror_field_1d_perfect", "mirror_field_3d",

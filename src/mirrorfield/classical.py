@@ -31,10 +31,9 @@ def packet_complex_field(packet: GaussianPacket, x, t: float, medium: Medium,
     carrier only, leaving the envelope untouched.
     """
     x = np.asarray(x, dtype=float)
-    sign = 1.0 if packet.k0_carrier > 0 else -1.0
     c = medium.c
     omega = abs(packet.k0_carrier) * c
-    env = np.exp(-((x - packet.x0 - sign * c * t) ** 2) / (2.0 * packet.sigma**2))
+    env = np.exp(-((x - packet.x0 - packet.sign * c * t) ** 2) / (2.0 * packet.sigma**2))
     carrier = np.exp(
         1j * (packet.k0_carrier * x - omega * t + packet.xi_init + extra_phase)
     )
@@ -48,9 +47,8 @@ def free_field_1d(packet: GaussianPacket, x, t: float,
     B = +E/c for right-movers and -E/c for left-movers, the sign demanded
     by the one-dimensional Maxwell pair.
     """
-    sign = 1.0 if packet.k0_carrier > 0 else -1.0
     e_field = 2.0 * packet_complex_field(packet, x, t, medium).real
-    b_field = sign * e_field / medium.c
+    b_field = packet.sign * e_field / medium.c
     return e_field, b_field
 
 
@@ -127,12 +125,11 @@ def _side_fields_1d(scene: ScatterScene, x, t: float):
         e_side = np.zeros(x.shape, dtype=complex)
         b_side = np.zeros(x.shape, dtype=complex)
         for p in packets:
-            sign = 1.0 if p.k0_carrier > 0 else -1.0
             here = packet_complex_field(p, x, t, scene.medium)
             refl = r * packet_complex_field(p, -x, t, scene.medium, phase_refl)
             through = trans * here * other
             e_side += (here + refl) * own + through
-            b_side += (sign / c) * ((here - refl) * own + through)
+            b_side += (p.sign / c) * ((here - refl) * own + through)
         out.append((e_side, b_side))
     return out
 
@@ -191,8 +188,7 @@ class PlaneWavePacket3D:
     @classmethod
     def from_gaussian_1d(cls, packet: GaussianPacket) -> "PlaneWavePacket3D":
         """Normal-incidence equivalent of a 1D packet, polarised along y."""
-        sign = 1.0 if packet.k0_carrier > 0 else -1.0
-        return cls(e0=packet.e0, u0=sign * packet.x0, sigma=packet.sigma,
+        return cls(e0=packet.e0, u0=packet.sign * packet.x0, sigma=packet.sigma,
                    k_vec=(packet.k0_carrier, 0.0, 0.0),
                    polarization=(0.0, 1.0, 0.0),
                    side=packet.side, xi_init=packet.xi_init)

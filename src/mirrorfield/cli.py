@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__, classical, io, mastereq, oracle, rates
 from .core import (MAX_STEPS, MAX_TRAJECTORIES, GaussianPacket, Medium, MirrorSpec,
-                   _check_keys, validate_mirror)
+                   _check_keys)
 from .errors import (GridTooCoarse, IntegratorInvariantBroken, MirrorFieldError,
                      QuadratureNotConverged)
 
@@ -407,7 +407,7 @@ def cmd_evolve(config: dict) -> int:
     rho22 = config["rho22"]
     rho12 = complex(config["rho12_re"], config["rho12_im"])
     rho0 = mastereq.DensityMatrix(rho11=1.0 - rho22, rho12=rho12, rho21=rho12.conjugate(),
-                                  rho22=rho22).validate()
+                                  rho22=rho22)
     parameters = {**config, "channel": {"gamma": channel.gamma, "delta": channel.delta},
                   "t_final": t_final, "dt": dt}
     if config["unravel"] is None:
@@ -449,11 +449,12 @@ def _load_scene(path: str) -> classical.ScatterScene:
     data = _json_object(path, "scene", ("mirror", "medium", "packets_a", "packets_b"))
 
     def read(key, record, cls, *extra):
-        """``record`` at scene key ``key``, read by an option per field of ``cls``."""
+        """``record`` at scene key ``key``, read by an option per number field
+        of ``cls``."""
         if not isinstance(record, dict):
             raise CliError(2, f"scene key {key!r} must be an object")
-        options = [Option(f.name, {"float": FLOAT, "str": TEXT}[f.type])
-                   for f in dataclasses.fields(cls)] + list(extra)
+        options = [Option(f.name, FLOAT) for f in dataclasses.fields(cls)
+                   if f.type == "float"] + list(extra)
         values = _read(record, options, "scene")
         _check_domains(values, options, lambda option: f"scene {key}.{option.key}")
         return values
@@ -463,14 +464,15 @@ def _load_scene(path: str) -> classical.ScatterScene:
         if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
             raise CliError(2, f"scene key {key!r} must be a list of objects")
         out = []
+        # A packet's side is the list it is in, never a key of its record.
+        keys = [f.name for f in dataclasses.fields(GaussianPacket) if f.name != "side"]
         for index, entry in enumerate(entries):
-            entry = {"side": side, **read(key, entry, GaussianPacket)}
-            if "k0_carrier" in entry:
-                entry.setdefault("direction", "right" if entry["k0_carrier"] > 0 else "left")
+            entry = read(key, entry, GaussianPacket)
+            _check_keys("GaussianPacket keys", entry, keys)
             # A soft warning (a packet not well localised) names the record.
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", UserWarning)
-                out.append(GaussianPacket.from_dict(entry))
+                out.append(GaussianPacket.from_dict({**entry, "side": side}))
             for warning in caught:
                 print(f"warning: scene {key}[{index}]: {warning.message}", file=sys.stderr)
         return tuple(out)
@@ -479,7 +481,7 @@ def _load_scene(path: str) -> classical.ScatterScene:
                   Option("preset", TEXT), Option("r", FLOAT), Option("t", FLOAT))
     return classical.ScatterScene(
         mirror=(MirrorSpec.from_preset(mirror.pop("preset"), **mirror) if "preset" in mirror
-                else validate_mirror(MirrorSpec.from_dict(mirror))),
+                else MirrorSpec.from_dict(mirror)),
         medium=Medium.from_dict(read("medium", data.get("medium", {}), Medium)),
         packets_a=packets("packets_a", "a"),
         packets_b=packets("packets_b", "b"),

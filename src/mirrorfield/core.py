@@ -1,7 +1,8 @@
-"""Parameter records, validation and physical-constant plumbing.
+"""Parameter records and physical-constant plumbing.
 
-All records are immutable dataclasses, safe to share across threads, and
-serialise to plain dicts with snake_case field names.
+All records are immutable dataclasses that validate themselves when built,
+so a record that exists is admissible. They are safe to share across
+threads and serialise to plain dicts with snake_case field names.
 """
 
 from __future__ import annotations
@@ -127,7 +128,9 @@ class MirrorSpec(_Record):
     Rates are real and non-negative; all complex structure of the mirror
     response lives in the phases phi_1..phi_4. ``t_a``/``r_a`` act on light
     incident from the right half-space (side a), ``t_b``/``r_b`` on light
-    from the left (side b).
+    from the left (side b). Construction raises RateOutOfRange for a rate
+    outside [0, 1], AbsorptionViolation where t**2 + r**2 exceeds 1 on a
+    side, and ValueError for a field that is not finite.
     """
 
     t_a: float
@@ -138,6 +141,19 @@ class MirrorSpec(_Record):
     phi_2: float = 0.0
     phi_3: float = 0.0
     phi_4: float = 0.0
+
+    def __post_init__(self):
+        for side in ("a", "b"):
+            t = getattr(self, f"t_{side}")
+            r = getattr(self, f"r_{side}")
+            for name, value in ((f"t_{side}", t), (f"r_{side}", r)):
+                if not (-_RATE_TOL <= value <= 1.0 + _RATE_TOL):
+                    raise RateOutOfRange(f"{name} = {value} outside [0, 1]")
+            if t * t + r * r > 1.0 + _RATE_TOL:
+                raise AbsorptionViolation(
+                    f"side {side}: t**2 + r**2 = {t * t + r * r} exceeds 1"
+                )
+        _check_finite(self)
 
     @classmethod
     def perfect(cls) -> "MirrorSpec":
@@ -178,7 +194,7 @@ class MirrorSpec(_Record):
     @classmethod
     def from_preset(cls, name: str, /, r: float | None = None,
                     t: float | None = None, **phases) -> "MirrorSpec":
-        """Validated spec of a named preset.
+        """Spec of a named preset.
 
         Each preset takes exactly the parameters it uses: ``perfect``,
         ``free`` and ``absorbing`` none, ``lossless`` ``r`` and optional
@@ -191,28 +207,7 @@ class MirrorSpec(_Record):
         given = {key: value for key, value in (("r", r), ("t", t)) if value is not None}
         allowed = needed + (_PHASES if needed else ())
         _check_keys(f"mirror preset {name!r}", {**given, **phases}, allowed, needed)
-        return validate_mirror(getattr(cls, builder)(**given, **phases))
-
-
-def validate_mirror(spec: MirrorSpec) -> MirrorSpec:
-    """Check rate ranges, the absorption inequality and that every field is
-    finite.
-
-    Returns the spec unchanged when every invariant holds, so validation is
-    idempotent. Raises with the side and values that failed otherwise.
-    """
-    for side in ("a", "b"):
-        t = getattr(spec, f"t_{side}")
-        r = getattr(spec, f"r_{side}")
-        for name, value in ((f"t_{side}", t), (f"r_{side}", r)):
-            if not (-_RATE_TOL <= value <= 1.0 + _RATE_TOL):
-                raise RateOutOfRange(f"{name} = {value} outside [0, 1]")
-        if t * t + r * r > 1.0 + _RATE_TOL:
-            raise AbsorptionViolation(
-                f"side {side}: t**2 + r**2 = {t * t + r * r} exceeds 1"
-            )
-    _check_finite(spec)
-    return spec
+        return getattr(cls, builder)(**given, **phases)
 
 
 @dataclass(frozen=True)
@@ -293,8 +288,7 @@ class GaussianPacket(_Record):
         E(x) = 2 e0 exp(-(x - x0)**2 / (2 sigma**2)) cos(k0_carrier x + xi_init)
 
     and propagates rigidly at the speed of light. The carrier wavenumber is
-    signed: negative for left-movers, positive for right-movers, and must
-    agree with ``direction``.
+    signed: negative for left-movers, positive for right-movers.
     """
 
     e0: float
@@ -302,7 +296,6 @@ class GaussianPacket(_Record):
     sigma: float
     k0_carrier: float
     side: str = "a"
-    direction: str = "left"
     xi_init: float = 0.0
 
     def __post_init__(self):
@@ -312,15 +305,8 @@ class GaussianPacket(_Record):
             raise ValueError(f"sigma = {self.sigma}: need sigma > 0 and 0 < sigma**2 < inf")
         if self.side not in ("a", "b"):
             raise ValueError(f"side must be 'a' or 'b', got {self.side!r}")
-        if self.direction not in ("left", "right"):
-            raise ValueError(f"direction must be 'left' or 'right', got {self.direction!r}")
         if self.k0_carrier == 0.0:
             raise ValueError("k0_carrier must be non-zero")
-        expected = "right" if self.k0_carrier > 0 else "left"
-        if self.direction != expected:
-            raise ValueError(
-                f"direction {self.direction!r} contradicts sign of k0_carrier"
-            )
         # Soft localisation check: the packet should start well inside its
         # nominal half-space.
         on_a = self.x0 >= 3.0 * self.sigma
@@ -334,12 +320,15 @@ class GaussianPacket(_Record):
 
     @classmethod
     def moving(cls, e0, x0, sigma, k0_carrier, side="a", xi_init=0.0) -> "GaussianPacket":
-        """Construct with the direction inferred from the carrier sign."""
-        direction = "right" if k0_carrier > 0 else "left"
+        """Same as the constructor: the carrier sign gives the direction."""
         return cls(e0=e0, x0=x0, sigma=sigma, k0_carrier=k0_carrier,
-                   side=side, direction=direction, xi_init=xi_init)
+                   side=side, xi_init=xi_init)
+
+    @property
+    def sign(self) -> float:
+        """Travel direction along x: +1.0 for a right-mover, -1.0 for a left-mover."""
+        return 1.0 if self.k0_carrier > 0 else -1.0
 
     def center(self, t: float, medium: Medium) -> float:
         """Envelope centre after free propagation for a time t."""
-        sign = 1.0 if self.k0_carrier > 0 else -1.0
-        return self.x0 + sign * medium.c * t
+        return self.x0 + self.sign * medium.c * t

@@ -27,6 +27,7 @@ from .errors import IntegratorInvariantBroken, StepTooLarge, ZeroDistance
 if TYPE_CHECKING:
     import numpy as np
 
+# Tolerances of the invariants the integrator checks at every step.
 _TRACE_TOL = 1e-10
 _POS_TOL = 1e-10
 
@@ -47,12 +48,28 @@ class AtomChannel:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """2x2 atomic state: index 1 is the ground state, 2 the excited state."""
+    """2x2 atomic state: index 1 is the ground state, 2 the excited state.
+
+    Construction checks that every entry is finite, that the state is
+    Hermitian, has unit trace and no negative eigenvalue, each to 1e-10.
+    """
 
     rho11: complex
     rho12: complex
     rho21: complex
     rho22: complex
+
+    def __post_init__(self):
+        entries = (self.rho11, self.rho12, self.rho21, self.rho22)
+        if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in entries):
+            raise ValueError("density matrix has a non-finite entry")
+        if abs(self.rho21 - self.rho12.conjugate()) > 1e-10:
+            raise ValueError("density matrix is not Hermitian")
+        trace = self.rho11 + self.rho22
+        if abs(trace.real - 1.0) > 1e-10 or abs(trace.imag) > 1e-10:
+            raise ValueError("trace deviates from 1 by more than 1e-10")
+        if min_eigenvalue(((self.rho11, self.rho12), (self.rho21, self.rho22))) < -1e-10:
+            raise ValueError("density matrix has a negative eigenvalue")
 
     @classmethod
     def from_matrix(cls, m) -> "DensityMatrix":
@@ -74,19 +91,6 @@ class DensityMatrix:
 
         return np.array([[self.rho11, self.rho12],
                          [self.rho21, self.rho22]], dtype=complex)
-
-    def validate(self, trace_tol: float = _TRACE_TOL, pos_tol: float = _POS_TOL) -> "DensityMatrix":
-        entries = (self.rho11, self.rho12, self.rho21, self.rho22)
-        if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in entries):
-            raise ValueError("density matrix has a non-finite entry")
-        if abs(self.rho21 - self.rho12.conjugate()) > 1e-10:
-            raise ValueError("density matrix is not Hermitian")
-        trace = self.rho11 + self.rho22
-        if abs(trace.real - 1.0) > trace_tol or abs(trace.imag) > trace_tol:
-            raise ValueError(f"trace deviates from 1 by more than {trace_tol}")
-        if min_eigenvalue(((self.rho11, self.rho12), (self.rho21, self.rho22))) < -pos_tol:
-            raise ValueError("density matrix has a negative eigenvalue")
-        return self
 
 
 def min_eigenvalue(m) -> float:
@@ -225,7 +229,7 @@ def evolve(rho0, channel: AtomChannel, t_final: float, dt: float) -> Trajectory:
         raise StepTooLarge(
             f"dt = {dt} exceeds 1e-2 / max(gamma, |delta|) = {1e-2 / scale}"
         )
-    state = _state(rho0).validate()
+    state = _state(rho0)
     columns = _rk4_columns(state, channel.gamma, channel.delta, dt, n_steps)
     return Trajectory(times=[dt * i for i in range(n_steps + 1)], entries=columns)
 
@@ -259,7 +263,6 @@ class UnravelResult:
     rho: np.ndarray           # (n_times, 2, 2), averaged
     stderr_rho22: np.ndarray  # Monte-Carlo standard error of rho22
     n_traj: int
-    seed: int
 
 
 def _pure_state_from(rho0) -> np.ndarray:
@@ -267,7 +270,7 @@ def _pure_state_from(rho0) -> np.ndarray:
     its initial state."""
     import numpy as np
 
-    m = _state(rho0).validate().matrix
+    m = _state(rho0).matrix
     purity = np.trace(m @ m).real
     if abs(purity - 1.0) > 1e-10:
         raise ValueError(f"unraveling needs a pure initial state, purity={purity}")
@@ -432,7 +435,7 @@ def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
     # rho22 is p2 on a fraction q of the trajectories and 0 on the rest.
     stderr = p2 * np.sqrt(q * (1.0 - q) / n)
     return UnravelResult(t=dt * np.arange(n_steps + 1), rho=rho,
-                         stderr_rho22=stderr, n_traj=n_traj, seed=seed)
+                         stderr_rho22=stderr, n_traj=n_traj)
 
 
 def channel_at(mirror: MirrorSpec, mu_orient: float, z, gamma_free: float,

@@ -43,11 +43,8 @@ _CUBE_MAX = 2.0**340
 
 @dataclass(frozen=True)
 class EtaFactors:
-    """Normalisation factors of the two field-observable copies.
-
-    The squares are what the rates use, so they are kept as computed; the
-    factors themselves are their roots.
-    """
+    """Squared normalisation factors of the two field-observable copies,
+    kept as computed since the rates use the squares."""
 
     eta_a_sq: float
     eta_b_sq: float
@@ -56,14 +53,6 @@ class EtaFactors:
         if self.eta_a_sq <= 0.0 or self.eta_b_sq <= 0.0:
             raise ValueError("eta factors must be positive")
 
-    @property
-    def eta_a(self) -> float:
-        return math.sqrt(self.eta_a_sq)
-
-    @property
-    def eta_b(self) -> float:
-        return math.sqrt(self.eta_b_sq)
-
 
 @dataclass(frozen=True)
 class RateResult:
@@ -71,7 +60,6 @@ class RateResult:
 
     gamma_ratio: float | list | np.ndarray
     delta_ratio: float | list | np.ndarray
-    z: float | list | np.ndarray
 
 
 def gamma_free(atom: AtomSpec, medium: Medium) -> float:
@@ -352,8 +340,8 @@ def preset_rates(kind: str, mu_orient: float, z, r: float | None = None,
         if _lowest(z) <= 0.0:
             raise ZeroDistance("level shift requires z > 0")
         if isinstance(z, list):
-            return RateResult(gamma_ratio=[1.0] * len(z), delta_ratio=[0.0] * len(z), z=z)
-        return RateResult(gamma_ratio=1.0 + 0.0 * z, delta_ratio=0.0 * z, z=z)
+            return RateResult(gamma_ratio=[1.0] * len(z), delta_ratio=[0.0] * len(z))
+        return RateResult(gamma_ratio=1.0 + 0.0 * z, delta_ratio=0.0 * z)
     if kind == "perfect":
         pref = 1.5
     elif kind == "symmetric":
@@ -363,7 +351,7 @@ def preset_rates(kind: str, mu_orient: float, z, r: float | None = None,
     else:
         raise ValueError(f"unknown preset kind {kind!r}")
     gamma, delta = _rates(z, mu_orient, 1.0, pref, 0.5 * pref)
-    return RateResult(gamma_ratio=gamma, delta_ratio=delta, z=z)
+    return RateResult(gamma_ratio=gamma, delta_ratio=delta)
 
 
 def far_field_gamma(mirror: MirrorSpec, side: str = "a") -> float:

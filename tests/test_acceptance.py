@@ -128,7 +128,7 @@ def test_criterion_7_classical_boundary_and_energy():
     x0 = 1.0
     with pytest.warns(UserWarning):
         packet = GaussianPacket(e0=1.0, x0=x0, sigma=x0 / math.sqrt(2.0),
-                                k0_carrier=-6.0, side="a", direction="left")
+                                k0_carrier=-6.0, side="a")
     scene = classical.ScatterScene(mirror=PERFECT, packets_a=(packet,), medium=MED)
     worst_node = 0.0
     for t_units in (0.0, 0.89, 1.83):

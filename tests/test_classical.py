@@ -66,7 +66,7 @@ def test_fig2_frame_shape():
     x0 = 1.0
     with pytest.warns(UserWarning):  # marginally localised by construction
         p = GaussianPacket(e0=1.0, x0=x0, sigma=x0 / math.sqrt(2.0),
-                           k0_carrier=-6.0 / x0, side="a", direction="left")
+                           k0_carrier=-6.0 / x0, side="a")
     t1 = 0.89 * x0 / MED.c
     x = np.linspace(-4.0, 4.0, 8001)
     envelope = np.abs(classical.packet_complex_field(p, x, t1, MED))
@@ -81,7 +81,7 @@ def test_fig2_frame_shape():
 def test_localised_packet_warns_for_fig2_parameters():
     with pytest.warns(UserWarning):
         GaussianPacket(e0=1.0, x0=1.0, sigma=1.0 / math.sqrt(2.0),
-                       k0_carrier=-6.0, side="a", direction="left")
+                       k0_carrier=-6.0, side="a")
 
 
 # ------------------------------------------------------------- perfect mirror

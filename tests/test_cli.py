@@ -351,6 +351,11 @@ SCENE_REJECTS = [
     ({"medium": [1]}, "scene key 'medium' must be an object"),
     ({"packets_a": 5}, "scene key 'packets_a' must be a list of objects"),
     ({"packets_a": [5]}, "scene key 'packets_a' must be a list of objects"),
+    # A packet's side is the list it is in and its direction the carrier sign.
+    ({"packets_a": [{"e0": 1.0, "x0": 30.0, "sigma": 3.0, "k0_carrier": -10.0,
+                     "side": "b"}]}, "GaussianPacket keys: unknown side"),
+    ({"packets_b": [{"e0": 0.5, "x0": -25.0, "sigma": 2.5, "k0_carrier": 8.0,
+                     "direction": "right"}]}, "GaussianPacket keys: unknown direction"),
 ]
 
 

@@ -1,9 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
-from mirrorfield.core import (AtomSpec, GaussianPacket, Medium, MirrorSpec,
-                              phase_constraint_check, validate_mirror)
+from mirrorfield.core import AtomSpec, GaussianPacket, Medium, MirrorSpec, phase_constraint_check
 from mirrorfield.errors import AbsorptionViolation, RateOutOfRange
 
 
@@ -37,33 +37,38 @@ def test_packet_rejects_sigma_whose_square_overflows_or_underflows(sigma):
 
 
 def test_validate_perfect_and_free_presets():
-    assert validate_mirror(MirrorSpec.perfect()) == MirrorSpec.perfect()
-    assert validate_mirror(MirrorSpec.free_space()) == MirrorSpec.free_space()
+    # A MirrorSpec validates itself when built; the presets pass.
+    assert MirrorSpec(**MirrorSpec.perfect().to_dict()) == MirrorSpec.perfect()
+    assert MirrorSpec(**MirrorSpec.free_space().to_dict()) == MirrorSpec.free_space()
 
 
 def test_validate_is_idempotent():
     spec = MirrorSpec.symmetric(r=0.3, t=0.5)
-    once = validate_mirror(spec)
-    assert validate_mirror(once) == spec
+    once = dataclasses.replace(spec)
+    assert dataclasses.replace(once) == spec
 
 
 def test_validate_absorption_violation():
-    with pytest.raises(AbsorptionViolation):
-        validate_mirror(MirrorSpec.symmetric(r=0.9, t=0.9))
+    with pytest.raises(AbsorptionViolation, match=r"side a: t\*\*2 \+ r\*\*2 = 1\.62"):
+        MirrorSpec.symmetric(r=0.9, t=0.9)
+    # No entry point, rates.gamma_mirr included, can take such a mirror.
+    with pytest.raises(AbsorptionViolation) as info:
+        MirrorSpec(t_a=0.9, t_b=0.2, r_a=0.9, r_b=0.1)
+    assert str(info.value) == "side a: t**2 + r**2 = 1.62 exceeds 1"
 
 
 def test_validate_rate_out_of_range():
-    with pytest.raises(RateOutOfRange):
-        validate_mirror(MirrorSpec(t_a=1.2, t_b=0.0, r_a=0.0, r_b=0.0))
-    with pytest.raises(RateOutOfRange):
-        validate_mirror(MirrorSpec(t_a=0.5, t_b=0.5, r_a=-0.2, r_b=0.5))
+    with pytest.raises(RateOutOfRange, match=r"t_a = 1\.2 outside \[0, 1\]"):
+        MirrorSpec(t_a=1.2, t_b=0.0, r_a=0.0, r_b=0.0)
+    with pytest.raises(RateOutOfRange, match=r"r_a = -0\.2 outside \[0, 1\]"):
+        MirrorSpec(t_a=0.5, t_b=0.5, r_a=-0.2, r_b=0.5)
     with pytest.raises(RateOutOfRange, match="r_a = nan"):
-        validate_mirror(MirrorSpec.symmetric(r=math.nan, t=0.5))
+        MirrorSpec.symmetric(r=math.nan, t=0.5)
 
 
 def test_validate_tolerates_float_roundoff():
     r = t = 2**-0.5  # r*r + t*t == 1 + 2e-16
-    validate_mirror(MirrorSpec.symmetric(r=r, t=t))
+    MirrorSpec.symmetric(r=r, t=t)
 
 
 def test_phase_constraint_examples():
@@ -122,7 +127,7 @@ def test_atom_spec_validation_and_k0():
     lambda: AtomSpec(omega_0=1.0, dipole_norm=1.0, mu_orient=0.5, x=math.inf),
     lambda: AtomSpec(omega_0=1.0, dipole_norm=math.nan, mu_orient=0.5, x=1.0),
     lambda: MirrorSpec.from_preset("lossless", r=0.5, phi_2=math.inf),
-    lambda: validate_mirror(MirrorSpec.symmetric(r=0.3, t=0.5, phi_4=-math.inf)),
+    lambda: MirrorSpec.symmetric(r=0.3, t=0.5, phi_4=-math.inf),
 ], ids=["medium-epsilon", "medium-mu_p", "packet-e0", "packet-xi_init",
         "atom-x", "atom-dipole_norm", "mirror-phi_2", "mirror-phi_4"])
 def test_records_reject_non_finite_fields(build):
@@ -131,10 +136,17 @@ def test_records_reject_non_finite_fields(build):
 
 
 def test_packet_direction_consistency():
-    with pytest.raises(ValueError):
+    # The carrier sign is the direction; a record can not state another.
+    with pytest.raises(TypeError):
         GaussianPacket(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=5.0, direction="left")
-    packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-5.0)
-    assert packet.direction == "left"
+    with pytest.raises(ValueError, match="GaussianPacket keys: unknown direction"):
+        GaussianPacket.from_dict({"e0": 1.0, "x0": 30.0, "sigma": 3.0, "k0_carrier": -5.0,
+                                  "direction": "left"})
+    for k0_carrier, sign in ((5.0, 1.0), (-5.0, -1.0)):
+        packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=k0_carrier)
+        assert packet == GaussianPacket(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=k0_carrier)
+        assert packet.sign == sign
+        assert packet.center(2.0, Medium(epsilon=4.0)) == 30.0 + sign
 
 
 def test_packet_soft_localisation_warning():
@@ -168,7 +180,7 @@ def test_json_round_trip_snake_case_fields():
 
     packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-5.0)
     assert set(packet.to_dict()) == {
-        "e0", "x0", "sigma", "k0_carrier", "side", "direction", "xi_init"}
+        "e0", "x0", "sigma", "k0_carrier", "side", "xi_init"}
     assert GaussianPacket.from_dict(packet.to_dict()) == packet
 
 

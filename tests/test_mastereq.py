@@ -243,7 +243,7 @@ def test_non_finite_inputs_rejected():
     with pytest.raises(ValueError):
         me.AtomChannel(1.0, math.inf)
     with pytest.raises(ValueError):
-        me.DensityMatrix(rho11=math.nan, rho12=0.0, rho21=0.0, rho22=1.0).validate()
+        me.DensityMatrix(rho11=math.nan, rho12=0.0, rho21=0.0, rho22=1.0)
 
 
 def test_evolve_rejects_invalid_initial_state():
@@ -759,13 +759,23 @@ def test_channel_rejects_contact():
 
 
 def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        me.DensityMatrix(rho11=0.5, rho12=0.5, rho21=-0.5, rho22=0.5).validate()
-    with pytest.raises(ValueError):
-        me.DensityMatrix(rho11=0.9, rho12=0.0, rho21=0.0, rho22=0.9).validate()
-    with pytest.raises(ValueError):
-        me.DensityMatrix(rho11=1.4, rho12=0.0, rho21=0.0, rho22=-0.4).validate()
-    me.DensityMatrix.excited().validate()
+    # A DensityMatrix validates itself when built.
+    with pytest.raises(ValueError, match="not Hermitian"):
+        me.DensityMatrix(rho11=0.5, rho12=0.5, rho21=-0.5, rho22=0.5)
+    with pytest.raises(ValueError, match="trace deviates from 1 by more than 1e-10"):
+        me.DensityMatrix(rho11=0.9, rho12=0.0, rho21=0.0, rho22=0.9)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        me.DensityMatrix(rho11=1.4, rho12=0.0, rho21=0.0, rho22=-0.4)
+    me.DensityMatrix.excited()
+
+
+@pytest.mark.parametrize("rho0, needle", [
+    (np.diag([0.5, 0.4]), "trace deviates from 1"),
+    (np.diag([1.4, -0.4]), "negative eigenvalue"),
+], ids=["trace-0.9", "negative-population"])
+def test_analytic_solution_rejects_an_invalid_state(rho0, needle):
+    with pytest.raises(ValueError, match=needle):
+        me.analytic_solution(rho0, me.AtomChannel(1.0, 0.0), [0.0, 1.0])
 
 
 @pytest.mark.parametrize("rho0, needle", [
