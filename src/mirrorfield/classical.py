@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianPacket, Medium, MirrorSpec
+from .core import GaussianPacket, Medium, MirrorSpec, _check_finite
 from .errors import GridTooCoarse, NegativeTime
 
 
@@ -169,8 +169,13 @@ class PlaneWavePacket3D:
     xi_init: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         k = np.asarray(self.k_vec, dtype=float)
         pol = np.asarray(self.polarization, dtype=float)
+        for name, vector in (("k_vec", k), ("polarization", pol)):
+            if not np.isfinite(vector).all():
+                raise ValueError(f"PlaneWavePacket3D.{name} must be finite, "
+                                 f"got {getattr(self, name)}")
         k_norm = float(np.linalg.norm(k))
         if k_norm == 0.0:
             raise ValueError("k_vec must be non-zero")

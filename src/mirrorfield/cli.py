@@ -116,10 +116,11 @@ def _json_object(path: str, what: str, keys) -> dict:
 
 
 def _read(data: dict, options, what: str) -> dict:
-    """``data``, a JSON object from the file ``what`` names, without its nulls;
-    the value of each option in it is checked against the option's kind and
-    choices, and other keys pass as they are."""
-    values = {key: raw for key, raw in data.items() if raw is not None}
+    """``data``, a JSON object from the file ``what`` names, without the nulls
+    of its options; the value of each option in it is checked against the
+    option's kind and choices, and other keys pass as they are."""
+    keys = {option.key for option in options}
+    values = {key: raw for key, raw in data.items() if raw is not None or key not in keys}
     for option in options:
         if option.key not in values:
             continue

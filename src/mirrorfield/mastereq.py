@@ -74,6 +74,8 @@ class DensityMatrix:
     @classmethod
     def from_matrix(cls, m) -> "DensityMatrix":
         """The state of a 2x2 matrix: an array or nested sequences of numbers."""
+        if len(m) != 2 or any(len(row) != 2 for row in m):
+            raise ValueError("density matrix must be 2x2")
         return cls(rho11=complex(m[0][0]), rho12=complex(m[0][1]),
                    rho21=complex(m[1][0]), rho22=complex(m[1][1]))
 

@@ -2,6 +2,9 @@
 
 The field is represented by complex coherent amplitudes on a symmetric
 wavenumber grid, one sequence per Hilbert-space copy (side a and side b).
+A ModeGrid is built from its largest wavenumber and its number of
+positive modes, so it is uniform, symmetric and free of k = 0 by
+construction.
 Expectation values of the field observables are then exact classical
 functionals of the amplitudes, which makes the operator-level energy
 bookkeeping testable without any Fock-space machinery. The composite
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,56 +36,36 @@ _LATTICE_ULPS = 8
 class ModeGrid:
     """Uniform symmetric wavenumber grid excluding k = 0.
 
-    ``k`` is ascending, {-K, ..., -dk, dk, ..., K}; ``area`` is the
-    quantisation cross-section in the transverse plane.
+    Built from ``k_max`` and ``n_half``: the spacing is dk = k_max / n_half
+    and ``k`` is ascending, {-k_max, ..., -dk, dk, ..., k_max}, 2 n_half
+    modes. ``area`` is the quantisation cross-section in the transverse
+    plane. ``dk`` and ``k`` are derived, so they take no part in ``==``.
     """
 
-    k: np.ndarray
-    dk: float
+    k_max: float
+    n_half: int
     area: float = 1.0
+    dk: float = field(init=False, repr=False, compare=False)
+    k: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k = np.asarray(self.k, dtype=float)
-        object.__setattr__(self, "k", k)
-        if self.dk <= 0.0:
-            raise ValueError("grid spacing must be positive")
-        if k.size < 2 or k.size % 2 != 0:
-            raise ValueError("grid needs an even number of modes")
-        if np.any(k == 0.0):
-            raise ValueError("k = 0 is excluded from the grid")
-        # Max-abs comparisons with np.allclose's bounds. A finite bound and
-        # the exact-equality fallback keep allclose's rule that an infinite
-        # entry is close only to itself, so a grid holding inf or NaN fails
-        # the same check as it would there, and inf - inf does not warn.
-        tol = 1e-12 * abs(k[-1])
-        with np.errstate(invalid="ignore"):
-            symmetric = (np.abs(k + k[::-1]).max() <= tol < math.inf
-                         or np.array_equal(k, -k[::-1]))
-            steps = np.diff(k[k.size // 2:])
-            uniform = (not steps.size
-                       or np.abs(steps - self.dk).max() <= 1e-9 * self.dk < math.inf
-                       or np.all(steps == self.dk))
-        if not symmetric:
-            raise ValueError("grid must be symmetric under k -> -k")
-        if not uniform:
-            raise ValueError("grid spacing is not uniform")
-
-    @classmethod
-    def symmetric(cls, k_max: float, n_half: int, area: float = 1.0) -> "ModeGrid":
-        dk = k_max / n_half
-        k_pos = dk * np.arange(1, n_half + 1)
-        return cls(k=np.concatenate([-k_pos[::-1], k_pos]), dk=dk, area=area)
+        if not 0.0 < self.k_max < math.inf:
+            raise ValueError(f"k_max must be positive and finite, got {self.k_max}")
+        if not isinstance(self.n_half, (int, np.integer)) or self.n_half < 1:
+            raise ValueError(f"n_half must be an integer of at least 1, got {self.n_half!r}")
+        if not 0.0 < self.area < math.inf:
+            raise ValueError(f"area must be positive and finite, got {self.area}")
+        dk = self.k_max / self.n_half
+        k_pos = dk * np.arange(1, self.n_half + 1)
+        object.__setattr__(self, "dk", dk)
+        object.__setattr__(self, "k", np.concatenate([-k_pos[::-1], k_pos]))
 
     @classmethod
     def for_packet(cls, packet: GaussianPacket, n_modes: int = 4096,
                    area: float = 1.0) -> "ModeGrid":
         """Default grid: n_modes modes out to 8 bandwidths 1/sigma past the carrier."""
         k_max = abs(packet.k0_carrier) + 8.0 / packet.sigma
-        return cls.symmetric(k_max=k_max, n_half=n_modes // 2, area=area)
-
-    @property
-    def n_half(self) -> int:
-        return self.k.size // 2
+        return cls(k_max=k_max, n_half=n_modes // 2, area=area)
 
     @property
     def k_pos(self) -> np.ndarray:

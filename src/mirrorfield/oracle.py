@@ -90,10 +90,14 @@ class QuadratureSpec:
     tolerance: float = 1e-10
 
     def __post_init__(self):
+        if not isinstance(self.order, (int, np.integer)):
+            raise ValueError(f"quadrature order must be an integer, got {self.order}")
         if self.order < 16:
             raise ValueError("quadrature order must be at least 16")
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
+        if not math.isfinite(self.tolerance):
+            raise ValueError(f"tolerance must be finite, got {self.tolerance}")
 
 
 def _angular_route(column: np.ndarray, order: int, cases, mu_values):
@@ -275,28 +279,26 @@ def reset_rate_quadrature(z, mirror: MirrorSpec, mu_orient: float,
 
 
 def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGrid,
-                          x_grid: np.ndarray, medium=None, hbar: float = 1.0,
+                          x_max: float, n_x: int, medium=None, hbar: float = 1.0,
                           side: str = "a") -> dict:
     """Compare the standing-wave mode energy against a spatial quadrature.
 
     The spatial route integrates the energy density of the boundary-matched
-    field over the symmetric doubled domain (the squared field is even, so
-    half the full-line integral equals the half-space energy). Requires a
-    uniform, ascending x_grid with 4m+1 points, symmetric about 0; any
-    other grid raises ValueError. In front of a perfect mirror the field is
-    the free field minus its mirror image, so the free E and B fields are
-    summed once each, on x_grid, and read at -x_grid as those sums reversed.
+    field over the symmetric doubled domain [-x_max, x_max] (the squared
+    field is even, so half the full-line integral equals the half-space
+    energy), sampled at n_x uniform points. ``x_max`` must be positive and
+    finite and ``n_x`` of the form 4m+1, at least 5, else ValueError. In
+    front of a perfect mirror the field is the free field minus its mirror
+    image, so the free E and B fields are summed once each, on the grid,
+    and read at -x as those sums reversed.
     """
     medium = medium if medium is not None else Medium()
-    x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.ndim != 1 or x_grid.size < 5 or x_grid.size % 4 != 1:
-        raise ValueError("x_grid needs 4m+1 points")
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
-        dx = x_grid[1] - x_grid[0]
-        suitable = (dx > 0.0 and np.abs(np.diff(x_grid) - dx).max() <= 1e-9 * dx
-                    and np.abs(x_grid + x_grid[::-1]).max() <= 1e-12 * np.abs(x_grid).max())
-    if not suitable:
-        raise ValueError("x_grid must be uniform, ascending and symmetric about 0")
+    if not 0.0 < x_max < math.inf:
+        raise ValueError(f"x_max must be positive and finite, got {x_max}")
+    if n_x < 5 or n_x % 4 != 1:
+        raise ValueError(f"n_x must be 4m+1 and at least 5, got {n_x}")
+    x_grid = np.linspace(-x_max, x_max, n_x)
+    dx = x_grid[1] - x_grid[0]
     mode_sum = modespace.expect_H_field_one_sided(amps, grid, medium,
                                                   hbar=hbar, side=side)
     e_free = modespace.expect_E_free(amps, grid, medium, x_grid, side=side, hbar=hbar)
@@ -368,15 +370,15 @@ def run_default_checks(quad: QuadratureSpec = QuadratureSpec(),
     medium = Medium()
     packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
     grid = modespace.ModeGrid.for_packet(packet, n_modes=4096)
-    x_grid = np.linspace(-56.0, 56.0, 8193)
+    n_x = 8193
     energy = hfield_mode_sum_check(modespace.packet_to_amplitudes(packet, grid, medium),
-                                   grid, x_grid, medium=medium)
+                                   grid, 56.0, n_x, medium=medium)
 
     z_grid = {"n_points": _Z.size, "z_min": float(_Z[0]), "z_max": float(_Z[-1])}
     return [
         _report("gamma_angular_quadrature", z_grid, gamma, tol_gamma),
         _report("delta_contour_form", z_grid, delta, tol_delta),
         _report("decay_route_consistency", z_grid, route, tol_route),
-        _report("field_energy_mode_sum", {"n_modes": grid.k.size, "n_x": x_grid.size},
+        _report("field_energy_mode_sum", {"n_modes": grid.k.size, "n_x": n_x},
                 energy["rel_gap"], tol_energy),
     ]

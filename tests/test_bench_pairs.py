@@ -76,6 +76,39 @@ def test_verdict_needs_nine_in_ten_lower_pairs_and_a_gap_beyond_the_parent_iqr(
     assert "verify peak_rss_mb verdict: unresolved" in lines  # a tie is not lower
 
 
+def test_no_regression_verdict_reads_each_bound_as_a_fraction_of_the_parent_median(
+        bench_pairs, monkeypatch, tmp_path, capsys):
+    # wall_s has a bound of 0.25. Parent verify and ensemble read 1.01..1.10 s
+    # (median 1.055, Q3 - Q1 0.0275, margin 0.264); verify's change is 0.5 s
+    # slower and ensemble's 0.2 s. Parent survey reads 1..10 s, a Q3 - Q1 of
+    # 5.5 s against a 1.375 s margin, and its change reads the same.
+    parent = {"verify": lambda s: 1.0 + 0.01 * s, "ensemble": lambda s: 1.0 + 0.01 * s,
+              "survey": float}
+    change = {"verify": lambda s: 1.5 + 0.01 * s, "ensemble": lambda s: 1.2 + 0.01 * s,
+              "survey": float}
+
+    def run_bench(checkout, name, seed, seconds, trace):
+        side = parent if checkout == "P" else change
+        return fake_runs(lambda c, s: side[name](s))(checkout, name, seed, seconds, trace)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    code, _ = run_main(bench_pairs, monkeypatch, tmp_path, seeds=10)
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "verify wall_s no-regression verdict: worse" in lines
+    assert "ensemble wall_s no-regression verdict: no worse" in lines
+    assert "survey wall_s no-regression verdict: unresolved" in lines
+    assert "survey peak_rss_mb no-regression verdict: no worse" in lines  # ties
+
+
+def test_no_regression_holds_when_every_change_run_is_below_every_parent_run(
+        bench_pairs):
+    parent = [float(s) for s in range(1, 11)]  # Q3 - Q1 5.5 s, margin 1.375 s
+    assert bench_pairs.no_regression(parent, [0.5 + 0.01 * s for s in range(10)],
+                                     0.25) == "no worse"
+    assert bench_pairs.no_regression(parent, [1.0] + [0.5] * 9, 0.25) == "unresolved"
+
+
 @pytest.mark.parametrize("broken", [
     lambda checkout, workload, seed: int(checkout == "C" and seed == 3),
     lambda checkout, workload, seed: int(checkout == "P" and workload == "survey"),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -260,6 +261,25 @@ def test_plane_wave_packet_requires_transverse_polarization():
     with pytest.raises(ValueError):
         PlaneWavePacket3D(e0=1.0, u0=0.0, sigma=1.0, k_vec=(1.0, 0.0, 0.0),
                           polarization=(1.0, 0.0, 0.0))
+
+
+_FINITE_3D = dict(e0=1.0, u0=0.0, sigma=1.0, k_vec=(1.0, 0.0, 0.0),
+                  polarization=(0.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("e0", math.nan, "PlaneWavePacket3D.e0 must be finite, got nan"),
+    ("u0", math.inf, "PlaneWavePacket3D.u0 must be finite, got inf"),
+    ("sigma", math.nan, "PlaneWavePacket3D.sigma must be finite, got nan"),
+    ("xi_init", -math.inf, "PlaneWavePacket3D.xi_init must be finite, got -inf"),
+    ("k_vec", (1.0, math.nan, 0.0),
+     "PlaneWavePacket3D.k_vec must be finite, got (1.0, nan, 0.0)"),
+    ("polarization", (0.0, math.inf, 0.0),
+     "PlaneWavePacket3D.polarization must be finite, got (0.0, inf, 0.0)"),
+], ids=["e0", "u0", "sigma", "xi_init", "k_vec", "polarization"])
+def test_plane_wave_packet_rejects_non_finite_fields(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PlaneWavePacket3D(**{**_FINITE_3D, field: value})
 
 
 # ------------------------------------------------------------- energy

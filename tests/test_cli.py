@@ -356,6 +356,12 @@ SCENE_REJECTS = [
                      "side": "b"}]}, "GaussianPacket keys: unknown side"),
     ({"packets_b": [{"e0": 0.5, "x0": -25.0, "sigma": 2.5, "k0_carrier": 8.0,
                      "direction": "right"}]}, "GaussianPacket keys: unknown direction"),
+    # A null drops only an option's key; any other key is unknown, null or not.
+    ({"mirror": {"preset": "perfect", "bogus": None}},
+     "mirror preset 'perfect': unknown bogus"),
+    ({"medium": {"bogus": None}}, "Medium keys: unknown bogus"),
+    ({"packets_a": [{"e0": 1.0, "x0": 30.0, "sigma": 3.0, "k0_carrier": -10.0,
+                     "bogus": None}]}, "GaussianPacket keys: unknown bogus"),
 ]
 
 

@@ -252,6 +252,20 @@ def test_evolve_rejects_invalid_initial_state():
         me.evolve(bad, me.AtomChannel(1.0, 0.0), 1.0, 1e-3)
 
 
+@pytest.mark.parametrize("rho0", [np.diag([0.0, 1.0, 5.0]),
+                                  np.array([[0.0, 0.0, 7.0], [0.0, 1.0, 7.0]]),
+                                  [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]],
+                         ids=["3x3", "2x3", "3x2-lists"])
+@pytest.mark.parametrize("entry", [
+    lambda rho0: me.evolve(rho0, me.AtomChannel(1.0, 0.0), 1.0, 1e-3),
+    lambda rho0: me.analytic_solution(rho0, me.AtomChannel(1.0, 0.0), 1.0),
+    lambda rho0: me.jump_unravel(rho0, me.AtomChannel(1.0, 0.0), 1.0, 0.01, 10, seed=0),
+], ids=["evolve", "analytic_solution", "jump_unravel"])
+def test_entry_points_reject_a_state_that_is_not_2x2(entry, rho0):
+    with pytest.raises(ValueError, match="^density matrix must be 2x2$"):
+        entry(rho0)
+
+
 # ------------------------------------------------------------- unraveling
 
 def test_unravel_matches_master_equation_within_3_sigma():

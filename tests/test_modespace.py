@@ -46,41 +46,72 @@ def test_grid_is_symmetric_uniform_and_excludes_zero(grid):
     np.testing.assert_allclose(np.diff(grid.k_pos), grid.dk, rtol=1e-12)
 
 
-def test_grid_rejects_zero_mode():
-    with pytest.raises(ValueError):
-        ms.ModeGrid(k=np.array([-1.0, 0.0, 1.0]), dk=1.0)
+def test_grid_is_built_from_k_max_and_n_half():
+    grid = ms.ModeGrid(k_max=10.0, n_half=4, area=2.0)
+    np.testing.assert_array_equal(grid.k, [-10.0, -7.5, -5.0, -2.5, 2.5, 5.0, 7.5, 10.0])
+    assert grid.dk == 2.5
+    assert grid.n_half == 4
+    np.testing.assert_array_equal(grid.k_pos, [2.5, 5.0, 7.5, 10.0])
+
+
+def test_grid_accepts_a_numpy_integer_count():
+    assert ms.ModeGrid(k_max=10.0, n_half=np.int64(4)).k.size == 8
+
+
+def test_equal_grids_compare_equal_and_hash_alike():
+    grid = ms.ModeGrid(k_max=10.0, n_half=4)
+    same = ms.ModeGrid(k_max=10.0, n_half=4)
+    assert grid == same
+    assert hash(grid) == hash(same)
+    assert grid != ms.ModeGrid(k_max=10.0, n_half=4, area=2.0)
+    assert repr(grid) == "ModeGrid(k_max=10.0, n_half=4, area=1.0)"
 
 
 def test_grid_rejects_asymmetric():
-    with pytest.raises(ValueError):
+    # A grid is its parameters: an asymmetric or uneven k cannot be passed.
+    with pytest.raises(TypeError):
         ms.ModeGrid(k=np.array([-2.0, 1.0]), dk=1.0)
 
 
-def _with(values, at, value):
-    out = np.array(values, dtype=float)
-    out[at] = value
-    return out
+def test_grid_rejects_zero_mode():
+    # A k_max of 0 would put every mode at k = 0.
+    with pytest.raises(ValueError, match="^k_max must be positive and finite, got 0.0$"):
+        ms.ModeGrid(k_max=0.0, n_half=4)
 
 
-_K = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
-_SYMMETRY, _SPACING = "grid must be symmetric under k -> -k", "grid spacing is not uniform"
+def test_for_packet_rejects_a_single_mode(packet):
+    with pytest.raises(ValueError, match="^n_half must be an integer of at least 1, got 0$"):
+        ms.ModeGrid.for_packet(packet, n_modes=1)
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: ms.ModeGrid.symmetric(k_max=math.nan, n_half=4), _SYMMETRY),
-    (lambda: ms.ModeGrid(k=_with(_K, 5, math.nan), dk=1.0), _SYMMETRY),
-    (lambda: ms.ModeGrid(k=_with(_K, 1, math.nan), dk=1.0), _SYMMETRY),
-    (lambda: ms.ModeGrid(k=_K, dk=math.nan), _SPACING),
-    (lambda: ms.ModeGrid.symmetric(k_max=math.inf, n_half=4), _SPACING),
-    (lambda: ms.ModeGrid(k=_with(_K, 7, math.inf), dk=1.0), _SYMMETRY),
-    (lambda: ms.ModeGrid(k=_with(_K, 0, -math.inf), dk=1.0), _SYMMETRY),
-    (lambda: ms.ModeGrid(k=_with(_with(_K, 0, -math.inf), 7, math.inf), dk=1.0), _SPACING),
-    (lambda: ms.ModeGrid(k=_K, dk=math.inf), _SPACING),
-], ids=["k_max-nan", "nan-k", "nan-negative-k", "nan-dk", "k_max-inf", "inf-end",
-        "minus-inf-start", "plus-minus-inf-ends", "inf-dk"])
+    (lambda: ms.ModeGrid(k_max=math.nan, n_half=4),
+     "k_max must be positive and finite, got nan"),
+    (lambda: ms.ModeGrid(k_max=math.inf, n_half=4),
+     "k_max must be positive and finite, got inf"),
+    (lambda: ms.ModeGrid(k_max=10.0, n_half=4, area=math.nan),
+     "area must be positive and finite, got nan"),
+    (lambda: ms.ModeGrid(k_max=10.0, n_half=4, area=math.inf),
+     "area must be positive and finite, got inf"),
+], ids=["k_max-nan", "k_max-inf", "area-nan", "area-inf"])
 def test_grid_rejects_non_finite_values(make, message):
-    # The check that fails is the one np.allclose's rule picks (an infinite
-    # entry is close only to itself), with no RuntimeWarning from inf - inf.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ms.ModeGrid(k_max=-1.0, n_half=4),
+     "k_max must be positive and finite, got -1.0"),
+    (lambda: ms.ModeGrid(k_max=10.0, n_half=4, area=0.0),
+     "area must be positive and finite, got 0.0"),
+    (lambda: ms.ModeGrid(k_max=10.0, n_half=4, area=-1.0),
+     "area must be positive and finite, got -1.0"),
+    (lambda: ms.ModeGrid(k_max=10.0, n_half=0),
+     "n_half must be an integer of at least 1, got 0"),
+    (lambda: ms.ModeGrid(k_max=10.0, n_half=4.0),
+     "n_half must be an integer of at least 1, got 4.0"),
+], ids=["k_max-negative", "area-zero", "area-negative", "n_half-zero", "n_half-float"])
+def test_grid_rejects_out_of_range_values(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
 
@@ -113,7 +144,7 @@ def test_round_trip_field_reproduces_packet(packet, grid, amps):
 
 
 def test_bandwidth_not_covered(packet):
-    narrow = ms.ModeGrid.symmetric(k_max=11.0, n_half=256)  # carrier+6/sigma = 12
+    narrow = ms.ModeGrid(k_max=11.0, n_half=256)  # carrier+6/sigma = 12
     with pytest.raises(BandwidthNotCovered):
         ms.packet_to_amplitudes(packet, narrow, MED)
 
@@ -300,7 +331,7 @@ def _uniform_x(rng, n, descending, with_zero):
 @pytest.mark.parametrize("with_zero", [True, False], ids=["with-zero", "off-centre"])
 def test_chirp_field_sum_matches_dense(monkeypatch, descending, n, with_zero):
     rng = np.random.default_rng([n, descending, with_zero])
-    grid = ms.ModeGrid.symmetric(k_max=rng.uniform(5.0, 15.0), n_half=512)
+    grid = ms.ModeGrid(k_max=rng.uniform(5.0, 15.0), n_half=512)
     weights = _random_weights(rng, grid.k.size)
     x = _uniform_x(rng, n, descending, with_zero)
     assert (0.0 in x) == with_zero

@@ -22,6 +22,17 @@ def test_quadrature_spec_validation():
         oracle.QuadratureSpec(tolerance=0.0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"tolerance": math.nan}, "tolerance must be finite, got nan"),
+    ({"tolerance": math.inf}, "tolerance must be finite, got inf"),
+    ({"order": 64.5}, "quadrature order must be an integer, got 64.5"),
+    ({"order": np.float64(64.0)}, "quadrature order must be an integer, got 64.0"),
+], ids=["tolerance-nan", "tolerance-inf", "order-fraction", "order-numpy-float"])
+def test_quadrature_spec_rejects_non_finite_tolerance_and_non_integer_order(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        oracle.QuadratureSpec(**fields)
+
+
 # --------------------------------------------------- Gauss-Legendre rule
 
 def test_gl_nodes_match_leggauss():
@@ -208,26 +219,23 @@ def test_hfield_check_gaussian_packet():
     packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
     grid = ms.ModeGrid.for_packet(packet, n_modes=4096)
     amps = ms.packet_to_amplitudes(packet, grid, MED)
-    x_grid = np.linspace(-56.0, 56.0, 8193)
-    result = oracle.hfield_mode_sum_check(amps, grid, x_grid, medium=MED)
+    result = oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193, medium=MED)
     assert result["rel_gap"] < 1e-3
 
 
 def test_hfield_check_antisymmetric_amplitudes():
-    grid = ms.ModeGrid.symmetric(k_max=14.0, n_half=2048)
+    grid = ms.ModeGrid(k_max=14.0, n_half=2048)
     g = np.exp(-0.5 * ((grid.k_pos - 9.0) / 0.4) ** 2).astype(complex)
     alpha = np.concatenate([-g[::-1], g])
     amps = ms.ModeAmplitudes(alpha_a=alpha, alpha_b=np.zeros_like(alpha))
-    x_grid = np.linspace(-40.0, 40.0, 8193)
-    result = oracle.hfield_mode_sum_check(amps, grid, x_grid, medium=MED)
+    result = oracle.hfield_mode_sum_check(amps, grid, 40.0, 8193, medium=MED)
     assert result["rel_gap"] < 1e-6
 
 
 def test_hfield_check_vacuum():
-    grid = ms.ModeGrid.symmetric(k_max=10.0, n_half=128)
+    grid = ms.ModeGrid(k_max=10.0, n_half=128)
     amps = ms.ModeAmplitudes.vacuum(grid)
-    x_grid = np.linspace(-10.0, 10.0, 257)
-    result = oracle.hfield_mode_sum_check(amps, grid, x_grid, medium=MED)
+    result = oracle.hfield_mode_sum_check(amps, grid, 10.0, 257, medium=MED)
     assert result["mode_sum"] == 0.0
     assert result["spatial"] == 0.0
     assert result["rel_gap"] == 0.0
@@ -486,9 +494,8 @@ def test_hfield_check_equals_the_four_sum_form_on_the_suite_grid():
     packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
     grid = ms.ModeGrid.for_packet(packet, n_modes=4096)
     amps = ms.packet_to_amplitudes(packet, grid, MED)
-    x_grid = np.linspace(-56.0, 56.0, 8193)
-    got = oracle.hfield_mode_sum_check(amps, grid, x_grid, medium=MED)
-    assert got == _hfield_four_sums(amps, grid, x_grid, MED)
+    got = oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193, medium=MED)
+    assert got == _hfield_four_sums(amps, grid, np.linspace(-56.0, 56.0, 8193), MED)
     assert got["rel_gap"] < 1e-15
 
 
@@ -534,8 +541,7 @@ def _reference_default_checks():
     packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
     grid = ms.ModeGrid.for_packet(packet, n_modes=4096)
     amps = ms.packet_to_amplitudes(packet, grid, MED)
-    energy = oracle.hfield_mode_sum_check(amps, grid, np.linspace(-56.0, 56.0, 8193),
-                                          medium=MED)
+    energy = oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193, medium=MED)
     return reports + [{"name": "field_energy_mode_sum",
                        "grid": {"n_modes": 4096, "n_x": 8193},
                        "max_rel_dev": energy["rel_gap"], "tolerance": 1e-3,
@@ -548,7 +554,7 @@ def test_default_checks_equal_the_per_pair_loop():
 
 def test_default_checks_run_without_sort_or_allclose(monkeypatch):
     # Each numpy kernel the suite touches maps its code pages; the energy
-    # check's samples are ascending and its grid tests are max-abs bounds.
+    # check builds its samples ascending, so the lattice reader sorts none.
     def forbidden(*args, **kwargs):
         raise AssertionError("the default checks called a forbidden numpy helper")
     monkeypatch.setattr(np, "sort", forbidden)
@@ -571,23 +577,28 @@ def test_default_checks_memory_peak():
 
 # ------------------------------------------------------- field energy grid
 
-@pytest.mark.parametrize("x_grid", [
-    np.linspace(-20.0, 92.0, 8193),
-    np.concatenate([np.linspace(-56.0, 0.0, 4097), np.linspace(0.0, 28.0, 4097)[1:]]),
-    np.linspace(-56.0, 56.0, 8192),
-    np.linspace(56.0, -56.0, 8193),
-    np.where(np.arange(8193) == 100, math.nan, np.linspace(-56.0, 56.0, 8193)),
-    np.where(np.arange(8193) == 4096, math.nan, np.linspace(-56.0, 56.0, 8193)),
-    np.where(np.arange(8193) == 8192, math.inf, np.linspace(-56.0, 56.0, 8193)),
-    np.where(np.arange(8193) == 0, -math.inf, np.linspace(-56.0, 56.0, 8193)),
-    np.concatenate([[-math.inf], np.linspace(-55.0, 55.0, 8191), [math.inf]]),
-], ids=["off-centre", "step-change-at-0", "even-count", "descending", "nan", "nan-at-0",
-        "inf-end", "minus-inf-start", "plus-minus-inf-ends"])
-def test_hfield_check_rejects_unsuitable_grid(x_grid):
-    grid = ms.ModeGrid.symmetric(k_max=10.0, n_half=128)
+@pytest.mark.parametrize("x_max, n_x, message", [
+    (56.0, 8192, "n_x must be 4m+1 and at least 5, got 8192"),
+    (56.0, 1, "n_x must be 4m+1 and at least 5, got 1"),
+    (-56.0, 8193, "x_max must be positive and finite, got -56.0"),
+    (0.0, 8193, "x_max must be positive and finite, got 0.0"),
+    (math.nan, 8193, "x_max must be positive and finite, got nan"),
+    (math.inf, 8193, "x_max must be positive and finite, got inf"),
+], ids=["even-count", "too-few", "descending", "zero-width", "nan", "plus-minus-inf-ends"])
+def test_hfield_check_rejects_unsuitable_grid(x_max, n_x, message):
+    grid = ms.ModeGrid(k_max=10.0, n_half=128)
     amps = ms.ModeAmplitudes.vacuum(grid)
-    with pytest.raises(ValueError, match="x_grid"):
-        oracle.hfield_mode_sum_check(amps, grid, x_grid, medium=MED)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        oracle.hfield_mode_sum_check(amps, grid, x_max, n_x, medium=MED)
+
+
+def test_hfield_check_takes_no_free_form_grid():
+    # The x grid is built from x_max and n_x: an off-centre or uneven grid
+    # cannot be passed.
+    grid = ms.ModeGrid(k_max=10.0, n_half=128)
+    with pytest.raises(TypeError):
+        oracle.hfield_mode_sum_check(ms.ModeAmplitudes.vacuum(grid), grid,
+                                     x_grid=np.linspace(-20.0, 92.0, 8193))
 
 
 # ------------------------------------------------------- non-finite input

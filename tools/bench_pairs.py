@@ -9,10 +9,16 @@ line is written to the output file with the git revision of each checkout
 (null for a directory that is not a git checkout), ``nproc`` and the numpy
 and Python versions. For each workload and end-to-end metric it prints each
 side's median and quartiles and the number of pairs in which the change
-reads lower (ties count for neither side), then a verdict: ``resolved``
-when the change reads lower in at least 9 of 10 pairs and its median is
-below the parent's by more than the parent's Q3 - Q1, else
-``unresolved``. Progress goes to standard error.
+reads lower (ties count for neither side), then a gain verdict:
+``resolved`` when the change reads lower in at least 9 of 10 pairs and its
+median is below the parent's by more than the parent's Q3 - Q1, else
+``unresolved``; and a no-regression verdict against the metric's
+``bound`` in ``BENCHMARK.json``, read as a fraction of the parent's median:
+``unresolved`` when the parent's Q3 - Q1 is wider than that margin, unless
+every change run is below every parent run; else ``worse`` when the
+change's median exceeds the parent's by more than the margin, else ``no
+worse``. Lower is better for every end-to-end metric. Progress goes to
+standard error.
 The exit code is 1 if any run reported ``"correct": false`` or a failed
 operation, which ``bench/run.py`` itself does not signal in its exit code.
 """
@@ -26,11 +32,14 @@ import platform
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
-WORKLOADS = ("verify", "ensemble", "survey")
-METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
+                       .read_text(encoding="utf-8"))
+WORKLOADS = tuple(workload["name"] for workload in BENCHMARK["workloads"])
+BOUNDS = {metric["name"]: metric["bound"] for metric in BENCHMARK["end_to_end"]}
 
 
 def run_bench(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -56,6 +65,18 @@ def verdict(parent: list[float], change: list[float]) -> str:
     lower = sum(c < p for p, c in zip(parent, change))
     resolved = 10 * lower >= 9 * len(parent) and median - statistics.median(change) > q3 - q1
     return "resolved" if resolved else "unresolved"
+
+
+def no_regression(parent: list[float], change: list[float], bound: float) -> str:
+    """Whether the change reads worse than the parent by more than ``bound``
+    times the parent's median, the margin; ``unresolved`` when the parent's
+    interquartile range is wider than the margin, unless every change run
+    is below every parent run."""
+    q1, median, q3 = statistics.quantiles(parent, n=4)
+    margin = bound * median
+    if q3 - q1 > margin and not max(change) < min(parent):
+        return "unresolved"
+    return "worse" if statistics.median(change) - median > margin else "no worse"
 
 
 def revision(checkout: str) -> str | None:
@@ -106,13 +127,15 @@ def main() -> int:
         json.dump(record, handle, indent=1, sort_keys=True)
         handle.write("\n")
     for workload in WORKLOADS:
-        for metric in METRICS:
+        for metric, bound in BOUNDS.items():
             parent, change = ([r["metrics"][metric]["value"]
                                for r in record["trace0"][side][workload]] for side in sides)
             lower = sum(c < p for p, c in zip(parent, change))
             print(f"{workload} {metric}: parent {summary(parent)} -> change {summary(change)}; "
                   f"change lower in {lower}/{len(parent)} pairs")
             print(f"{workload} {metric} verdict: {verdict(parent, change)}")
+            print(f"{workload} {metric} no-regression verdict: "
+                  f"{no_regression(parent, change, bound)}")
     bad = [f"{kind} {side} {workload} seed {result['seed']}"
            for kind in ("trace0", "trace1") for side in sides
            for workload, results in record[kind][side].items()
