@@ -56,6 +56,11 @@ class ModeGrid:
         if not 0.0 < self.area < math.inf:
             raise ValueError(f"area must be positive and finite, got {self.area}")
         dk = self.k_max / self.n_half
+        # The top mode dk * n_half may round past the largest float, and dk
+        # may underflow to 0 for a subnormal k_max.
+        if not (dk > 0.0 and float(dk) * float(self.n_half) < math.inf):
+            raise ValueError(f"k_max = {self.k_max} with n_half = {self.n_half} "
+                             "puts a mode at 0 or infinity")
         k_pos = dk * np.arange(1, self.n_half + 1)
         object.__setattr__(self, "dk", dk)
         object.__setattr__(self, "k", np.concatenate([-k_pos[::-1], k_pos]))

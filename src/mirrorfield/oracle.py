@@ -287,14 +287,22 @@ def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGr
     field over the symmetric doubled domain [-x_max, x_max] (the squared
     field is even, so half the full-line integral equals the half-space
     energy), sampled at n_x uniform points. ``x_max`` must be positive and
-    finite and ``n_x`` of the form 4m+1, at least 5, else ValueError. In
-    front of a perfect mirror the field is the free field minus its mirror
-    image, so the free E and B fields are summed once each, on the grid,
-    and read at -x as those sums reversed.
+    finite, with 2 x_max and k_max x_max finite too, and ``n_x`` of the form
+    4m+1, at least 5, else ValueError. In front of a perfect mirror the
+    field is the free field minus its mirror image, so the free E and B
+    fields are summed once each, on the grid, and read at -x as those sums
+    reversed.
     """
     medium = medium if medium is not None else Medium()
     if not 0.0 < x_max < math.inf:
         raise ValueError(f"x_max must be positive and finite, got {x_max}")
+    # Past these the span 2 x_max or the phase k x overflows, and the field
+    # sums would turn NaN.
+    if 2.0 * float(x_max) == math.inf:
+        raise ValueError(f"x grid span 2 x_max overflows, got x_max = {x_max}")
+    if float(x_max) * float(grid.k_max) == math.inf:
+        raise ValueError(f"phase k_max x_max overflows, got x_max = {x_max}, "
+                         f"k_max = {grid.k_max}")
     if n_x < 5 or n_x % 4 != 1:
         raise ValueError(f"n_x must be 4m+1 and at least 5, got {n_x}")
     x_grid = np.linspace(-x_max, x_max, n_x)

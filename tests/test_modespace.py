@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -84,6 +85,11 @@ def test_for_packet_rejects_a_single_mode(packet):
         ms.ModeGrid.for_packet(packet, n_modes=1)
 
 
+_FLOAT_MAX = sys.float_info.max
+_LEFT_MOVING = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
+_CARRIER_AT_MAX = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-_FLOAT_MAX)
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: ms.ModeGrid(k_max=math.nan, n_half=4),
      "k_max must be positive and finite, got nan"),
@@ -93,7 +99,24 @@ def test_for_packet_rejects_a_single_mode(packet):
      "area must be positive and finite, got nan"),
     (lambda: ms.ModeGrid(k_max=10.0, n_half=4, area=math.inf),
      "area must be positive and finite, got inf"),
-], ids=["k_max-nan", "k_max-inf", "area-nan", "area-inf"])
+    # The ids below name where the non-finite value would land in k or dk.
+    (lambda: ms.ModeGrid(k_max=10.0, n_half=math.nan),
+     "n_half must be an integer of at least 1, got nan"),
+    (lambda: ms.ModeGrid(k_max=10.0, n_half=np.int64(0)),
+     f"n_half must be an integer of at least 1, got {np.int64(0)!r}"),
+    (lambda: ms.ModeGrid(k_max=np.float64(math.nan), n_half=4),
+     "k_max must be positive and finite, got nan"),
+    (lambda: ms.ModeGrid.for_packet(_LEFT_MOVING, n_modes=math.nan),
+     "n_half must be an integer of at least 1, got nan"),
+    # dk * n_half rounds past the largest float.
+    (lambda: ms.ModeGrid(k_max=_FLOAT_MAX, n_half=3),
+     f"k_max = {_FLOAT_MAX} with n_half = 3 puts a mode at 0 or infinity"),
+    (lambda: ms.ModeGrid(k_max=_FLOAT_MAX, n_half=np.int64(7)),
+     f"k_max = {_FLOAT_MAX} with n_half = 7 puts a mode at 0 or infinity"),
+    (lambda: ms.ModeGrid.for_packet(_CARRIER_AT_MAX, n_modes=6),
+     f"k_max = {_FLOAT_MAX} with n_half = 3 puts a mode at 0 or infinity"),
+], ids=["k_max-nan", "k_max-inf", "area-nan", "area-inf", "nan-dk", "inf-dk", "nan-k",
+        "nan-negative-k", "inf-end", "minus-inf-start", "plus-minus-inf-ends"])
 def test_grid_rejects_non_finite_values(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
@@ -110,7 +133,10 @@ def test_grid_rejects_non_finite_values(make, message):
      "n_half must be an integer of at least 1, got 0"),
     (lambda: ms.ModeGrid(k_max=10.0, n_half=4.0),
      "n_half must be an integer of at least 1, got 4.0"),
-], ids=["k_max-negative", "area-zero", "area-negative", "n_half-zero", "n_half-float"])
+    (lambda: ms.ModeGrid(k_max=5e-324, n_half=2),
+     "k_max = 5e-324 with n_half = 2 puts a mode at 0 or infinity"),
+], ids=["k_max-negative", "area-zero", "area-negative", "n_half-zero", "n_half-float",
+        "dk-underflow"])
 def test_grid_rejects_out_of_range_values(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()

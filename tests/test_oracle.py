@@ -584,7 +584,13 @@ def test_default_checks_memory_peak():
     (0.0, 8193, "x_max must be positive and finite, got 0.0"),
     (math.nan, 8193, "x_max must be positive and finite, got nan"),
     (math.inf, 8193, "x_max must be positive and finite, got inf"),
-], ids=["even-count", "too-few", "descending", "zero-width", "nan", "plus-minus-inf-ends"])
+    # linspace would make sample 0 NaN (0 * inf) and the rest infinite.
+    (1e308, 8193, "x grid span 2 x_max overflows, got x_max = 1e+308"),
+    # k x would be -inf at the first sample and +inf at the last.
+    (2e307, 8193, "phase k_max x_max overflows, got x_max = 2e+307, k_max = 10.0"),
+    (5e307, 8193, "phase k_max x_max overflows, got x_max = 5e+307, k_max = 10.0"),
+], ids=["even-count", "too-few", "descending", "zero-width", "nan", "plus-minus-inf-ends",
+        "nan-at-0", "minus-inf-start", "inf-end"])
 def test_hfield_check_rejects_unsuitable_grid(x_max, n_x, message):
     grid = ms.ModeGrid(k_max=10.0, n_half=128)
     amps = ms.ModeAmplitudes.vacuum(grid)
