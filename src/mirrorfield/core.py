@@ -8,6 +8,7 @@ threads and serialise to plain dicts with snake_case field names.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -59,6 +60,18 @@ def _caller_stacklevel() -> int:
     while frame.f_back is not None and frame.f_globals is globals():
         level, frame = level + 1, frame.f_back
     return level
+
+
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer, False for a bool, a float or
+    anything else: what an integer parameter takes."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 def _check_finite(record) -> None:

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import rates
-from .core import MAX_STEPS, MAX_TRAJECTORIES, AtomSpec, Medium, MirrorSpec
+from .core import MAX_STEPS, MAX_TRAJECTORIES, AtomSpec, Medium, MirrorSpec, _is_integer
 from .errors import IntegratorInvariantBroken, StepTooLarge, ZeroDistance
 
 if TYPE_CHECKING:
@@ -74,10 +74,14 @@ class DensityMatrix:
     @classmethod
     def from_matrix(cls, m) -> "DensityMatrix":
         """The state of a 2x2 matrix: an array or nested sequences of numbers."""
-        if len(m) != 2 or any(len(row) != 2 for row in m):
+        try:
+            rows = [[complex(v) for v in row] for row in m]
+        except TypeError:  # a scalar, a row that is a number, or an entry that is an array
+            rows = []
+        if len(rows) != 2 or any(len(row) != 2 for row in rows):
             raise ValueError("density matrix must be 2x2")
-        return cls(rho11=complex(m[0][0]), rho12=complex(m[0][1]),
-                   rho21=complex(m[1][0]), rho22=complex(m[1][1]))
+        (rho11, rho12), (rho21, rho22) = rows
+        return cls(rho11=rho11, rho12=rho12, rho21=rho21, rho22=rho22)
 
     @classmethod
     def excited(cls) -> "DensityMatrix":
@@ -418,6 +422,9 @@ def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
     """
     import numpy as np
 
+    for name, value in (("n_traj", n_traj), ("seed", seed)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 1 <= n_traj <= MAX_TRAJECTORIES:
         raise ValueError(f"n_traj must be between 1 and {MAX_TRAJECTORIES}, got {n_traj}")
     if not 0 <= seed < 2 ** 64:

@@ -7,7 +7,9 @@ positive modes, so it is uniform, symmetric and free of k = 0 by
 construction.
 Expectation values of the field observables are then exact classical
 functionals of the amplitudes, which makes the operator-level energy
-bookkeeping testable without any Fock-space machinery. The composite
+bookkeeping testable without any Fock-space machinery. A field sum over
+an x that np.linspace made runs as a chirp-z transform on the grid's own
+mode lattice, dk times the integers; any other x, a dense sum. The composite
 Simpson rule with its step-halving check, which integrates the spatial
 side of those energy checks, lives here too.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GaussianPacket, Medium
+from .core import GaussianPacket, Medium, _is_integer
 from .errors import BandwidthNotCovered, GridTooCoarse
 
 # Width, in units of 1/sigma, that a grid must cover around the carrier.
@@ -28,8 +30,6 @@ _COVERAGE = 6.0
 # Field sums over fewer x samples than this stay dense. With 256 modes the
 # dense sum is the faster one below about 25 samples (2-core x86, numpy 2.4).
 _CHIRP_MIN_POINTS = 32
-# Slack, in ulps of the largest |value|, for reading samples as lattice points.
-_LATTICE_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class ModeGrid:
     def __post_init__(self):
         if not 0.0 < self.k_max < math.inf:
             raise ValueError(f"k_max must be positive and finite, got {self.k_max}")
-        if not isinstance(self.n_half, (int, np.integer)) or self.n_half < 1:
+        if not _is_integer(self.n_half) or self.n_half < 1:
             raise ValueError(f"n_half must be an integer of at least 1, got {self.n_half!r}")
         if not 0.0 < self.area < math.inf:
             raise ValueError(f"area must be positive and finite, got {self.area}")
@@ -64,6 +64,7 @@ class ModeGrid:
         k_pos = dk * np.arange(1, self.n_half + 1)
         object.__setattr__(self, "dk", dk)
         object.__setattr__(self, "k", np.concatenate([-k_pos[::-1], k_pos]))
+        self.k.flags.writeable = False  # the chirp-z sum reads dk and n_half, not k
 
     @classmethod
     def for_packet(cls, packet: GaussianPacket, n_modes: int = 4096,
@@ -154,31 +155,6 @@ def _dense_field_sum(weights: np.ndarray, k: np.ndarray, x) -> np.ndarray:
     return out.reshape(x.shape) if x.shape else float(out[0])
 
 
-def _lattice(values: np.ndarray):
-    """Read 1-D samples as lattice points ``centre + step * (i - (n - 1) / 2)``.
-
-    Returns (centre, step, i, n), with one integer index i per sample, or
-    None when a sample is off the lattice by more than _LATTICE_ULPS ulps
-    of max|values| or the samples fill less than a quarter of it.
-    """
-    lo, hi = values.min(), values.max()
-    tol = _LATTICE_ULPS * np.finfo(float).eps * max(abs(lo), abs(hi))
-    gaps = np.diff(values)
-    if not gaps.min() >= 0.0:  # sort only samples that are not ascending yet
-        gaps = np.diff(np.sort(values))
-    gaps = gaps[gaps > tol]
-    if not (np.isfinite(hi - lo) and gaps.size):
-        return None
-    span = round((hi - lo) / gaps.min())
-    if span + 1 > 4 * values.size:
-        return None
-    centre, step = 0.5 * (lo + hi), (hi - lo) / span
-    index = np.rint((values - lo) / step).astype(np.int64)
-    if np.abs(centre + step * (index - 0.5 * span) - values).max() > tol:
-        return None
-    return centre, step, index, span + 1
-
-
 def _chirp(scale: float, m: np.ndarray) -> np.ndarray:
     """exp(i scale m**2) for integer or half-integer m.
 
@@ -209,18 +185,21 @@ def _chirp_kernel(a: float, nk: int, nx: int) -> np.ndarray:
     return kernel
 
 
-def _chirp_field_sum(weights: np.ndarray, k_lattice, x_lattice) -> np.ndarray:
-    """2 Re sum_k w_k exp(i k x) for k and x on lattices, by chirp-z.
+def _chirp_field_sum(weights: np.ndarray, grid: ModeGrid, x_first: float,
+                     x_last: float, nx: int) -> np.ndarray:
+    """2 Re sum_k w_k exp(i k x) by chirp-z, for the grid's modes k = dk p,
+    0 < |p| <= n_half, and nx samples x = x_c + dx q from x_first up to x_last.
 
-    With k = k_c + dk p and x = x_c + dx q, p and q centred on their
-    lattices, k x = k_c x + dk x_c p + a p q with a = dk dx. Writing
-    p q = (p**2 + q**2 - (q - p)**2) / 2 turns the sum over p into a
-    convolution in q - p, done with the FFT (Bluestein 1970). Centring
+    With q centred on its lattice, k x = dk x_c p + a p q with a = dk dx.
+    Writing p q = (p**2 + q**2 - (q - p)**2) / 2 turns the sum over p into
+    a convolution in q - p, done with the FFT (Bluestein 1970). Centring
     keeps the chirp phases a m**2 / 2, and so their rounding, small.
     """
-    k_c, dk, k_index, nk = k_lattice
-    x_c, dx, x_index, nx = x_lattice
-    a = dk * dx
+    n = grid.n_half
+    nk = 2 * n + 1
+    dx = (x_last - x_first) / (nx - 1)
+    x_c = 0.5 * x_first + 0.5 * x_last  # no overflow for ends near the largest float
+    a = grid.dk * dx
     p = np.arange(nk) - 0.5 * (nk - 1)
     q = np.arange(nx) - 0.5 * (nx - 1)
     kernel = _chirp_kernel(a, nk, nx)
@@ -228,32 +207,36 @@ def _chirp_field_sum(weights: np.ndarray, k_lattice, x_lattice) -> np.ndarray:
     # transformed back in this one buffer.
     conv = np.zeros(kernel.size, dtype=complex)
     u = conv[:nk]
-    np.add.at(u, k_index, weights)
-    u *= np.exp(1j * (dk * x_c) * p) * _chirp(0.5 * a, p)
+    u[:n] = weights[:n]
+    u[n + 1:] = weights[n:]
+    u *= np.exp(1j * (grid.dk * x_c) * p) * _chirp(0.5 * a, p)
     np.fft.fft(conv, out=conv)
     conv *= kernel
     np.fft.ifft(conv, out=conv)
-    out = np.exp(1j * k_c * (x_c + dx * q))
-    out *= _chirp(0.5 * a, q)
+    out = _chirp(0.5 * a, q)
     out *= conv[:nx]
-    return 2.0 * out.real[x_index]
+    return 2.0 * out.real
 
 
-def _field_sum(weights: np.ndarray, k: np.ndarray, x) -> np.ndarray:
-    """2 Re sum_k w_k exp(i k x).
+def _field_sum(weights: np.ndarray, grid: ModeGrid, x) -> np.ndarray:
+    """2 Re sum_k w_k exp(i k x) over the grid's modes.
 
-    A 1-D x of at least _CHIRP_MIN_POINTS lattice points, with k on a
-    lattice too (a ModeGrid is one, with its k = 0 slot empty), goes
-    through the chirp-z transform in O((Nx + Nk) log); a scalar, 2-D,
-    irregular or short x through the dense O(Nx Nk) sum.
+    A 1-D x of at least _CHIRP_MIN_POINTS samples that np.linspace made
+    between two distinct ends goes through the chirp-z transform on the
+    grid's own mode lattice, in O((Nx + Nk) log); any other x through the
+    dense O(Nx Nk) sum. A non-finite x raises ValueError.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1 and x.size >= _CHIRP_MIN_POINTS:
-        x_lattice = _lattice(x)
-        k_lattice = _lattice(np.asarray(k, dtype=float))
-        if x_lattice is not None and k_lattice is not None:
-            return _chirp_field_sum(weights, k_lattice, x_lattice)
-    return _dense_field_sum(weights, k, x)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
+    if (x.ndim == 1 and x.size >= _CHIRP_MIN_POINTS and x[0] != x[-1]
+            and np.array_equal(x, np.linspace(x[0], x[-1], x.size))):
+        if x[0] < x[-1]:
+            return _chirp_field_sum(weights, grid, x[0], x[-1], x.size)
+        # A descending x is read backwards off its ascending lattice, so on an x
+        # symmetric about 0 the sum at -x is the sum at x reversed, bit for bit.
+        return _chirp_field_sum(weights, grid, x[-1], x[0], x.size)[::-1]
+    return _dense_field_sum(weights, grid.k, x)
 
 
 def expect_E_free(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium, x,
@@ -261,7 +244,7 @@ def expect_E_free(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium, x,
     """Expectation of the free-space electric field for one copy."""
     omega = grid.omega(medium)
     prefac = 0.5j * np.sqrt(hbar * omega / (math.pi * medium.epsilon * grid.area))
-    return _field_sum(prefac * amps.side(side) * grid.dk, grid.k, x)
+    return _field_sum(prefac * amps.side(side) * grid.dk, grid, x)
 
 
 def expect_B_free(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium, x,
@@ -274,7 +257,7 @@ def expect_B_free(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium, x,
     omega = grid.omega(medium)
     prefac = (0.5j / medium.c) * np.sign(grid.k) * np.sqrt(
         hbar * omega / (math.pi * medium.epsilon * grid.area))
-    return _field_sum(prefac * amps.side(side) * grid.dk, grid.k, x)
+    return _field_sum(prefac * amps.side(side) * grid.dk, grid, x)
 
 
 def xi_transform(amps: ModeAmplitudes, grid: ModeGrid, side: str = "a") -> np.ndarray:
@@ -359,7 +342,7 @@ def expect_E_mirr_via_xi(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
     omega = grid.omega(medium)
     prefac = 0.5j * np.sqrt(hbar * omega / (math.pi * medium.epsilon * grid.area))
     x = np.asarray(x, dtype=float)
-    vals = _field_sum(prefac * full * grid.dk, grid.k, x)
+    vals = _field_sum(prefac * full * grid.dk, grid, x)
     mask = np.where(x >= 0.0, 1.0, 0.0)
     out = vals * mask
     return out if x.shape else float(out)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modespace, rates
-from .core import GaussianPacket, Medium, MirrorSpec
+from .core import GaussianPacket, Medium, MirrorSpec, _is_integer
 from .errors import QuadratureNotConverged, ZeroDistance
 
 # Azimuths of the emission route's periodic trapezoid.
@@ -90,7 +90,7 @@ class QuadratureSpec:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if not isinstance(self.order, (int, np.integer)):
+        if not _is_integer(self.order):
             raise ValueError(f"quadrature order must be an integer, got {self.order}")
         if self.order < 16:
             raise ValueError("quadrature order must be at least 16")
@@ -303,6 +303,8 @@ def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGr
     if float(x_max) * float(grid.k_max) == math.inf:
         raise ValueError(f"phase k_max x_max overflows, got x_max = {x_max}, "
                          f"k_max = {grid.k_max}")
+    if not _is_integer(n_x):
+        raise ValueError(f"n_x must be an integer, got {n_x!r}")
     if n_x < 5 or n_x % 4 != 1:
         raise ValueError(f"n_x must be 4m+1 and at least 5, got {n_x}")
     x_grid = np.linspace(-x_max, x_max, n_x)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -254,8 +255,9 @@ def test_evolve_rejects_invalid_initial_state():
 
 @pytest.mark.parametrize("rho0", [np.diag([0.0, 1.0, 5.0]),
                                   np.array([[0.0, 0.0, 7.0], [0.0, 1.0, 7.0]]),
-                                  [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]],
-                         ids=["3x3", "2x3", "3x2-lists"])
+                                  [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+                                  np.float64(1.0), np.array([0.0, 1.0]), np.zeros((2, 2, 2))],
+                         ids=["3x3", "2x3", "3x2-lists", "scalar", "1-D", "3-D"])
 @pytest.mark.parametrize("entry", [
     lambda rho0: me.evolve(rho0, me.AtomChannel(1.0, 0.0), 1.0, 1e-3),
     lambda rho0: me.analytic_solution(rho0, me.AtomChannel(1.0, 0.0), 1.0),
@@ -309,6 +311,18 @@ def test_unravel_rejects_a_seed_outside_64_bits(seed):
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
         me.jump_unravel(me.DensityMatrix.excited(), me.AtomChannel(1.0, 0.0), 1.0, 0.01,
                         n_traj=10, seed=seed)
+
+
+@pytest.mark.parametrize("n_traj, seed, message", [
+    (10.0, 0, "n_traj must be an integer, got 10.0"),
+    (True, 0, "n_traj must be an integer, got True"),
+    (10, 1.5, "seed must be an integer, got 1.5"),
+    (10, False, "seed must be an integer, got False"),
+], ids=["n_traj-float", "n_traj-bool", "seed-float", "seed-bool"])
+def test_unravel_rejects_a_count_or_seed_that_is_not_an_integer(n_traj, seed, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        me.jump_unravel(me.DensityMatrix.excited(), me.AtomChannel(1.0, 0.0), 1.0, 0.01,
+                        n_traj=n_traj, seed=seed)
 
 
 def test_unravel_requires_pure_state():

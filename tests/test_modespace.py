@@ -55,6 +55,15 @@ def test_grid_is_built_from_k_max_and_n_half():
     np.testing.assert_array_equal(grid.k_pos, [2.5, 5.0, 7.5, 10.0])
 
 
+def test_grid_modes_are_read_only():
+    # The chirp-z sum reads the modes from dk and n_half, the dense sum from k.
+    grid = ms.ModeGrid(k_max=10.0, n_half=4)
+    with pytest.raises(ValueError):
+        grid.k[0] = 3.0
+    with pytest.raises(ValueError):
+        grid.k_pos[0] = 3.0
+
+
 def test_grid_accepts_a_numpy_integer_count():
     assert ms.ModeGrid(k_max=10.0, n_half=np.int64(4)).k.size == 8
 
@@ -135,8 +144,10 @@ def test_grid_rejects_non_finite_values(make, message):
      "n_half must be an integer of at least 1, got 4.0"),
     (lambda: ms.ModeGrid(k_max=5e-324, n_half=2),
      "k_max = 5e-324 with n_half = 2 puts a mode at 0 or infinity"),
+    (lambda: ms.ModeGrid(k_max=10.0, n_half=True),
+     "n_half must be an integer of at least 1, got True"),
 ], ids=["k_max-negative", "area-zero", "area-negative", "n_half-zero", "n_half-float",
-        "dk-underflow"])
+        "dk-underflow", "n_half-bool"])
 def test_grid_rejects_out_of_range_values(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
@@ -342,14 +353,12 @@ def _random_weights(rng, size):
     return rng.normal(size=size) + 1j * rng.normal(size=size)
 
 
-def _uniform_x(rng, n, descending, with_zero):
-    """n samples at a random step; off-centre when they avoid x = 0."""
+def _linspace_x(rng, n, descending, with_zero):
+    """n samples from np.linspace at a random step, across x = 0 or off-centre."""
     dx = rng.uniform(0.005, 0.05)
-    if with_zero:
-        x = dx * (np.arange(n) - rng.integers(1, n - 1))
-    else:
-        x = rng.uniform(2.0, 40.0) + dx * np.arange(n)
-    return -x if descending else x
+    first = -dx * rng.integers(1, n - 1) if with_zero else rng.uniform(2.0, 40.0)
+    x = np.linspace(first, first + dx * (n - 1), n)
+    return -x if descending else x  # -x is np.linspace(-first, -last, n) too
 
 
 @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
@@ -359,22 +368,11 @@ def test_chirp_field_sum_matches_dense(monkeypatch, descending, n, with_zero):
     rng = np.random.default_rng([n, descending, with_zero])
     grid = ms.ModeGrid(k_max=rng.uniform(5.0, 15.0), n_half=512)
     weights = _random_weights(rng, grid.k.size)
-    x = _uniform_x(rng, n, descending, with_zero)
-    assert (0.0 in x) == with_zero
+    x = _linspace_x(rng, n, descending, with_zero)
+    assert (x.min() < 0.0 < x.max()) == with_zero
     ref = ms._dense_field_sum(weights, grid.k, x)
     monkeypatch.setattr(ms, "_dense_field_sum", None)  # the chirp path must serve
-    got = ms._field_sum(weights, grid.k, x)
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_chirp_field_sum_matches_dense_off_centre_k(monkeypatch, rng):
-    # A full lattice away from k = 0, so the k centre does not vanish.
-    k = 3.0 + 0.01 * np.arange(700)
-    weights = _random_weights(rng, k.size)
-    x = np.linspace(-20.0, 92.0, 8193)
-    ref = ms._dense_field_sum(weights, k, x)
-    monkeypatch.setattr(ms, "_dense_field_sum", None)
-    got = ms._field_sum(weights, k, x)
+    got = ms._field_sum(weights, grid, x)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -386,55 +384,56 @@ def _chirp_out_of_place(scale, m):
     return np.exp(1j * (head * m2)) * np.exp(1j * ((scale - head) * m2))
 
 
-def _chirp_field_sum_out_of_place(weights, k_lattice, x_lattice):
+def _chirp_field_sum_out_of_place(weights, grid, x_first, x_last, nx):
     """The chirp-z field sum with u padded by np.fft.fft(u, size) and every
     transform and product made as a new array."""
-    k_c, dk, k_index, nk = k_lattice
-    x_c, dx, x_index, nx = x_lattice
+    n, dk = grid.n_half, grid.dk
+    nk = 2 * n + 1
+    dx = (x_last - x_first) / (nx - 1)
+    x_c = 0.5 * x_first + 0.5 * x_last
     a = dk * dx
     p = np.arange(nk) - 0.5 * (nk - 1)
     q = np.arange(nx) - 0.5 * (nx - 1)
-    u = np.zeros(nk, dtype=complex)
-    np.add.at(u, k_index, weights)
+    u = np.concatenate([weights[:n], [0.0], weights[n:]])
     u *= np.exp(1j * (dk * x_c) * p) * _chirp_out_of_place(0.5 * a, p)
     lags = np.arange(1 - nk, nx)
     size = 1 << (nx + nk - 2).bit_length()
     kernel = np.zeros(size, dtype=complex)
     kernel[lags % size] = _chirp_out_of_place(-0.5 * a, lags + 0.5 * (nk - nx))
     conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(kernel))[:nx]
-    out = np.exp(1j * k_c * (x_c + dx * q)) * _chirp_out_of_place(0.5 * a, q) * conv
-    return 2.0 * out.real[x_index]
+    return 2.0 * (_chirp_out_of_place(0.5 * a, q) * conv).real
 
 
-@pytest.mark.parametrize("k, x", [
-    ("suite", np.linspace(-56.0, 56.0, 8193)),
-    ("suite", -np.linspace(-56.0, 56.0, 8193)),
-    (3.0 + 0.01 * np.arange(700), np.linspace(-20.0, 92.0, 8193)),
-    ("suite", 0.02 * np.arange(3000) + 7.5),
-    (np.linspace(-9.0, 9.0, 301), np.linspace(-4.0, 4.0, 33)),
-], ids=["suite", "suite-mirrored", "off-centre-k", "even-off-centre-x", "short"])
-def test_chirp_field_sum_equals_the_out_of_place_form(rng, grid, k, x):
-    k = grid.k if isinstance(k, str) else k
-    weights = _random_weights(rng, k.size)
-    k_lattice, x_lattice = ms._lattice(k), ms._lattice(x)
-    assert k_lattice is not None and x_lattice is not None
-    np.testing.assert_array_equal(ms._chirp_field_sum(weights, k_lattice, x_lattice),
-                                  _chirp_field_sum_out_of_place(weights, k_lattice, x_lattice))
+@pytest.mark.parametrize("grid_args, x", [
+    (None, np.linspace(-56.0, 56.0, 8193)),
+    (None, -np.linspace(-56.0, 56.0, 8193)),
+    (None, np.linspace(7.5, 7.5 + 0.02 * 2999, 3000)),
+    ((9.0, 150), np.linspace(-4.0, 4.0, 33)),
+], ids=["suite", "suite-mirrored", "even-off-centre-x", "short"])
+def test_chirp_field_sum_equals_the_out_of_place_form(monkeypatch, rng, grid, grid_args, x):
+    # Through _field_sum, so a descending x is read back from its ascending lattice.
+    grid = grid if grid_args is None else ms.ModeGrid(*grid_args)
+    weights = _random_weights(rng, grid.k.size)
+    lo, hi = sorted((x[0], x[-1]))
+    ref = _chirp_field_sum_out_of_place(weights, grid, lo, hi, x.size)
+    monkeypatch.setattr(ms, "_dense_field_sum", None)
+    np.testing.assert_array_equal(ms._field_sum(weights, grid, x),
+                                  ref if x[0] < x[-1] else ref[::-1])
 
 
 def test_cached_chirp_kernel_gives_the_inline_field_sum(rng, grid):
     # Like the energy check's E and B sums: two weight sets on one pair of
     # lattices, the second served by the cached kernel.
-    x = np.linspace(-56.0, 56.0, 8193)
-    k_lattice, x_lattice = ms._lattice(grid.k), ms._lattice(x)
+    x_first, x_last, nx = -56.0, 56.0, 8193
     ms._chirp_kernel.cache_clear()
     for _ in range(2):
         weights = _random_weights(rng, grid.k.size)
-        np.testing.assert_array_equal(ms._chirp_field_sum(weights, k_lattice, x_lattice),
-                                      _chirp_field_sum_out_of_place(weights, k_lattice, x_lattice))
+        np.testing.assert_array_equal(
+            ms._chirp_field_sum(weights, grid, x_first, x_last, nx),
+            _chirp_field_sum_out_of_place(weights, grid, x_first, x_last, nx))
     info = ms._chirp_kernel.cache_info()
     assert (info.hits, info.misses) == (1, 1)
-    kernel = ms._chirp_kernel(k_lattice[1] * x_lattice[1], k_lattice[3], x_lattice[3])
+    kernel = ms._chirp_kernel(grid.dk * (x_last - x_first) / (nx - 1), grid.k.size + 1, nx)
     with pytest.raises(ValueError):
         kernel[0] = 0.0
 
@@ -445,11 +444,37 @@ def test_cached_chirp_kernel_gives_the_inline_field_sum(rng, grid):
     np.geomspace(0.1, 50.0, 500),
     np.linspace(-5.0, 5.0, 500) + 1e-6 * np.sin(np.arange(500)),
     np.linspace(-5.0, 5.0, 20),
-], ids=["scalar", "2-D", "non-uniform", "jittered", "short"])
+    0.02 * np.arange(100) + 7.5,
+    np.full(64, 3.0),
+], ids=["scalar", "2-D", "non-uniform", "jittered", "short", "uniform-not-linspace",
+        "constant"])
 def test_field_sum_dense_fallback(monkeypatch, rng, grid, x):
     weights = _random_weights(rng, grid.k.size)
     ref = ms._dense_field_sum(weights, grid.k, x)
     monkeypatch.setattr(ms, "_chirp_field_sum", None)  # the dense path must serve
-    got = ms._field_sum(weights, grid.k, x)
+    got = ms._field_sum(weights, grid, x)
     assert np.shape(got) == np.shape(x)
     np.testing.assert_array_equal(got, ref)
+
+
+def test_field_sum_near_the_largest_float_is_finite(rng):
+    # The centre of these ends is taken as half of each: their sum overflows.
+    # The phases k x keep no digits below 2 pi here, so the chirp-z and dense
+    # sums share only the bound 2 sum |w|.
+    grid = ms.ModeGrid(k_max=0.5, n_half=16)
+    weights = _random_weights(rng, grid.k.size)
+    x = np.linspace(1e308, 1.7e308, 64)
+    bound = 2.0 * np.abs(weights).sum()
+    for got in (ms._field_sum(weights, grid, x), ms._dense_field_sum(weights, grid.k, x)):
+        assert np.all(np.abs(got) <= bound)
+
+
+@pytest.mark.parametrize("call", [
+    lambda amps, grid: ms.expect_E_free(amps, grid, MED, np.array([0.5, np.nan])),
+    lambda amps, grid: ms.expect_B_free(amps, grid, MED, np.inf),
+    lambda amps, grid: ms.expect_E_mirr_one_sided(amps, grid, MED, [np.nan, 1.0]),
+    lambda amps, grid: ms.expect_E_mirr_via_xi(amps, grid, MED, np.array([-np.inf, 0.0])),
+], ids=["E-nan", "B-inf", "E-mirror-nan", "E-xi-minus-inf"])
+def test_field_sums_reject_x_that_is_not_finite(grid, amps, call):
+    with pytest.raises(ValueError, match="^x must be finite$"):
+        call(amps, grid)

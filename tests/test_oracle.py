@@ -27,7 +27,8 @@ def test_quadrature_spec_validation():
     ({"tolerance": math.inf}, "tolerance must be finite, got inf"),
     ({"order": 64.5}, "quadrature order must be an integer, got 64.5"),
     ({"order": np.float64(64.0)}, "quadrature order must be an integer, got 64.0"),
-], ids=["tolerance-nan", "tolerance-inf", "order-fraction", "order-numpy-float"])
+    ({"order": True}, "quadrature order must be an integer, got True"),
+], ids=["tolerance-nan", "tolerance-inf", "order-fraction", "order-numpy-float", "order-bool"])
 def test_quadrature_spec_rejects_non_finite_tolerance_and_non_integer_order(fields, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         oracle.QuadratureSpec(**fields)
@@ -554,7 +555,7 @@ def test_default_checks_equal_the_per_pair_loop():
 
 def test_default_checks_run_without_sort_or_allclose(monkeypatch):
     # Each numpy kernel the suite touches maps its code pages; the energy
-    # check builds its samples ascending, so the lattice reader sorts none.
+    # check reads its lattices from its grid parameters and sorts nothing.
     def forbidden(*args, **kwargs):
         raise AssertionError("the default checks called a forbidden numpy helper")
     monkeypatch.setattr(np, "sort", forbidden)
@@ -589,8 +590,10 @@ def test_default_checks_memory_peak():
     # k x would be -inf at the first sample and +inf at the last.
     (2e307, 8193, "phase k_max x_max overflows, got x_max = 2e+307, k_max = 10.0"),
     (5e307, 8193, "phase k_max x_max overflows, got x_max = 5e+307, k_max = 10.0"),
+    (56.0, 8193.0, "n_x must be an integer, got 8193.0"),
+    (56.0, True, "n_x must be an integer, got True"),
 ], ids=["even-count", "too-few", "descending", "zero-width", "nan", "plus-minus-inf-ends",
-        "nan-at-0", "minus-inf-start", "inf-end"])
+        "nan-at-0", "minus-inf-start", "inf-end", "float-count", "bool-count"])
 def test_hfield_check_rejects_unsuitable_grid(x_max, n_x, message):
     grid = ms.ModeGrid(k_max=10.0, n_half=128)
     amps = ms.ModeAmplitudes.vacuum(grid)
