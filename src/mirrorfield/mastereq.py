@@ -75,7 +75,7 @@ class DensityMatrix:
     def from_matrix(cls, m) -> "DensityMatrix":
         """The state of a 2x2 matrix: an array or nested sequences of numbers."""
         try:
-            rows = [[complex(v) for v in row] for row in m]
+            rows = [[_entry(v) for v in row] for row in m]
         except TypeError:  # a scalar, a row that is a number, or an entry that is an array
             rows = []
         if len(rows) != 2 or any(len(row) != 2 for row in rows):
@@ -97,6 +97,13 @@ class DensityMatrix:
 
         return np.array([[self.rho11, self.rho12],
                          [self.rho21, self.rho22]], dtype=complex)
+
+
+def _entry(value) -> complex:
+    """One entry of a density matrix. complex() parses text too, so text is refused."""
+    if isinstance(value, str):
+        raise ValueError(f"density matrix entries must be numbers, got {value!r}")
+    return complex(value)
 
 
 def min_eigenvalue(m) -> float:

@@ -7,7 +7,9 @@ positive modes, so it is uniform, symmetric and free of k = 0 by
 construction.
 Expectation values of the field observables are then exact classical
 functionals of the amplitudes, which makes the operator-level energy
-bookkeeping testable without any Fock-space machinery. A field sum over
+bookkeeping testable without any Fock-space machinery. The observables
+read copy a, and the one-sided mirror is the perfect mirror with its
+field on side a; copy b is copy a under x -> -x. A field sum over
 an x that np.linspace made runs as a chirp-z transform on the grid's own
 mode lattice, dk times the integers; any other x, a dense sum. The composite
 Simpson rule with its step-halving check, which integrates the spatial
@@ -67,11 +69,10 @@ class ModeGrid:
         self.k.flags.writeable = False  # the chirp-z sum reads dk and n_half, not k
 
     @classmethod
-    def for_packet(cls, packet: GaussianPacket, n_modes: int = 4096,
-                   area: float = 1.0) -> "ModeGrid":
-        """Default grid: n_modes modes out to 8 bandwidths 1/sigma past the carrier."""
+    def for_packet(cls, packet: GaussianPacket, area: float = 1.0) -> "ModeGrid":
+        """Default grid: 4096 modes out to 8 bandwidths 1/sigma past the carrier."""
         k_max = abs(packet.k0_carrier) + 8.0 / packet.sigma
-        return cls(k_max=k_max, n_half=n_modes // 2, area=area)
+        return cls(k_max=k_max, n_half=2048, area=area)
 
     @property
     def k_pos(self) -> np.ndarray:
@@ -91,6 +92,8 @@ class ModeAmplitudes:
     def __post_init__(self):
         a = np.asarray(self.alpha_a, dtype=complex)
         b = np.asarray(self.alpha_b, dtype=complex)
+        if a.ndim != 1:
+            raise ValueError(f"amplitudes must be one-dimensional, got shape {a.shape}")
         if a.shape != b.shape:
             raise ValueError("amplitude sequences must share the grid")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -103,12 +106,13 @@ class ModeAmplitudes:
         zeros = np.zeros(grid.k.size, dtype=complex)
         return cls(alpha_a=zeros, alpha_b=zeros.copy())
 
-    def side(self, side: str) -> np.ndarray:
-        if side == "a":
-            return self.alpha_a
-        if side == "b":
-            return self.alpha_b
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
+
+def _alpha_a(amps: ModeAmplitudes, grid: ModeGrid) -> np.ndarray:
+    """Copy a's amplitudes, one per mode of ``grid``, else ValueError."""
+    if amps.alpha_a.shape != grid.k.shape:
+        raise ValueError(f"amplitudes have {amps.alpha_a.size} modes, "
+                         f"the grid has {grid.k.size}")
+    return amps.alpha_a
 
 
 def packet_to_amplitudes(packet: GaussianPacket, grid: ModeGrid, medium: Medium,
@@ -239,17 +243,15 @@ def _field_sum(weights: np.ndarray, grid: ModeGrid, x) -> np.ndarray:
     return _dense_field_sum(weights, grid.k, x)
 
 
-def expect_E_free(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium, x,
-                  side: str = "a", hbar: float = 1.0):
-    """Expectation of the free-space electric field for one copy."""
+def expect_E_free(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium, x, hbar: float = 1.0):
+    """Expectation of the free-space electric field of copy a."""
     omega = grid.omega(medium)
     prefac = 0.5j * np.sqrt(hbar * omega / (math.pi * medium.epsilon * grid.area))
-    return _field_sum(prefac * amps.side(side) * grid.dk, grid, x)
+    return _field_sum(prefac * _alpha_a(amps, grid) * grid.dk, grid, x)
 
 
-def expect_B_free(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium, x,
-                  side: str = "a", hbar: float = 1.0):
-    """Expectation of the free-space magnetic field for one copy.
+def expect_B_free(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium, x, hbar: float = 1.0):
+    """Expectation of the free-space magnetic field of copy a.
 
     Sign convention matches the classical packets: a right-moving coherent
     packet has B = +E/c.
@@ -257,23 +259,23 @@ def expect_B_free(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium, x,
     omega = grid.omega(medium)
     prefac = (0.5j / medium.c) * np.sign(grid.k) * np.sqrt(
         hbar * omega / (math.pi * medium.epsilon * grid.area))
-    return _field_sum(prefac * amps.side(side) * grid.dk, grid, x)
+    return _field_sum(prefac * _alpha_a(amps, grid) * grid.dk, grid, x)
 
 
-def xi_transform(amps: ModeAmplitudes, grid: ModeGrid, side: str = "a") -> np.ndarray:
-    """Standing-wave (antisymmetric) amplitudes for k > 0.
+def xi_transform(amps: ModeAmplitudes, grid: ModeGrid) -> np.ndarray:
+    """Standing-wave (antisymmetric) amplitudes of copy a for k > 0.
 
     xi_k = (alpha_k - alpha_{-k}) / sqrt(2); the negative-k half follows
     from xi_{-k} = -xi_k and is not stored.
     """
-    alpha = amps.side(side)
+    alpha = _alpha_a(amps, grid)
     n = grid.n_half
     return (alpha[n:] - alpha[:n][::-1]) / math.sqrt(2.0)
 
 
-def symmetric_transform(amps: ModeAmplitudes, grid: ModeGrid, side: str = "a") -> np.ndarray:
-    """Orthogonal symmetric combination (alpha_k + alpha_{-k}) / sqrt(2)."""
-    alpha = amps.side(side)
+def symmetric_transform(amps: ModeAmplitudes, grid: ModeGrid) -> np.ndarray:
+    """Orthogonal symmetric combination (alpha_k + alpha_{-k}) / sqrt(2) of copy a."""
+    alpha = _alpha_a(amps, grid)
     n = grid.n_half
     return (alpha[n:] + alpha[:n][::-1]) / math.sqrt(2.0)
 
@@ -286,58 +288,57 @@ def expect_H_sys(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
     ordering.
     """
     omega = grid.omega(medium)
-    terms = hbar * omega * (np.abs(amps.alpha_a) ** 2 + np.abs(amps.alpha_b) ** 2) * grid.dk
+    terms = hbar * omega * (np.abs(_alpha_a(amps, grid)) ** 2
+                            + np.abs(amps.alpha_b) ** 2) * grid.dk
     return math.fsum(terms.tolist())
 
 
 def expect_H_field_one_sided(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
-                             hbar: float = 1.0, side: str = "a") -> float:
-    """Field energy in front of a one-sided perfect mirror.
+                             hbar: float = 1.0) -> float:
+    """Field energy in front of a one-sided perfect mirror, light on side a.
 
     Only the standing-wave modes carry field energy; the remainder of
-    the system energy belongs to the mirror surface. The opposite copy
-    must be empty.
+    the system energy belongs to the mirror surface. Copy b must be empty.
     """
-    other = "b" if side == "a" else "a"
-    if np.any(amps.side(other) != 0.0):
-        raise ValueError(f"one-sided energy requires empty side {other}")
-    xi = xi_transform(amps, grid, side=side)
+    if np.any(amps.alpha_b != 0.0):
+        raise ValueError("one-sided energy requires empty side b")
+    xi = xi_transform(amps, grid)
     omega_pos = grid.k_pos * medium.c
     terms = hbar * omega_pos * np.abs(xi) ** 2 * grid.dk
     return math.fsum(terms.tolist())
 
 
 def expect_H_mirr_one_sided(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
-                            hbar: float = 1.0, side: str = "a") -> float:
+                            hbar: float = 1.0) -> float:
     """Mirror-surface energy, realised as system minus field energy."""
     return expect_H_sys(amps, grid, medium, hbar=hbar) - expect_H_field_one_sided(
-        amps, grid, medium, hbar=hbar, side=side)
+        amps, grid, medium, hbar=hbar)
 
 
 def expect_E_mirr_one_sided(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
-                            x, side: str = "a", hbar: float = 1.0):
+                            x, hbar: float = 1.0):
     """Electric-field expectation in front of a one-sided perfect mirror.
 
     Difference of the free-field expectation at x and -x, normalised by
     sqrt(2); identically zero on the far side and at the surface.
     """
     x = np.asarray(x, dtype=float)
-    here = expect_E_free(amps, grid, medium, x, side=side, hbar=hbar)
-    image = expect_E_free(amps, grid, medium, -x, side=side, hbar=hbar)
+    here = expect_E_free(amps, grid, medium, x, hbar=hbar)
+    image = expect_E_free(amps, grid, medium, -x, hbar=hbar)
     mask = np.where(x >= 0.0, 1.0, 0.0)
     out = (here - image) / math.sqrt(2.0) * mask
     return out if x.shape else float(out)
 
 
 def expect_E_mirr_via_xi(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
-                         x, side: str = "a", hbar: float = 1.0):
+                         x, hbar: float = 1.0):
     """Same observable as expect_E_mirr_one_sided, summed over xi modes.
 
     Second route for cross-checking: reconstructs the full antisymmetric
     amplitude set from the k > 0 half and feeds it through the plain
     free-field sum.
     """
-    xi = xi_transform(amps, grid, side=side)
+    xi = xi_transform(amps, grid)
     full = np.concatenate([-xi[::-1], xi])
     omega = grid.omega(medium)
     prefac = 0.5j * np.sqrt(hbar * omega / (math.pi * medium.epsilon * grid.area))
@@ -352,7 +353,7 @@ def evolve_amplitudes(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
                       t: float) -> ModeAmplitudes:
     """Free time evolution: every mode rotates at its own frequency."""
     phase = np.exp(-1j * grid.omega(medium) * t)
-    return ModeAmplitudes(alpha_a=amps.alpha_a * phase,
+    return ModeAmplitudes(alpha_a=_alpha_a(amps, grid) * phase,
                           alpha_b=amps.alpha_b * phase)
 
 

@@ -279,9 +279,8 @@ def reset_rate_quadrature(z, mirror: MirrorSpec, mu_orient: float,
 
 
 def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGrid,
-                          x_max: float, n_x: int, medium=None, hbar: float = 1.0,
-                          side: str = "a") -> dict:
-    """Compare the standing-wave mode energy against a spatial quadrature.
+                          x_max: float, n_x: int, medium=None, hbar: float = 1.0) -> dict:
+    """Compare copy a's standing-wave mode energy against a spatial quadrature.
 
     The spatial route integrates the energy density of the boundary-matched
     field over the symmetric doubled domain [-x_max, x_max] (the squared
@@ -309,10 +308,9 @@ def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGr
         raise ValueError(f"n_x must be 4m+1 and at least 5, got {n_x}")
     x_grid = np.linspace(-x_max, x_max, n_x)
     dx = x_grid[1] - x_grid[0]
-    mode_sum = modespace.expect_H_field_one_sided(amps, grid, medium,
-                                                  hbar=hbar, side=side)
-    e_free = modespace.expect_E_free(amps, grid, medium, x_grid, side=side, hbar=hbar)
-    b_free = modespace.expect_B_free(amps, grid, medium, x_grid, side=side, hbar=hbar)
+    mode_sum = modespace.expect_H_field_one_sided(amps, grid, medium, hbar=hbar)
+    e_free = modespace.expect_E_free(amps, grid, medium, x_grid, hbar=hbar)
+    b_free = modespace.expect_B_free(amps, grid, medium, x_grid, hbar=hbar)
     e_odd = (e_free - e_free[::-1]) / math.sqrt(2.0)
     b_even = (b_free + b_free[::-1]) / math.sqrt(2.0)
     density = medium.epsilon * e_odd**2 + b_even**2 / medium.mu_p
@@ -379,7 +377,7 @@ def run_default_checks(quad: QuadratureSpec = QuadratureSpec(),
 
     medium = Medium()
     packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
-    grid = modespace.ModeGrid.for_packet(packet, n_modes=4096)
+    grid = modespace.ModeGrid.for_packet(packet)
     n_x = 8193
     energy = hfield_mode_sum_check(modespace.packet_to_amplitudes(packet, grid, medium),
                                    grid, 56.0, n_x, medium=medium)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,36 @@ def test_exits_1_on_an_incorrect_run(bench_pairs, monkeypatch, tmp_path, capsys,
     code, _ = run_main(bench_pairs, monkeypatch, tmp_path)
     assert code == 1
     assert "incorrect run or failed operations" in capsys.readouterr().err
+
+
+def test_a_run_that_exits_non_zero_keeps_the_runs_before_it(bench_pairs, monkeypatch,
+                                                           tmp_path, capsys):
+    good = fake_runs(lambda checkout, seed: 1.0)
+
+    def run_bench(checkout, workload, seed, seconds, trace):
+        if checkout == "C" and workload == "ensemble" and seed == 2:
+            raise subprocess.CalledProcessError(
+                3, ["bench/run.py"], stderr="ModuleNotFoundError: no module named x\n")
+        return good(checkout, workload, seed, seconds, trace)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr("sys.argv", ["bench_pairs.py", "--parent", "P", "--change", "C",
+                                     "--out", str(out), "--seeds", "4"])
+    assert bench_pairs.main() == 1
+    record = json.loads(out.read_text())
+    # verify's 8 runs, then ensemble's seed 1 pair and, on an even seed, the
+    # change first: it is the run that failed.
+    assert len(record["trace0"]["parent"]["verify"]) == 4
+    assert len(record["trace0"]["change"]["verify"]) == 4
+    assert len(record["trace0"]["parent"]["ensemble"]) == 1
+    assert len(record["trace0"]["change"]["ensemble"]) == 1
+    assert record["trace0"]["parent"]["survey"] == []
+    assert record["trace1"] == {"parent": {}, "change": {}}
+    err = capsys.readouterr().err
+    assert "ModuleNotFoundError: no module named x" in err
+    assert "bench/run.py exited 3 in C (change), workload ensemble, seed 2, trace 0; " \
+           f"the runs before it are in {out}" in err
 
 
 def test_needs_two_seeds_for_quartiles(bench_pairs, monkeypatch, tmp_path):

@@ -268,6 +268,16 @@ def test_entry_points_reject_a_state_that_is_not_2x2(entry, rho0):
         entry(rho0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: me.DensityMatrix.from_matrix(["00", "01"]),
+    lambda: me.evolve([["0", "0"], ["0", "1"]], me.AtomChannel(1.0, 0.0), 0.01, 1e-3),
+], ids=["from_matrix-strings-as-rows", "evolve-string-entries"])
+def test_a_state_given_as_text_is_refused(call):
+    # complex() parses text, so without the check both read as the excited state.
+    with pytest.raises(ValueError, match="^density matrix entries must be numbers, got '0'$"):
+        call()
+
+
 # ------------------------------------------------------------- unraveling
 
 def test_unravel_matches_master_equation_within_3_sigma():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mirrorfield import modespace as ms
+from mirrorfield import oracle
 from mirrorfield.classical import free_field_1d, mirror_field_1d_perfect
 from mirrorfield.core import GaussianPacket, Medium
 from mirrorfield.errors import BandwidthNotCovered
@@ -20,7 +21,7 @@ def packet():
 
 @pytest.fixture(scope="module")
 def grid(packet):
-    return ms.ModeGrid.for_packet(packet, n_modes=4096)
+    return ms.ModeGrid.for_packet(packet)
 
 
 @pytest.fixture(scope="module")
@@ -89,14 +90,7 @@ def test_grid_rejects_zero_mode():
         ms.ModeGrid(k_max=0.0, n_half=4)
 
 
-def test_for_packet_rejects_a_single_mode(packet):
-    with pytest.raises(ValueError, match="^n_half must be an integer of at least 1, got 0$"):
-        ms.ModeGrid.for_packet(packet, n_modes=1)
-
-
 _FLOAT_MAX = sys.float_info.max
-_LEFT_MOVING = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
-_CARRIER_AT_MAX = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-_FLOAT_MAX)
 
 
 @pytest.mark.parametrize("make, message", [
@@ -115,17 +109,13 @@ _CARRIER_AT_MAX = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-
      f"n_half must be an integer of at least 1, got {np.int64(0)!r}"),
     (lambda: ms.ModeGrid(k_max=np.float64(math.nan), n_half=4),
      "k_max must be positive and finite, got nan"),
-    (lambda: ms.ModeGrid.for_packet(_LEFT_MOVING, n_modes=math.nan),
-     "n_half must be an integer of at least 1, got nan"),
     # dk * n_half rounds past the largest float.
     (lambda: ms.ModeGrid(k_max=_FLOAT_MAX, n_half=3),
      f"k_max = {_FLOAT_MAX} with n_half = 3 puts a mode at 0 or infinity"),
     (lambda: ms.ModeGrid(k_max=_FLOAT_MAX, n_half=np.int64(7)),
      f"k_max = {_FLOAT_MAX} with n_half = 7 puts a mode at 0 or infinity"),
-    (lambda: ms.ModeGrid.for_packet(_CARRIER_AT_MAX, n_modes=6),
-     f"k_max = {_FLOAT_MAX} with n_half = 3 puts a mode at 0 or infinity"),
 ], ids=["k_max-nan", "k_max-inf", "area-nan", "area-inf", "nan-dk", "inf-dk", "nan-k",
-        "nan-negative-k", "inf-end", "minus-inf-start", "plus-minus-inf-ends"])
+        "inf-end", "minus-inf-start"])
 def test_grid_rejects_non_finite_values(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
@@ -191,6 +181,56 @@ def test_side_b_packet_fills_side_b(grid):
     amps = ms.packet_to_amplitudes(q, grid, MED)
     assert np.all(amps.alpha_a == 0.0)
     assert np.abs(amps.alpha_b).max() > 0.0
+
+
+@pytest.mark.parametrize("alpha", [np.complex128(1.0), np.ones((2, 4), dtype=complex)],
+                         ids=["0-d", "2-D"])
+def test_amplitudes_must_be_one_dimensional(alpha):
+    with pytest.raises(ValueError, match="^amplitudes must be one-dimensional, got shape "):
+        ms.ModeAmplitudes(alpha_a=alpha, alpha_b=np.zeros_like(alpha))
+
+
+@pytest.mark.parametrize("call", [
+    lambda amps, grid: ms.expect_E_free(amps, grid, MED, np.linspace(-1.0, 1.0, 5)),
+    lambda amps, grid: ms.expect_B_free(amps, grid, MED, 0.5),
+    ms.xi_transform,
+    ms.symmetric_transform,
+    lambda amps, grid: ms.expect_H_sys(amps, grid, MED),
+    lambda amps, grid: ms.expect_H_field_one_sided(amps, grid, MED),
+    lambda amps, grid: ms.expect_H_mirr_one_sided(amps, grid, MED),
+    lambda amps, grid: ms.expect_E_mirr_one_sided(amps, grid, MED, 0.5),
+    lambda amps, grid: ms.expect_E_mirr_via_xi(amps, grid, MED, 0.5),
+    lambda amps, grid: ms.evolve_amplitudes(amps, grid, MED, 1.0),
+], ids=["E", "B", "xi", "symmetric", "H-sys", "H-field", "H-mirror", "E-mirror", "E-xi",
+        "evolve"])
+@pytest.mark.parametrize("n_modes", [1, 6])
+def test_amplitudes_that_do_not_fit_the_grid_are_refused(call, n_modes):
+    # One amplitude would otherwise be broadcast over all 8 modes.
+    grid = ms.ModeGrid(k_max=10.0, n_half=4)
+    alpha = np.ones(n_modes, dtype=complex)
+    amps = ms.ModeAmplitudes(alpha_a=alpha, alpha_b=np.zeros_like(alpha))
+    with pytest.raises(ValueError, match=f"^amplitudes have {n_modes} modes, the grid has 8$"):
+        call(amps, grid)
+
+
+@pytest.mark.parametrize("call", [
+    lambda amps, grid: ms.expect_E_free(amps, grid, MED, 0.5, side="a"),
+    lambda amps, grid: ms.expect_B_free(amps, grid, MED, 0.5, side="a"),
+    lambda amps, grid: ms.xi_transform(amps, grid, side="a"),
+    lambda amps, grid: ms.symmetric_transform(amps, grid, side="a"),
+    lambda amps, grid: ms.expect_H_field_one_sided(amps, grid, MED, side="a"),
+    lambda amps, grid: ms.expect_H_mirr_one_sided(amps, grid, MED, side="a"),
+    lambda amps, grid: ms.expect_E_mirr_one_sided(amps, grid, MED, 0.5, side="a"),
+    lambda amps, grid: ms.expect_E_mirr_via_xi(amps, grid, MED, 0.5, side="a"),
+    lambda amps, grid: oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193, side="a"),
+    lambda amps, grid: ms.ModeGrid.for_packet(
+        GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0), n_modes=4096),
+], ids=["E", "B", "xi", "symmetric", "H-field", "H-mirror", "E-mirror", "E-xi",
+        "hfield-check", "for-packet"])
+def test_observables_read_copy_a_and_take_no_side_or_mode_count(grid, amps, call):
+    with pytest.raises(TypeError):
+        call(amps, grid)
+    assert not hasattr(amps, "side")
 
 
 # ------------------------------------------------------------- expectation values
@@ -292,14 +332,15 @@ def test_mirror_energy_is_difference(grid, amps):
 
 def test_one_sided_energy_rejects_two_sided_input(grid, amps):
     both = ms.ModeAmplitudes(alpha_a=amps.alpha_a, alpha_b=amps.alpha_a)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^one-sided energy requires empty side b$"):
         ms.expect_H_field_one_sided(both, grid, MED)
 
 
 def test_grid_refinement_convergence(packet):
     energies = []
-    for n_modes in (4096, 8192):
-        grid = ms.ModeGrid.for_packet(packet, n_modes=n_modes)
+    k_max = ms.ModeGrid.for_packet(packet).k_max
+    for n_half in (2048, 4096):
+        grid = ms.ModeGrid(k_max=k_max, n_half=n_half)
         amps = ms.packet_to_amplitudes(packet, grid, MED)
         energies.append(ms.expect_H_sys(amps, grid, MED))
     assert abs(energies[1] - energies[0]) / abs(energies[1]) < 1e-6

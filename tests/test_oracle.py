@@ -218,7 +218,7 @@ def test_both_routes_match_closed_form_on_two_sided_mirrors(side_a, side_b, mu, 
 
 def test_hfield_check_gaussian_packet():
     packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
-    grid = ms.ModeGrid.for_packet(packet, n_modes=4096)
+    grid = ms.ModeGrid.for_packet(packet)
     amps = ms.packet_to_amplitudes(packet, grid, MED)
     result = oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193, medium=MED)
     assert result["rel_gap"] < 1e-3
@@ -493,7 +493,7 @@ def _hfield_four_sums(amps, grid, x_grid, medium):
 
 def test_hfield_check_equals_the_four_sum_form_on_the_suite_grid():
     packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
-    grid = ms.ModeGrid.for_packet(packet, n_modes=4096)
+    grid = ms.ModeGrid.for_packet(packet)
     amps = ms.packet_to_amplitudes(packet, grid, MED)
     got = oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193, medium=MED)
     assert got == _hfield_four_sums(amps, grid, np.linspace(-56.0, 56.0, 8193), MED)
@@ -540,7 +540,7 @@ def _reference_default_checks():
                         "max_rel_dev": float(worst.max()), "tolerance": tolerance,
                         "pass": bool(worst.max() < tolerance)})
     packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
-    grid = ms.ModeGrid.for_packet(packet, n_modes=4096)
+    grid = ms.ModeGrid.for_packet(packet)
     amps = ms.packet_to_amplitudes(packet, grid, MED)
     energy = oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193, medium=MED)
     return reports + [{"name": "field_energy_mode_sum",

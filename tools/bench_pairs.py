@@ -21,6 +21,9 @@ worse``. Lower is better for every end-to-end metric. Progress goes to
 standard error.
 The exit code is 1 if any run reported ``"correct": false`` or a failed
 operation, which ``bench/run.py`` itself does not signal in its exit code.
+If a run exits non-zero, the runs made before it are written to the output
+file, and the exit code is 1 with a message naming the checkout, workload,
+seed and exit code of that run.
 """
 
 from __future__ import annotations
@@ -110,22 +113,32 @@ def main() -> int:
         "trace0": {side: {w: [] for w in WORKLOADS} for side in sides},
         "trace1": {side: {} for side in sides},
     }
-    for workload in WORKLOADS:
-        for seed in range(1, args.seeds + 1):
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
-            for side in order:
-                result = run_bench(sides[side], workload, seed, args.seconds, 0)
-                record["trace0"][side][workload].append(result)
-                print(f"{workload} seed {seed} {side}: "
-                      f"{json.dumps(result['metrics'])} correct={result['correct']}",
-                      file=sys.stderr)
-    for workload in WORKLOADS:
-        for side in sides:
-            record["trace1"][side][workload] = run_bench(sides[side], workload, 1,
-                                                         args.seconds, 1)
+    runs = [(workload, seed, side, 0) for workload in WORKLOADS
+            for seed in range(1, args.seeds + 1)
+            for side in (("parent", "change") if seed % 2 else ("change", "parent"))]
+    runs += [(workload, 1, side, 1) for workload in WORKLOADS for side in sides]
+    crashed = None
+    for workload, seed, side, trace in runs:
+        try:
+            result = run_bench(sides[side], workload, seed, args.seconds, trace)
+        except subprocess.CalledProcessError as error:
+            crashed = (f"{error.stderr or ''}bench/run.py exited {error.returncode} in "
+                       f"{sides[side]} ({side}), workload {workload}, seed {seed}, "
+                       f"trace {trace}; the runs before it are in {args.out}")
+            break
+        if trace:
+            record["trace1"][side][workload] = result
+        else:
+            record["trace0"][side][workload].append(result)
+            print(f"{workload} seed {seed} {side}: "
+                  f"{json.dumps(result['metrics'])} correct={result['correct']}",
+                  file=sys.stderr)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=1, sort_keys=True)
         handle.write("\n")
+    if crashed:
+        print(crashed, file=sys.stderr)
+        return 1
     for workload in WORKLOADS:
         for metric, bound in BOUNDS.items():
             parent, change = ([r["metrics"][metric]["value"]
