@@ -21,9 +21,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": ("AtomSpec", "GaussianPacket", "Medium", "MirrorSpec",
              "PhaseConstraintResult", "phase_constraint_check"),
-    "classical": ("PlaneWavePacket3D", "ScatterScene", "energy_between", "field_energy_1d",
-                  "free_field_1d", "free_field_3d", "interference_intensities",
-                  "mirror_field_1d", "mirror_field_1d_perfect", "mirror_field_3d",
+    "classical": ("ScatterScene", "energy_between", "field_energy_1d", "free_field_1d",
+                  "interference_intensities", "mirror_field_1d", "mirror_field_1d_perfect",
                   "mirror_fields_1d"),
     "modespace": ("ModeAmplitudes", "ModeGrid", "evolve_amplitudes", "expect_B_free",
                   "expect_E_free", "expect_E_mirr_one_sided", "expect_H_field_one_sided",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianPacket, Medium, MirrorSpec, _check_finite
+from .core import GaussianPacket, Medium, MirrorSpec
 from .errors import GridTooCoarse, NegativeTime
 
 
@@ -75,8 +75,8 @@ def mirror_field_1d_perfect(packets, x, t: float, medium: Medium = Medium()):
 class ScatterScene:
     """Mirror, media and the packets approaching it from both sides.
 
-    The packets are GaussianPacket for the 1D fields or PlaneWavePacket3D
-    for the 3D field; each carries the side it starts on.
+    The packets are GaussianPacket records; each carries the side it
+    starts on.
     """
 
     mirror: MirrorSpec
@@ -95,31 +95,27 @@ class ScatterScene:
                 raise ValueError("packets_b contains a packet tagged side a")
 
 
-def _sides(scene: ScatterScene, x, t: float):
-    """Per side: (packets, reflection rate, transmission rate, reflection
-    phase, transmission phase, mask of the half-space the light starts in)."""
-    if t < 0.0:
-        raise NegativeTime(
-            "scattered superpositions are invalid for t < 0: amplitudes would "
-            "need to grow when crossing the mirror backwards"
-        )
-    m = scene.mirror
-    plus = heaviside(x)  # the surface belongs to side a
-    return ((scene.packets_a, m.r_a, m.t_a, m.phi_1, m.phi_4, plus),
-            (scene.packets_b, m.r_b, m.t_b, m.phi_3, m.phi_2, 1.0 - plus))
-
-
 def _side_fields_1d(scene: ScatterScene, x, t: float):
     """Complex (E, B) of the light from each side, as ((E_a, B_a), (E_b, B_b)).
 
     A reflected copy is the free field at -x with the reflection phase; its
     B enters with a minus sign. A transmitted copy is the free field at x
-    with the transmission phase on the carrier.
+    with the transmission phase on the carrier. Each side's light starts in
+    its own half-space; the surface x = 0 belongs to side a.
     """
+    if t < 0.0:
+        raise NegativeTime(
+            "scattered superpositions are invalid for t < 0: amplitudes would "
+            "need to grow when crossing the mirror backwards"
+        )
     x = np.asarray(x, dtype=float)
     c = scene.medium.c
+    m = scene.mirror
+    plus = heaviside(x)
     out = []
-    for packets, r, tr, phase_refl, phase_trans, own in _sides(scene, x, t):
+    for packets, r, tr, phase_refl, phase_trans, own in (
+            (scene.packets_a, m.r_a, m.t_a, m.phi_1, m.phi_4, plus),
+            (scene.packets_b, m.r_b, m.t_b, m.phi_3, m.phi_2, 1.0 - plus)):
         other = 1.0 - own
         trans = tr * np.exp(1j * phase_trans)
         e_side = np.zeros(x.shape, dtype=complex)
@@ -149,105 +145,6 @@ def mirror_field_1d_by_side(scene: ScatterScene, x, t: float):
     """Electric field split by the side the light originated from."""
     (e_a, _), (e_b, _) = _side_fields_1d(scene, x, t)
     return 2.0 * e_a.real, 2.0 * e_b.real
-
-
-@dataclass(frozen=True)
-class PlaneWavePacket3D:
-    """Plane-wave packet with a Gaussian profile along its travel direction.
-
-    E(r, t) = 2 Re[e0 pol g(u - u0) exp(i(|k| u + xi))] with u = k_hat . r - c t.
-    Any such transverse field solves the free-space Maxwell equations
-    exactly. The polarisation must be orthogonal to the wave vector.
-    """
-
-    e0: float
-    u0: float
-    sigma: float
-    k_vec: tuple
-    polarization: tuple
-    side: str = "a"
-    xi_init: float = 0.0
-
-    def __post_init__(self):
-        _check_finite(self)
-        k = np.asarray(self.k_vec, dtype=float)
-        pol = np.asarray(self.polarization, dtype=float)
-        for name, vector in (("k_vec", k), ("polarization", pol)):
-            if not np.isfinite(vector).all():
-                raise ValueError(f"PlaneWavePacket3D.{name} must be finite, "
-                                 f"got {getattr(self, name)}")
-        k_norm = float(np.linalg.norm(k))
-        if k_norm == 0.0:
-            raise ValueError("k_vec must be non-zero")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        pol_norm = float(np.linalg.norm(pol))
-        if pol_norm == 0.0:
-            raise ValueError("polarization must be non-zero")
-        pol = pol / pol_norm
-        if abs(float(np.dot(pol, k))) > 1e-12 * k_norm:
-            raise ValueError("polarization must be orthogonal to k_vec")
-        object.__setattr__(self, "k_vec", tuple(float(v) for v in k))
-        object.__setattr__(self, "polarization", tuple(float(v) for v in pol))
-
-    @classmethod
-    def from_gaussian_1d(cls, packet: GaussianPacket) -> "PlaneWavePacket3D":
-        """Normal-incidence equivalent of a 1D packet, polarised along y."""
-        return cls(e0=packet.e0, u0=packet.sign * packet.x0, sigma=packet.sigma,
-                   k_vec=(packet.k0_carrier, 0.0, 0.0),
-                   polarization=(0.0, 1.0, 0.0),
-                   side=packet.side, xi_init=packet.xi_init)
-
-
-def packet_complex_field_3d(packet: PlaneWavePacket3D, r, t: float,
-                            medium: Medium, extra_phase: float = 0.0) -> np.ndarray:
-    """Analytic-signal vector field of a 3D packet at positions r (..., 3)."""
-    r = np.asarray(r, dtype=float)
-    k = np.asarray(packet.k_vec)
-    pol = np.asarray(packet.polarization)
-    kappa = float(np.linalg.norm(k))
-    k_hat = k / kappa
-    u = r @ k_hat - medium.c * t
-    env = np.exp(-((u - packet.u0) ** 2) / (2.0 * packet.sigma**2))
-    carrier = np.exp(1j * (kappa * u + packet.xi_init + extra_phase))
-    return (env * carrier)[..., None] * pol
-
-
-def _flip_x(field: np.ndarray) -> np.ndarray:
-    """Negate only the x-component of a vector field."""
-    out = field.copy()
-    out[..., 0] = -out[..., 0]
-    return out
-
-
-def free_field_3d(packet: PlaneWavePacket3D, r, t: float,
-                  medium: Medium = Medium()) -> np.ndarray:
-    """Real electric field vector of a 3D packet in free space."""
-    return 2.0 * packet_complex_field_3d(packet, r, t, medium).real
-
-
-def mirror_field_3d(scene: ScatterScene, r, t: float) -> np.ndarray:
-    """Electric field vector near the mirror for arbitrary incidence.
-
-    Reflected contributions are the free solutions evaluated at the image
-    point (-x, y, z) with the sign of their x-component flipped; the
-    remaining reflection sign convention lives in the surface phases, so the
-    perfect preset (phases pi) makes tangential components vanish at x = 0.
-    """
-    r = np.asarray(r, dtype=float)
-    r_tilde = r.copy()
-    r_tilde[..., 0] = -r_tilde[..., 0]
-    med = scene.medium
-    total = np.zeros(r.shape, dtype=complex)
-    for packets, refl_rate, trans_rate, phase_refl, phase_trans, own in _sides(
-            scene, r[..., 0], t):
-        own = own[..., None]
-        trans = trans_rate * np.exp(1j * phase_trans)
-        for p in packets:
-            here = packet_complex_field_3d(p, r, t, med)
-            refl = _flip_x(packet_complex_field_3d(p, r_tilde, t, med, phase_refl))
-            total += (here + refl_rate * refl) * own + trans * here * (1.0 - own)
-    return 2.0 * total.real
 
 
 def _energy_density(e_field, b_field, medium: Medium, area: float) -> np.ndarray:

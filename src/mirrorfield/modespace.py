@@ -82,29 +82,42 @@ class ModeGrid:
         return np.abs(self.k) * medium.c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeAmplitudes:
-    """Coherent amplitudes for the two Hilbert-space copies."""
+    """Coherent amplitudes for the two Hilbert-space copies.
+
+    Both sequences are read-only copies of the arrays given, so a later
+    write to those arrays leaves the checked amplitudes unchanged. Two
+    records compare equal only if they are the same record.
+    """
 
     alpha_a: np.ndarray
     alpha_b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.alpha_a, dtype=complex)
-        b = np.asarray(self.alpha_b, dtype=complex)
+        a = np.array(self.alpha_a, dtype=complex)
+        b = np.array(self.alpha_b, dtype=complex)
         if a.ndim != 1:
             raise ValueError(f"amplitudes must be one-dimensional, got shape {a.shape}")
         if a.shape != b.shape:
             raise ValueError("amplitude sequences must share the grid")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("amplitudes must be finite")
+        a.flags.writeable = False
+        b.flags.writeable = False
         object.__setattr__(self, "alpha_a", a)
         object.__setattr__(self, "alpha_b", b)
 
     @classmethod
     def vacuum(cls, grid: ModeGrid) -> "ModeAmplitudes":
         zeros = np.zeros(grid.k.size, dtype=complex)
-        return cls(alpha_a=zeros, alpha_b=zeros.copy())
+        return cls(alpha_a=zeros, alpha_b=zeros)
+
+
+def _check_hbar(hbar: float) -> None:
+    """Raise ValueError unless hbar is positive and finite."""
+    if not 0.0 < hbar < math.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
 
 
 def _alpha_a(amps: ModeAmplitudes, grid: ModeGrid) -> np.ndarray:
@@ -123,6 +136,7 @@ def packet_to_amplitudes(packet: GaussianPacket, grid: ModeGrid, medium: Medium,
     Gaussian of width 1/sigma around the signed carrier. The grid must cover
     carrier +- 6/sigma strictly inside (dk, k_max].
     """
+    _check_hbar(hbar)
     k0 = abs(packet.k0_carrier)
     lo, hi = k0 - _COVERAGE / packet.sigma, k0 + _COVERAGE / packet.sigma
     if lo < grid.dk or hi > grid.k_pos[-1]:
@@ -245,6 +259,7 @@ def _field_sum(weights: np.ndarray, grid: ModeGrid, x) -> np.ndarray:
 
 def expect_E_free(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium, x, hbar: float = 1.0):
     """Expectation of the free-space electric field of copy a."""
+    _check_hbar(hbar)
     omega = grid.omega(medium)
     prefac = 0.5j * np.sqrt(hbar * omega / (math.pi * medium.epsilon * grid.area))
     return _field_sum(prefac * _alpha_a(amps, grid) * grid.dk, grid, x)
@@ -256,6 +271,7 @@ def expect_B_free(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium, x, hbar:
     Sign convention matches the classical packets: a right-moving coherent
     packet has B = +E/c.
     """
+    _check_hbar(hbar)
     omega = grid.omega(medium)
     prefac = (0.5j / medium.c) * np.sign(grid.k) * np.sqrt(
         hbar * omega / (math.pi * medium.epsilon * grid.area))
@@ -287,6 +303,7 @@ def expect_H_sys(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
     Uses exact compensated summation so the result is independent of mode
     ordering.
     """
+    _check_hbar(hbar)
     omega = grid.omega(medium)
     terms = hbar * omega * (np.abs(_alpha_a(amps, grid)) ** 2
                             + np.abs(amps.alpha_b) ** 2) * grid.dk
@@ -300,6 +317,7 @@ def expect_H_field_one_sided(amps: ModeAmplitudes, grid: ModeGrid, medium: Mediu
     Only the standing-wave modes carry field energy; the remainder of
     the system energy belongs to the mirror surface. Copy b must be empty.
     """
+    _check_hbar(hbar)
     if np.any(amps.alpha_b != 0.0):
         raise ValueError("one-sided energy requires empty side b")
     xi = xi_transform(amps, grid)
@@ -338,6 +356,7 @@ def expect_E_mirr_via_xi(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
     amplitude set from the k > 0 half and feeds it through the plain
     free-field sum.
     """
+    _check_hbar(hbar)
     xi = xi_transform(amps, grid)
     full = np.concatenate([-xi[::-1], xi])
     omega = grid.omega(medium)

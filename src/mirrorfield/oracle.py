@@ -286,12 +286,13 @@ def hfield_mode_sum_check(amps: modespace.ModeAmplitudes, grid: modespace.ModeGr
     field over the symmetric doubled domain [-x_max, x_max] (the squared
     field is even, so half the full-line integral equals the half-space
     energy), sampled at n_x uniform points. ``x_max`` must be positive and
-    finite, with 2 x_max and k_max x_max finite too, and ``n_x`` of the form
-    4m+1, at least 5, else ValueError. In front of a perfect mirror the
-    field is the free field minus its mirror image, so the free E and B
-    fields are summed once each, on the grid, and read at -x as those sums
-    reversed.
+    finite, with 2 x_max and k_max x_max finite too, ``n_x`` of the form
+    4m+1, at least 5, and ``hbar`` positive and finite, else ValueError. In
+    front of a perfect mirror the field is the free field minus its mirror
+    image, so the free E and B fields are summed once each, on the grid, and
+    read at -x as those sums reversed.
     """
+    modespace._check_hbar(hbar)
     medium = medium if medium is not None else Medium()
     if not 0.0 < x_max < math.inf:
         raise ValueError(f"x_max must be positive and finite, got {x_max}")

@@ -332,24 +332,22 @@ def preset_rates(kind: str, mu_orient: float, z, r: float | None = None,
 
     These evaluate the reduced expressions directly and must agree with the
     general gamma_mirr/delta_mirr route. Requires z > 0 because the shift is
-    part of the result.
+    part of the result. ``r`` and ``t`` are checked as
+    ``MirrorSpec.from_preset(kind, r=r, t=t)`` checks them: ``symmetric``
+    needs both and a mirror that has them, the other kinds take neither.
     """
     _check_orientation(mu_orient)
     z = _points(z)
+    if kind not in ("perfect", "symmetric", "absorbing"):
+        raise ValueError(f"unknown preset kind {kind!r}")
+    MirrorSpec.from_preset(kind, r=r, t=t)
     if kind == "absorbing":
         if _lowest(z) <= 0.0:
             raise ZeroDistance("level shift requires z > 0")
         if isinstance(z, list):
             return RateResult(gamma_ratio=[1.0] * len(z), delta_ratio=[0.0] * len(z))
         return RateResult(gamma_ratio=1.0 + 0.0 * z, delta_ratio=0.0 * z)
-    if kind == "perfect":
-        pref = 1.5
-    elif kind == "symmetric":
-        if r is None or t is None:
-            raise ValueError("symmetric preset needs r and t")
-        pref = symmetric_prefactor(r, t)
-    else:
-        raise ValueError(f"unknown preset kind {kind!r}")
+    pref = 1.5 if kind == "perfect" else symmetric_prefactor(r, t)
     gamma, delta = _rates(z, mu_orient, 1.0, pref, 0.5 * pref)
     return RateResult(gamma_ratio=gamma, delta_ratio=delta)
 

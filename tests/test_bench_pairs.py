@@ -152,6 +152,37 @@ def test_a_run_that_exits_non_zero_keeps_the_runs_before_it(bench_pairs, monkeyp
            f"the runs before it are in {out}" in err
 
 
+@pytest.mark.parametrize("stdout, shown", [("bench ended early\n", "'bench ended early'"),
+                                           ("", "''")], ids=["not-json", "empty"])
+def test_a_run_without_a_result_line_keeps_the_runs_before_it(bench_pairs, monkeypatch,
+                                                              tmp_path, capsys, stdout, shown):
+    good = fake_runs(lambda checkout, seed: 1.0)
+
+    def run(argv, cwd, **kwargs):
+        workload, seed = argv[argv.index("--workload") + 1], int(argv[argv.index("--seed") + 1])
+        if cwd == "C" and workload == "ensemble" and seed == 2:
+            return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+        result = good(cwd, workload, seed, 40.0, 0)
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(result) + "\n",
+                                           stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr("sys.argv", ["bench_pairs.py", "--parent", "P", "--change", "C",
+                                     "--out", str(out), "--seeds", "4"])
+    assert bench_pairs.main() == 1
+    record = json.loads(out.read_text())
+    assert len(record["trace0"]["parent"]["verify"]) == 4
+    assert len(record["trace0"]["change"]["verify"]) == 4
+    assert len(record["trace0"]["parent"]["ensemble"]) == 1
+    assert len(record["trace0"]["change"]["ensemble"]) == 1
+    assert record["trace0"]["parent"]["survey"] == []
+    assert record["trace1"] == {"parent": {}, "change": {}}
+    assert f"bench/run.py exited 0 with a last line that is not a JSON result, {shown}, " \
+           "in C (change), workload ensemble, seed 2, trace 0; " \
+           f"the runs before it are in {out}" in capsys.readouterr().err
+
+
 def test_needs_two_seeds_for_quartiles(bench_pairs, monkeypatch, tmp_path):
     with pytest.raises(SystemExit) as info:
         run_main(bench_pairs, monkeypatch, tmp_path, seeds=1)

@@ -1,15 +1,13 @@
 import math
-import re
 
 import numpy as np
 import pytest
 
 from mirrorfield import classical
-from mirrorfield.classical import (PlaneWavePacket3D, ScatterScene, energy_between,
-                                   field_energy_1d, free_field_1d,
-                                   free_field_3d, interference_intensities,
+from mirrorfield.classical import (ScatterScene, energy_between, field_energy_1d,
+                                   free_field_1d, interference_intensities,
                                    mirror_field_1d, mirror_field_1d_perfect,
-                                   mirror_field_3d, mirror_fields_1d)
+                                   mirror_fields_1d)
 from mirrorfield.core import GaussianPacket, Medium, MirrorSpec
 from mirrorfield.errors import GridTooCoarse, NegativeTime
 
@@ -173,10 +171,6 @@ def test_mirror_field_rejects_negative_time():
                          medium=MED)
     with pytest.raises(NegativeTime):
         mirror_field_1d(scene, 1.0, -0.5)
-    with pytest.raises(NegativeTime):
-        mirror_field_3d(
-            ScatterScene(mirror=MirrorSpec.perfect(), medium=MED),
-            np.zeros(3), -1.0)
 
 
 def test_scene_rejects_mislabeled_packets():
@@ -208,78 +202,6 @@ def test_superposition_satisfies_wave_equation():
 
     r1, r2 = residual(1e-3), residual(5e-4)
     assert r1 / r2 == pytest.approx(4.0, rel=0.2)
-
-
-# ------------------------------------------------------------- 3D fields
-
-def test_3d_reduces_to_1d_at_normal_incidence():
-    p = left_packet()
-    p3 = PlaneWavePacket3D.from_gaussian_1d(p)
-    mirror = MirrorSpec.symmetric(r=0.5, t=0.6, phi_1=math.pi, phi_2=0.3,
-                                  phi_3=1.0, phi_4=0.2)
-    scene1 = ScatterScene(mirror=mirror, packets_a=(p,), medium=MED)
-    scene3 = ScatterScene(mirror=mirror, packets_a=(p3,), medium=MED)
-    x = np.linspace(-40.0, 40.0, 801)
-    r = np.stack([x, np.full_like(x, 2.0), np.full_like(x, -1.0)], axis=-1)
-    for t in (0.0, 2.5, 3.6):
-        e3 = mirror_field_3d(scene3, r, t)
-        e1 = mirror_field_1d(scene1, x, t)
-        scale = np.abs(e1).max()
-        assert np.abs(e3[:, 1] - e1).max() <= 1e-12 * scale
-        assert np.abs(e3[:, 0]).max() == 0.0
-        assert np.abs(e3[:, 2]).max() == 0.0
-
-
-def test_3d_perfect_mirror_tangential_field_vanishes_on_surface():
-    k_hat = np.array([-1.0, 0.4, 0.3])
-    k_hat /= np.linalg.norm(k_hat)
-    pol = np.cross(k_hat, [0.0, 0.0, 1.0])
-    p3 = PlaneWavePacket3D(e0=1.0, u0=-30.0, sigma=3.0, k_vec=tuple(10.0 * k_hat),
-                           polarization=tuple(pol), side="a")
-    scene = ScatterScene(mirror=MirrorSpec.perfect(), packets_a=(p3,), medium=MED)
-    yy, zz = np.meshgrid(np.linspace(-15.0, 15.0, 13), np.linspace(-15.0, 15.0, 13))
-    surface = np.stack([np.zeros_like(yy), yy, zz], axis=-1)
-    for t in (20.0, 30.0, 40.0):
-        e_surf = mirror_field_3d(scene, surface, t)
-        assert np.abs(e_surf[..., 1:]).max() < 1e-12
-
-
-def test_3d_free_preset_is_identity():
-    k_hat = np.array([-0.8, 0.6, 0.0])
-    pol = np.array([0.6, 0.8, 0.0])
-    p3 = PlaneWavePacket3D(e0=1.0, u0=-20.0, sigma=2.5, k_vec=tuple(9.0 * k_hat),
-                           polarization=tuple(pol), side="a")
-    scene = ScatterScene(mirror=MirrorSpec.free_space(), packets_a=(p3,), medium=MED)
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(-30.0, 30.0, size=(50, 3))
-    for t in (0.0, 2.0):
-        np.testing.assert_array_equal(mirror_field_3d(scene, pts, t),
-                                      free_field_3d(p3, pts, t, MED))
-
-
-def test_plane_wave_packet_requires_transverse_polarization():
-    with pytest.raises(ValueError):
-        PlaneWavePacket3D(e0=1.0, u0=0.0, sigma=1.0, k_vec=(1.0, 0.0, 0.0),
-                          polarization=(1.0, 0.0, 0.0))
-
-
-_FINITE_3D = dict(e0=1.0, u0=0.0, sigma=1.0, k_vec=(1.0, 0.0, 0.0),
-                  polarization=(0.0, 1.0, 0.0))
-
-
-@pytest.mark.parametrize("field, value, message", [
-    ("e0", math.nan, "PlaneWavePacket3D.e0 must be finite, got nan"),
-    ("u0", math.inf, "PlaneWavePacket3D.u0 must be finite, got inf"),
-    ("sigma", math.nan, "PlaneWavePacket3D.sigma must be finite, got nan"),
-    ("xi_init", -math.inf, "PlaneWavePacket3D.xi_init must be finite, got -inf"),
-    ("k_vec", (1.0, math.nan, 0.0),
-     "PlaneWavePacket3D.k_vec must be finite, got (1.0, nan, 0.0)"),
-    ("polarization", (0.0, math.inf, 0.0),
-     "PlaneWavePacket3D.polarization must be finite, got (0.0, inf, 0.0)"),
-], ids=["e0", "u0", "sigma", "xi_init", "k_vec", "polarization"])
-def test_plane_wave_packet_rejects_non_finite_fields(field, value, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        PlaneWavePacket3D(**{**_FINITE_3D, field: value})
 
 
 # ------------------------------------------------------------- energy

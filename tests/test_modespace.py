@@ -190,6 +190,49 @@ def test_amplitudes_must_be_one_dimensional(alpha):
         ms.ModeAmplitudes(alpha_a=alpha, alpha_b=np.zeros_like(alpha))
 
 
+def test_amplitudes_keep_read_only_copies_of_the_arrays_given():
+    grid = ms.ModeGrid(k_max=10.0, n_half=4)
+    raw = np.ones(8, dtype=complex)
+    amps = ms.ModeAmplitudes(alpha_a=raw, alpha_b=np.zeros(8))
+    before = ms.expect_H_sys(amps, grid, MED)
+    raw[1] = np.inf
+    assert ms.expect_H_sys(amps, grid, MED) == before
+    for alpha in (amps.alpha_a, amps.alpha_b):
+        with pytest.raises(ValueError, match="read-only"):
+            alpha[0] = 2.0
+
+
+def test_amplitudes_compare_and_hash_by_identity():
+    first = ms.ModeAmplitudes(alpha_a=np.ones(8), alpha_b=np.zeros(8))
+    second = ms.ModeAmplitudes(alpha_a=np.ones(8), alpha_b=np.zeros(8))
+    assert first == first
+    assert first != second
+    assert len({first, second}) == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda packet, grid, amps, hbar: ms.packet_to_amplitudes(packet, grid, MED, hbar=hbar),
+    lambda packet, grid, amps, hbar: ms.expect_E_free(amps, grid, MED, 0.5, hbar=hbar),
+    lambda packet, grid, amps, hbar: ms.expect_B_free(amps, grid, MED, 0.5, hbar=hbar),
+    lambda packet, grid, amps, hbar: ms.expect_H_sys(amps, grid, MED, hbar=hbar),
+    lambda packet, grid, amps, hbar: ms.expect_H_field_one_sided(amps, grid, MED, hbar=hbar),
+    lambda packet, grid, amps, hbar: ms.expect_H_mirr_one_sided(amps, grid, MED, hbar=hbar),
+    lambda packet, grid, amps, hbar: ms.expect_E_mirr_one_sided(amps, grid, MED, 0.5,
+                                                                hbar=hbar),
+    lambda packet, grid, amps, hbar: ms.expect_E_mirr_via_xi(amps, grid, MED, 0.5, hbar=hbar),
+    lambda packet, grid, amps, hbar: oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193,
+                                                                  medium=MED, hbar=hbar),
+], ids=["to-amplitudes", "E", "B", "H-sys", "H-field", "H-mirror", "E-mirror", "E-xi",
+        "hfield-check"])
+@pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_mode_layer_refuses_hbar_that_is_not_positive_and_finite(packet, grid, amps, call,
+                                                                 hbar):
+    message = f"hbar must be positive and finite, got {hbar}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(packet, grid, amps, hbar)
+
+
 @pytest.mark.parametrize("call", [
     lambda amps, grid: ms.expect_E_free(amps, grid, MED, np.linspace(-1.0, 1.0, 5)),
     lambda amps, grid: ms.expect_B_free(amps, grid, MED, 0.5),

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from mirrorfield import rates
 from mirrorfield.core import AtomSpec, Medium, MirrorSpec
-from mirrorfield.errors import DegenerateNormalisation, ZeroDistance
+from mirrorfield.errors import (AbsorptionViolation, DegenerateNormalisation, RateOutOfRange,
+                               ZeroDistance)
 
 PERFECT = MirrorSpec.perfect()
 
@@ -229,6 +230,21 @@ def test_preset_perfect_equals_frozen_value():
     res = rates.preset_rates("perfect", 0.0, math.pi)
     assert res.gamma_ratio == pytest.approx(GAMMA_PERFECT_PI, rel=1e-12)
     assert res.delta_ratio == pytest.approx(DELTA_PERFECT_PI, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, params, error, message", [
+    ("symmetric", {"r": 2.0, "t": 0.0}, RateOutOfRange, "r_a = 2.0 outside [0, 1]"),
+    ("symmetric", {"r": 0.9, "t": 0.9}, AbsorptionViolation,
+     "side a: t**2 + r**2 = 1.62 exceeds 1"),
+    ("symmetric", {"r": math.nan, "t": 0.1}, RateOutOfRange, "r_a = nan outside [0, 1]"),
+    ("symmetric", {"r": 0.3}, ValueError, "mirror preset 'symmetric': missing t"),
+    ("perfect", {"r": 0.3, "t": 0.1}, ValueError, "mirror preset 'perfect': unknown r, t"),
+    ("absorbing", {"t": 0.5}, ValueError, "mirror preset 'absorbing': unknown t"),
+], ids=["r-above-1", "t2-plus-r2-above-1", "r-nan", "t-missing", "perfect-with-r-t",
+        "absorbing-with-t"])
+def test_preset_refuses_rates_that_no_mirror_has(kind, params, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        rates.preset_rates(kind, 0.0, 1.0, **params)
 
 
 def test_preset_result_record():

@@ -21,9 +21,10 @@ worse``. Lower is better for every end-to-end metric. Progress goes to
 standard error.
 The exit code is 1 if any run reported ``"correct": false`` or a failed
 operation, which ``bench/run.py`` itself does not signal in its exit code.
-If a run exits non-zero, the runs made before it are written to the output
-file, and the exit code is 1 with a message naming the checkout, workload,
-seed and exit code of that run.
+If a run exits non-zero, or exits 0 with a last line of output that is not
+a JSON result, the runs made before it are written to the output file, and
+the exit code is 1 with a message naming the checkout, side, workload, seed
+and trace of that run and its exit code or last line.
 """
 
 from __future__ import annotations
@@ -49,7 +50,14 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: float, trace: in
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    last = (done.stdout.strip().splitlines() or [""])[-1]
+    try:
+        result = json.loads(last)
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        raise ValueError(f"{done.stderr}bench/run.py exited 0 with a last line that is "
+                         f"not a JSON result, {last!r},")
     result["seed"] = seed
     return result
 
@@ -122,9 +130,12 @@ def main() -> int:
         try:
             result = run_bench(sides[side], workload, seed, args.seconds, trace)
         except subprocess.CalledProcessError as error:
-            crashed = (f"{error.stderr or ''}bench/run.py exited {error.returncode} in "
-                       f"{sides[side]} ({side}), workload {workload}, seed {seed}, "
-                       f"trace {trace}; the runs before it are in {args.out}")
+            crashed = f"{error.stderr or ''}bench/run.py exited {error.returncode}"
+        except ValueError as error:
+            crashed = str(error)
+        if crashed:
+            crashed += (f" in {sides[side]} ({side}), workload {workload}, seed {seed}, "
+                        f"trace {trace}; the runs before it are in {args.out}")
             break
         if trace:
             record["trace1"][side][workload] = result
