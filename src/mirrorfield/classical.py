@@ -10,6 +10,7 @@ carrier only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,16 +148,16 @@ def mirror_field_1d_by_side(scene: ScatterScene, x, t: float):
     return 2.0 * e_a.real, 2.0 * e_b.real
 
 
-def _energy_density(e_field, b_field, medium: Medium, area: float) -> np.ndarray:
-    """Energy per unit length, area times (epsilon E**2 + B**2 / mu) / 2."""
-    return 0.5 * area * (
+def _energy_density(e_field, b_field, medium: Medium) -> np.ndarray:
+    """Energy per unit length and unit area, (epsilon E**2 + B**2 / mu) / 2."""
+    return 0.5 * (
         medium.epsilon * np.asarray(e_field) ** 2
         + np.asarray(b_field) ** 2 / medium.mu_p
     )
 
 
 def field_energy_1d(e_field: np.ndarray, b_field: np.ndarray, dx: float,
-                    medium: Medium = Medium(), area: float = 1.0) -> float:
+                    medium: Medium = Medium()) -> float:
     """Electromagnetic energy on a uniform grid of (E, B) samples.
 
     The grid must cover the field support (envelope below 1e-8 of the peak
@@ -164,28 +165,32 @@ def field_energy_1d(e_field: np.ndarray, b_field: np.ndarray, dx: float,
     """
     from .modespace import simpson_with_check
 
-    return simpson_with_check(_energy_density(e_field, b_field, medium, area), dx)
+    return simpson_with_check(_energy_density(e_field, b_field, medium), dx)
 
 
 def energy_between(field_fn, x_min: float, x_max: float,
-                   medium: Medium = Medium(), area: float = 1.0,
-                   abs_tol: float = 0.0) -> float:
+                   medium: Medium = Medium(), abs_tol: float = 0.0) -> float:
     """Field energy on [x_min, x_max], refining the grid until converged.
 
-    ``field_fn(x_array) -> (E, B)``. From 1025 samples, the sample count
-    doubles until two successive Simpson results agree to a relative 1e-6;
-    ten doublings without that raise GridTooCoarse. ``abs_tol`` ends
+    ``field_fn(x_array) -> (E, B)``. The bounds and their span must be
+    finite, with x_min < x_max, else ValueError. From 1025 samples, the
+    sample count doubles until two successive Simpson results agree to a
+    relative 1e-6; ten doublings without that raise GridTooCoarse. ``abs_tol`` ends
     refinement for integrals that are zero up to cancellation noise
     (complete destructive interference), where a relative criterion can
     never be met.
     """
     from .modespace import _REL_TOL, _simpson
 
+    # A finite span rules out infinite bounds too.
+    if not (x_min < x_max and math.isfinite(float(x_max) - float(x_min))):
+        raise ValueError("energy_between needs finite x_min < x_max and x_max - x_min, "
+                         f"got [{x_min}, {x_max}]")
     n = 1025
     previous = None
     for _ in range(11):
         x = np.linspace(x_min, x_max, n)
-        current = _simpson(_energy_density(*field_fn(x), medium, area), x[1] - x[0])
+        current = _simpson(_energy_density(*field_fn(x), medium), x[1] - x[0])
         if previous is not None:
             scale = max(abs(current), abs(previous))
             if scale <= abs_tol or abs(current - previous) <= _REL_TOL * scale:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GaussianPacket, Medium, _is_integer
+from .core import GaussianPacket, _is_integer
 from .errors import BandwidthNotCovered, GridTooCoarse
 
 # Width, in units of 1/sigma, that a grid must cover around the carrier.
@@ -40,13 +40,13 @@ class ModeGrid:
 
     Built from ``k_max`` and ``n_half``: the spacing is dk = k_max / n_half
     and ``k`` is ascending, {-k_max, ..., -dk, dk, ..., k_max}, 2 n_half
-    modes. ``area`` is the quantisation cross-section in the transverse
-    plane. ``dk`` and ``k`` are derived, so they take no part in ``==``.
+    modes. The mode layer works at hbar = epsilon = mu = c = 1 with unit
+    cross-section, so the grid carries no units. ``dk`` and ``k`` are
+    derived, so they take no part in ``==``.
     """
 
     k_max: float
     n_half: int
-    area: float = 1.0
     dk: float = field(init=False, repr=False, compare=False)
     k: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -55,8 +55,6 @@ class ModeGrid:
             raise ValueError(f"k_max must be positive and finite, got {self.k_max}")
         if not _is_integer(self.n_half) or self.n_half < 1:
             raise ValueError(f"n_half must be an integer of at least 1, got {self.n_half!r}")
-        if not 0.0 < self.area < math.inf:
-            raise ValueError(f"area must be positive and finite, got {self.area}")
         dk = self.k_max / self.n_half
         # The top mode dk * n_half may round past the largest float, and dk
         # may underflow to 0 for a subnormal k_max.
@@ -69,17 +67,24 @@ class ModeGrid:
         self.k.flags.writeable = False  # the chirp-z sum reads dk and n_half, not k
 
     @classmethod
-    def for_packet(cls, packet: GaussianPacket, area: float = 1.0) -> "ModeGrid":
+    def for_packet(cls, packet: GaussianPacket) -> "ModeGrid":
         """Default grid: 4096 modes out to 8 bandwidths 1/sigma past the carrier."""
         k_max = abs(packet.k0_carrier) + 8.0 / packet.sigma
-        return cls(k_max=k_max, n_half=2048, area=area)
+        return cls(k_max=k_max, n_half=2048)
 
     @property
     def k_pos(self) -> np.ndarray:
         return self.k[self.n_half:]
 
-    def omega(self, medium: Medium) -> np.ndarray:
-        return np.abs(self.k) * medium.c
+
+def _complex_copy(values) -> np.ndarray:
+    """A complex copy of ``values``. Converting to complex parses text too,
+    so text or bytes entries raise ValueError."""
+    raw = np.asarray(values)
+    if raw.dtype.kind in "SU" or (raw.dtype.kind == "O" and any(
+            isinstance(v, (str, bytes)) for v in raw.flat)):
+        raise ValueError("amplitudes must be numbers, got text")
+    return np.array(raw, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +100,8 @@ class ModeAmplitudes:
     alpha_b: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.alpha_a, dtype=complex)
-        b = np.array(self.alpha_b, dtype=complex)
+        a = _complex_copy(self.alpha_a)
+        b = _complex_copy(self.alpha_b)
         if a.ndim != 1:
             raise ValueError(f"amplitudes must be one-dimensional, got shape {a.shape}")
         if a.shape != b.shape:
@@ -114,12 +119,6 @@ class ModeAmplitudes:
         return cls(alpha_a=zeros, alpha_b=zeros)
 
 
-def _check_hbar(hbar: float) -> None:
-    """Raise ValueError unless hbar is positive and finite."""
-    if not 0.0 < hbar < math.inf:
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
-
-
 def _alpha_a(amps: ModeAmplitudes, grid: ModeGrid) -> np.ndarray:
     """Copy a's amplitudes, one per mode of ``grid``, else ValueError."""
     if amps.alpha_a.shape != grid.k.shape:
@@ -128,15 +127,13 @@ def _alpha_a(amps: ModeAmplitudes, grid: ModeGrid) -> np.ndarray:
     return amps.alpha_a
 
 
-def packet_to_amplitudes(packet: GaussianPacket, grid: ModeGrid, medium: Medium,
-                         hbar: float = 1.0) -> ModeAmplitudes:
+def packet_to_amplitudes(packet: GaussianPacket, grid: ModeGrid) -> ModeAmplitudes:
     """Coherent amplitudes whose field expectation reproduces the packet.
 
     Inverts the mode expansion for a Gaussian: the amplitude magnitude is a
     Gaussian of width 1/sigma around the signed carrier. The grid must cover
     carrier +- 6/sigma strictly inside (dk, k_max].
     """
-    _check_hbar(hbar)
     k0 = abs(packet.k0_carrier)
     lo, hi = k0 - _COVERAGE / packet.sigma, k0 + _COVERAGE / packet.sigma
     if lo < grid.dk or hi > grid.k_pos[-1]:
@@ -151,8 +148,7 @@ def packet_to_amplitudes(packet: GaussianPacket, grid: ModeGrid, medium: Medium,
         * np.exp(1j * (packet.k0_carrier - k) * packet.x0)
         * np.exp(1j * packet.xi_init)
     )
-    omega = grid.omega(medium)
-    alpha = -1j * np.sqrt(medium.epsilon * grid.area / (math.pi * hbar * omega)) * spectrum
+    alpha = -1j * np.sqrt(1.0 / (math.pi * np.abs(k))) * spectrum
     zeros = np.zeros_like(alpha)
     if packet.side == "a":
         return ModeAmplitudes(alpha_a=alpha, alpha_b=zeros)
@@ -257,24 +253,19 @@ def _field_sum(weights: np.ndarray, grid: ModeGrid, x) -> np.ndarray:
     return _dense_field_sum(weights, grid.k, x)
 
 
-def expect_E_free(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium, x, hbar: float = 1.0):
+def expect_E_free(amps: ModeAmplitudes, grid: ModeGrid, x):
     """Expectation of the free-space electric field of copy a."""
-    _check_hbar(hbar)
-    omega = grid.omega(medium)
-    prefac = 0.5j * np.sqrt(hbar * omega / (math.pi * medium.epsilon * grid.area))
+    prefac = 0.5j * np.sqrt(np.abs(grid.k) / math.pi)
     return _field_sum(prefac * _alpha_a(amps, grid) * grid.dk, grid, x)
 
 
-def expect_B_free(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium, x, hbar: float = 1.0):
+def expect_B_free(amps: ModeAmplitudes, grid: ModeGrid, x):
     """Expectation of the free-space magnetic field of copy a.
 
     Sign convention matches the classical packets: a right-moving coherent
     packet has B = +E/c.
     """
-    _check_hbar(hbar)
-    omega = grid.omega(medium)
-    prefac = (0.5j / medium.c) * np.sign(grid.k) * np.sqrt(
-        hbar * omega / (math.pi * medium.epsilon * grid.area))
+    prefac = 0.5j * np.sign(grid.k) * np.sqrt(np.abs(grid.k) / math.pi)
     return _field_sum(prefac * _alpha_a(amps, grid) * grid.dk, grid, x)
 
 
@@ -296,71 +287,59 @@ def symmetric_transform(amps: ModeAmplitudes, grid: ModeGrid) -> np.ndarray:
     return (alpha[n:] + alpha[:n][::-1]) / math.sqrt(2.0)
 
 
-def expect_H_sys(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
-                 hbar: float = 1.0) -> float:
+def expect_H_sys(amps: ModeAmplitudes, grid: ModeGrid) -> float:
     """Total oscillator energy of both copies, zero-point constant dropped.
 
     Uses exact compensated summation so the result is independent of mode
     ordering.
     """
-    _check_hbar(hbar)
-    omega = grid.omega(medium)
-    terms = hbar * omega * (np.abs(_alpha_a(amps, grid)) ** 2
-                            + np.abs(amps.alpha_b) ** 2) * grid.dk
+    terms = np.abs(grid.k) * (np.abs(_alpha_a(amps, grid)) ** 2
+                              + np.abs(amps.alpha_b) ** 2) * grid.dk
     return math.fsum(terms.tolist())
 
 
-def expect_H_field_one_sided(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
-                             hbar: float = 1.0) -> float:
+def expect_H_field_one_sided(amps: ModeAmplitudes, grid: ModeGrid) -> float:
     """Field energy in front of a one-sided perfect mirror, light on side a.
 
     Only the standing-wave modes carry field energy; the remainder of
     the system energy belongs to the mirror surface. Copy b must be empty.
     """
-    _check_hbar(hbar)
     if np.any(amps.alpha_b != 0.0):
         raise ValueError("one-sided energy requires empty side b")
     xi = xi_transform(amps, grid)
-    omega_pos = grid.k_pos * medium.c
-    terms = hbar * omega_pos * np.abs(xi) ** 2 * grid.dk
+    terms = grid.k_pos * np.abs(xi) ** 2 * grid.dk
     return math.fsum(terms.tolist())
 
 
-def expect_H_mirr_one_sided(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
-                            hbar: float = 1.0) -> float:
+def expect_H_mirr_one_sided(amps: ModeAmplitudes, grid: ModeGrid) -> float:
     """Mirror-surface energy, realised as system minus field energy."""
-    return expect_H_sys(amps, grid, medium, hbar=hbar) - expect_H_field_one_sided(
-        amps, grid, medium, hbar=hbar)
+    return expect_H_sys(amps, grid) - expect_H_field_one_sided(amps, grid)
 
 
-def expect_E_mirr_one_sided(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
-                            x, hbar: float = 1.0):
+def expect_E_mirr_one_sided(amps: ModeAmplitudes, grid: ModeGrid, x):
     """Electric-field expectation in front of a one-sided perfect mirror.
 
     Difference of the free-field expectation at x and -x, normalised by
     sqrt(2); identically zero on the far side and at the surface.
     """
     x = np.asarray(x, dtype=float)
-    here = expect_E_free(amps, grid, medium, x, hbar=hbar)
-    image = expect_E_free(amps, grid, medium, -x, hbar=hbar)
+    here = expect_E_free(amps, grid, x)
+    image = expect_E_free(amps, grid, -x)
     mask = np.where(x >= 0.0, 1.0, 0.0)
     out = (here - image) / math.sqrt(2.0) * mask
     return out if x.shape else float(out)
 
 
-def expect_E_mirr_via_xi(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
-                         x, hbar: float = 1.0):
+def expect_E_mirr_via_xi(amps: ModeAmplitudes, grid: ModeGrid, x):
     """Same observable as expect_E_mirr_one_sided, summed over xi modes.
 
     Second route for cross-checking: reconstructs the full antisymmetric
     amplitude set from the k > 0 half and feeds it through the plain
     free-field sum.
     """
-    _check_hbar(hbar)
     xi = xi_transform(amps, grid)
     full = np.concatenate([-xi[::-1], xi])
-    omega = grid.omega(medium)
-    prefac = 0.5j * np.sqrt(hbar * omega / (math.pi * medium.epsilon * grid.area))
+    prefac = 0.5j * np.sqrt(np.abs(grid.k) / math.pi)
     x = np.asarray(x, dtype=float)
     vals = _field_sum(prefac * full * grid.dk, grid, x)
     mask = np.where(x >= 0.0, 1.0, 0.0)
@@ -368,10 +347,9 @@ def expect_E_mirr_via_xi(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
     return out if x.shape else float(out)
 
 
-def evolve_amplitudes(amps: ModeAmplitudes, grid: ModeGrid, medium: Medium,
-                      t: float) -> ModeAmplitudes:
-    """Free time evolution: every mode rotates at its own frequency."""
-    phase = np.exp(-1j * grid.omega(medium) * t)
+def evolve_amplitudes(amps: ModeAmplitudes, grid: ModeGrid, t: float) -> ModeAmplitudes:
+    """Free time evolution: every mode rotates at its own frequency |k|."""
+    phase = np.exp(-1j * np.abs(grid.k) * t)
     return ModeAmplitudes(alpha_a=_alpha_a(amps, grid) * phase,
                           alpha_b=amps.alpha_b * phase)
 
@@ -382,13 +360,20 @@ _REL_TOL = 1e-6
 
 
 def _simpson(y: np.ndarray, dx: float) -> float:
+    """Composite Simpson sum; ValueError unless the step dx is positive and
+    finite and the sum is finite."""
     n = y.size
     if n < 3 or n % 2 == 0:
         raise ValueError("composite Simpson needs an odd number of samples >= 3")
+    if not 0.0 < dx < math.inf:
+        raise ValueError(f"Simpson step must be positive and finite, got {dx}")
     weights = np.ones(n)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float(np.dot(weights, y)) * dx / 3.0
+    total = float(np.dot(weights, y)) * dx / 3.0
+    if not math.isfinite(total):
+        raise ValueError(f"Simpson sum is not finite: {total}")
+    return total
 
 
 def simpson_with_check(y: np.ndarray, dx: float) -> float:

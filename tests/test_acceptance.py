@@ -109,15 +109,15 @@ def test_criterion_5_route_consistency():
 def test_criterion_6_energy_split():
     packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
     grid = modespace.ModeGrid.for_packet(packet)  # the default grid
-    amps = modespace.packet_to_amplitudes(packet, grid, MED)
-    ratio = modespace.expect_H_field_one_sided(amps, grid, MED) \
-        / modespace.expect_H_sys(amps, grid, MED)
+    amps = modespace.packet_to_amplitudes(packet, grid)
+    ratio = modespace.expect_H_field_one_sided(amps, grid) \
+        / modespace.expect_H_sys(amps, grid)
     assert abs(ratio - 0.5) < 1e-3
     bump = np.exp(-0.5 * ((grid.k_pos - 10.0) / 0.4) ** 2).astype(complex)
     anti = np.concatenate([-bump[::-1], bump])
     amps_anti = modespace.ModeAmplitudes(alpha_a=anti, alpha_b=np.zeros_like(anti))
-    ratio_anti = modespace.expect_H_field_one_sided(amps_anti, grid, MED) \
-        / modespace.expect_H_sys(amps_anti, grid, MED)
+    ratio_anti = modespace.expect_H_field_one_sided(amps_anti, grid) \
+        / modespace.expect_H_sys(amps_anti, grid)
     assert abs(ratio_anti - 1.0) < 1e-12
     report(6, f"one-sided split {ratio:.6f} ~ 0.5; antisymmetric split "
               f"{ratio_anti:.15f} ~ 1")

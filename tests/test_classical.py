@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,49 @@ def test_field_energy_grid_too_coarse():
     e_field, b_field = free_field_1d(p, x, 0.0, MED)
     with pytest.raises(GridTooCoarse):
         field_energy_1d(e_field, b_field, x[1] - x[0], MED)
+
+
+@pytest.mark.parametrize("x_min, x_max", [
+    (58.0, 2.0), (2.0, 2.0), (0.0, math.inf), (-math.inf, 0.0),
+    (math.nan, 1.0), (0.0, math.nan), (-1.7e308, 1.7e308),
+], ids=["reversed", "empty", "inf-end", "minus-inf-start", "nan-start", "nan-end",
+        "span-overflows"])
+def test_energy_between_refuses_bounds_that_give_no_energy(x_min, x_max):
+    # Reversed bounds gave a negative energy; infinite or NaN ones, or a span
+    # that overflows, refined ten times and then blamed the grid.
+    p = left_packet()
+    calls = []
+
+    def field(xa):
+        calls.append(xa.size)
+        return free_field_1d(p, xa, 0.0, MED)
+
+    message = "^energy_between needs finite x_min < x_max and x_max - x_min, got "
+    with pytest.raises(ValueError, match=message):
+        energy_between(field, x_min, x_max, MED)
+    assert calls == []
+
+
+def test_energy_between_refuses_a_nan_field_on_the_first_pass():
+    calls = []
+
+    def field(xa):
+        calls.append(xa.size)
+        return np.full(xa.size, np.nan), np.zeros(xa.size)
+
+    with pytest.raises(ValueError, match="^Simpson sum is not finite: nan$"):
+        energy_between(field, 0.0, 1.0, MED)
+    assert calls == [1025]
+
+
+@pytest.mark.parametrize("e_field, dx, message", [
+    (np.full(5, np.nan), 1.0, "Simpson sum is not finite: nan"),
+    (np.ones(5), -1.0, "Simpson step must be positive and finite, got -1.0"),
+], ids=["nan-field", "negative-step"])
+def test_field_energy_refuses_a_sum_or_step_that_gives_no_energy(e_field, dx, message):
+    # A NaN field gave a NaN energy, and a negative step a negative one.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        field_energy_1d(e_field, np.zeros(5), dx)
 
 
 def test_field_energy_matches_refined_quadrature():

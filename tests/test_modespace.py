@@ -12,11 +12,12 @@ from mirrorfield.core import GaussianPacket, Medium
 from mirrorfield.errors import BandwidthNotCovered
 
 MED = Medium()
+_PACKET = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
 
 
 @pytest.fixture(scope="module")
 def packet():
-    return GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
+    return _PACKET
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,7 @@ def grid(packet):
 
 @pytest.fixture(scope="module")
 def amps(packet, grid):
-    return ms.packet_to_amplitudes(packet, grid, MED)
+    return ms.packet_to_amplitudes(packet, grid)
 
 
 def bump_amplitudes(grid, antisymmetric, k_center=10.0, width=0.3, phase=0.3):
@@ -49,7 +50,7 @@ def test_grid_is_symmetric_uniform_and_excludes_zero(grid):
 
 
 def test_grid_is_built_from_k_max_and_n_half():
-    grid = ms.ModeGrid(k_max=10.0, n_half=4, area=2.0)
+    grid = ms.ModeGrid(k_max=10.0, n_half=4)
     np.testing.assert_array_equal(grid.k, [-10.0, -7.5, -5.0, -2.5, 2.5, 5.0, 7.5, 10.0])
     assert grid.dk == 2.5
     assert grid.n_half == 4
@@ -74,8 +75,8 @@ def test_equal_grids_compare_equal_and_hash_alike():
     same = ms.ModeGrid(k_max=10.0, n_half=4)
     assert grid == same
     assert hash(grid) == hash(same)
-    assert grid != ms.ModeGrid(k_max=10.0, n_half=4, area=2.0)
-    assert repr(grid) == "ModeGrid(k_max=10.0, n_half=4, area=1.0)"
+    assert grid != ms.ModeGrid(k_max=10.0, n_half=5)
+    assert repr(grid) == "ModeGrid(k_max=10.0, n_half=4)"
 
 
 def test_grid_rejects_asymmetric():
@@ -98,10 +99,6 @@ _FLOAT_MAX = sys.float_info.max
      "k_max must be positive and finite, got nan"),
     (lambda: ms.ModeGrid(k_max=math.inf, n_half=4),
      "k_max must be positive and finite, got inf"),
-    (lambda: ms.ModeGrid(k_max=10.0, n_half=4, area=math.nan),
-     "area must be positive and finite, got nan"),
-    (lambda: ms.ModeGrid(k_max=10.0, n_half=4, area=math.inf),
-     "area must be positive and finite, got inf"),
     # The ids below name where the non-finite value would land in k or dk.
     (lambda: ms.ModeGrid(k_max=10.0, n_half=math.nan),
      "n_half must be an integer of at least 1, got nan"),
@@ -114,7 +111,7 @@ _FLOAT_MAX = sys.float_info.max
      f"k_max = {_FLOAT_MAX} with n_half = 3 puts a mode at 0 or infinity"),
     (lambda: ms.ModeGrid(k_max=_FLOAT_MAX, n_half=np.int64(7)),
      f"k_max = {_FLOAT_MAX} with n_half = 7 puts a mode at 0 or infinity"),
-], ids=["k_max-nan", "k_max-inf", "area-nan", "area-inf", "nan-dk", "inf-dk", "nan-k",
+], ids=["k_max-nan", "k_max-inf", "nan-dk", "inf-dk", "nan-k",
         "inf-end", "minus-inf-start"])
 def test_grid_rejects_non_finite_values(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -124,10 +121,6 @@ def test_grid_rejects_non_finite_values(make, message):
 @pytest.mark.parametrize("make, message", [
     (lambda: ms.ModeGrid(k_max=-1.0, n_half=4),
      "k_max must be positive and finite, got -1.0"),
-    (lambda: ms.ModeGrid(k_max=10.0, n_half=4, area=0.0),
-     "area must be positive and finite, got 0.0"),
-    (lambda: ms.ModeGrid(k_max=10.0, n_half=4, area=-1.0),
-     "area must be positive and finite, got -1.0"),
     (lambda: ms.ModeGrid(k_max=10.0, n_half=0),
      "n_half must be an integer of at least 1, got 0"),
     (lambda: ms.ModeGrid(k_max=10.0, n_half=4.0),
@@ -136,7 +129,7 @@ def test_grid_rejects_non_finite_values(make, message):
      "k_max = 5e-324 with n_half = 2 puts a mode at 0 or infinity"),
     (lambda: ms.ModeGrid(k_max=10.0, n_half=True),
      "n_half must be an integer of at least 1, got True"),
-], ids=["k_max-negative", "area-zero", "area-negative", "n_half-zero", "n_half-float",
+], ids=["k_max-negative", "n_half-zero", "n_half-float",
         "dk-underflow", "n_half-bool"])
 def test_grid_rejects_out_of_range_values(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -165,7 +158,7 @@ def test_left_mover_supported_at_negative_k(packet, grid, amps):
 
 def test_round_trip_field_reproduces_packet(packet, grid, amps):
     x = np.linspace(5.0, 55.0, 1001)
-    reconstructed = ms.expect_E_free(amps, grid, MED, x)
+    reconstructed = ms.expect_E_free(amps, grid, x)
     reference, _ = free_field_1d(packet, x, 0.0, MED)
     assert np.abs(reconstructed - reference).max() < 1e-6 * packet.e0
 
@@ -173,12 +166,12 @@ def test_round_trip_field_reproduces_packet(packet, grid, amps):
 def test_bandwidth_not_covered(packet):
     narrow = ms.ModeGrid(k_max=11.0, n_half=256)  # carrier+6/sigma = 12
     with pytest.raises(BandwidthNotCovered):
-        ms.packet_to_amplitudes(packet, narrow, MED)
+        ms.packet_to_amplitudes(packet, narrow)
 
 
 def test_side_b_packet_fills_side_b(grid):
     q = GaussianPacket.moving(e0=1.0, x0=-30.0, sigma=3.0, k0_carrier=10.0, side="b")
-    amps = ms.packet_to_amplitudes(q, grid, MED)
+    amps = ms.packet_to_amplitudes(q, grid)
     assert np.all(amps.alpha_a == 0.0)
     assert np.abs(amps.alpha_b).max() > 0.0
 
@@ -190,13 +183,27 @@ def test_amplitudes_must_be_one_dimensional(alpha):
         ms.ModeAmplitudes(alpha_a=alpha, alpha_b=np.zeros_like(alpha))
 
 
+@pytest.mark.parametrize("alpha_a, alpha_b", [
+    (['1', '2j'], [0, 0]),
+    ([0, 0], ['1', '2j']),
+    ([1.0, '2j'], [0, 0]),
+    (np.array([1.0, '2j'], dtype=object), [0, 0]),
+    ([b'1', b'2'], [0, 0]),
+    (np.array(['1', '2']), [0, 0]),
+], ids=["text-a", "text-b", "mixed", "object", "bytes", "text-array"])
+def test_amplitudes_refuse_text(alpha_a, alpha_b):
+    # Converting to complex parses text, so '2j' would otherwise read as 2j.
+    with pytest.raises(ValueError, match="^amplitudes must be numbers, got text$"):
+        ms.ModeAmplitudes(alpha_a=alpha_a, alpha_b=alpha_b)
+
+
 def test_amplitudes_keep_read_only_copies_of_the_arrays_given():
     grid = ms.ModeGrid(k_max=10.0, n_half=4)
     raw = np.ones(8, dtype=complex)
     amps = ms.ModeAmplitudes(alpha_a=raw, alpha_b=np.zeros(8))
-    before = ms.expect_H_sys(amps, grid, MED)
+    before = ms.expect_H_sys(amps, grid)
     raw[1] = np.inf
-    assert ms.expect_H_sys(amps, grid, MED) == before
+    assert ms.expect_H_sys(amps, grid) == before
     for alpha in (amps.alpha_a, amps.alpha_b):
         with pytest.raises(ValueError, match="read-only"):
             alpha[0] = 2.0
@@ -211,39 +218,16 @@ def test_amplitudes_compare_and_hash_by_identity():
 
 
 @pytest.mark.parametrize("call", [
-    lambda packet, grid, amps, hbar: ms.packet_to_amplitudes(packet, grid, MED, hbar=hbar),
-    lambda packet, grid, amps, hbar: ms.expect_E_free(amps, grid, MED, 0.5, hbar=hbar),
-    lambda packet, grid, amps, hbar: ms.expect_B_free(amps, grid, MED, 0.5, hbar=hbar),
-    lambda packet, grid, amps, hbar: ms.expect_H_sys(amps, grid, MED, hbar=hbar),
-    lambda packet, grid, amps, hbar: ms.expect_H_field_one_sided(amps, grid, MED, hbar=hbar),
-    lambda packet, grid, amps, hbar: ms.expect_H_mirr_one_sided(amps, grid, MED, hbar=hbar),
-    lambda packet, grid, amps, hbar: ms.expect_E_mirr_one_sided(amps, grid, MED, 0.5,
-                                                                hbar=hbar),
-    lambda packet, grid, amps, hbar: ms.expect_E_mirr_via_xi(amps, grid, MED, 0.5, hbar=hbar),
-    lambda packet, grid, amps, hbar: oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193,
-                                                                  medium=MED, hbar=hbar),
-], ids=["to-amplitudes", "E", "B", "H-sys", "H-field", "H-mirror", "E-mirror", "E-xi",
-        "hfield-check"])
-@pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf],
-                         ids=["zero", "negative", "nan", "inf"])
-def test_mode_layer_refuses_hbar_that_is_not_positive_and_finite(packet, grid, amps, call,
-                                                                 hbar):
-    message = f"hbar must be positive and finite, got {hbar}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call(packet, grid, amps, hbar)
-
-
-@pytest.mark.parametrize("call", [
-    lambda amps, grid: ms.expect_E_free(amps, grid, MED, np.linspace(-1.0, 1.0, 5)),
-    lambda amps, grid: ms.expect_B_free(amps, grid, MED, 0.5),
+    lambda amps, grid: ms.expect_E_free(amps, grid, np.linspace(-1.0, 1.0, 5)),
+    lambda amps, grid: ms.expect_B_free(amps, grid, 0.5),
     ms.xi_transform,
     ms.symmetric_transform,
-    lambda amps, grid: ms.expect_H_sys(amps, grid, MED),
-    lambda amps, grid: ms.expect_H_field_one_sided(amps, grid, MED),
-    lambda amps, grid: ms.expect_H_mirr_one_sided(amps, grid, MED),
-    lambda amps, grid: ms.expect_E_mirr_one_sided(amps, grid, MED, 0.5),
-    lambda amps, grid: ms.expect_E_mirr_via_xi(amps, grid, MED, 0.5),
-    lambda amps, grid: ms.evolve_amplitudes(amps, grid, MED, 1.0),
+    lambda amps, grid: ms.expect_H_sys(amps, grid),
+    lambda amps, grid: ms.expect_H_field_one_sided(amps, grid),
+    lambda amps, grid: ms.expect_H_mirr_one_sided(amps, grid),
+    lambda amps, grid: ms.expect_E_mirr_one_sided(amps, grid, 0.5),
+    lambda amps, grid: ms.expect_E_mirr_via_xi(amps, grid, 0.5),
+    lambda amps, grid: ms.evolve_amplitudes(amps, grid, 1.0),
 ], ids=["E", "B", "xi", "symmetric", "H-sys", "H-field", "H-mirror", "E-mirror", "E-xi",
         "evolve"])
 @pytest.mark.parametrize("n_modes", [1, 6])
@@ -257,21 +241,47 @@ def test_amplitudes_that_do_not_fit_the_grid_are_refused(call, n_modes):
 
 
 @pytest.mark.parametrize("call", [
-    lambda amps, grid: ms.expect_E_free(amps, grid, MED, 0.5, side="a"),
-    lambda amps, grid: ms.expect_B_free(amps, grid, MED, 0.5, side="a"),
+    lambda amps, grid: ms.expect_E_free(amps, grid, 0.5, side="a"),
+    lambda amps, grid: ms.expect_B_free(amps, grid, 0.5, side="a"),
     lambda amps, grid: ms.xi_transform(amps, grid, side="a"),
     lambda amps, grid: ms.symmetric_transform(amps, grid, side="a"),
-    lambda amps, grid: ms.expect_H_field_one_sided(amps, grid, MED, side="a"),
-    lambda amps, grid: ms.expect_H_mirr_one_sided(amps, grid, MED, side="a"),
-    lambda amps, grid: ms.expect_E_mirr_one_sided(amps, grid, MED, 0.5, side="a"),
-    lambda amps, grid: ms.expect_E_mirr_via_xi(amps, grid, MED, 0.5, side="a"),
+    lambda amps, grid: ms.expect_H_field_one_sided(amps, grid, side="a"),
+    lambda amps, grid: ms.expect_H_mirr_one_sided(amps, grid, side="a"),
+    lambda amps, grid: ms.expect_E_mirr_one_sided(amps, grid, 0.5, side="a"),
+    lambda amps, grid: ms.expect_E_mirr_via_xi(amps, grid, 0.5, side="a"),
     lambda amps, grid: oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193, side="a"),
-    lambda amps, grid: ms.ModeGrid.for_packet(
-        GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0), n_modes=4096),
+    lambda amps, grid: ms.ModeGrid.for_packet(_PACKET, n_modes=4096),
+    # The mode layer works at hbar = epsilon = mu = 1 with unit area.
+    lambda amps, grid: ms.packet_to_amplitudes(_PACKET, grid, hbar=1.0),
+    lambda amps, grid: ms.expect_E_free(amps, grid, 0.5, hbar=1.0),
+    lambda amps, grid: ms.expect_B_free(amps, grid, 0.5, hbar=1.0),
+    lambda amps, grid: ms.expect_H_sys(amps, grid, hbar=1.0),
+    lambda amps, grid: ms.expect_H_field_one_sided(amps, grid, hbar=1.0),
+    lambda amps, grid: ms.expect_H_mirr_one_sided(amps, grid, hbar=1.0),
+    lambda amps, grid: ms.expect_E_mirr_one_sided(amps, grid, 0.5, hbar=1.0),
+    lambda amps, grid: ms.expect_E_mirr_via_xi(amps, grid, 0.5, hbar=1.0),
+    lambda amps, grid: oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193, hbar=1.0),
+    lambda amps, grid: ms.packet_to_amplitudes(_PACKET, grid, medium=Medium()),
+    lambda amps, grid: ms.expect_E_free(amps, grid, 0.5, medium=Medium()),
+    lambda amps, grid: ms.expect_B_free(amps, grid, 0.5, medium=Medium()),
+    lambda amps, grid: ms.expect_H_sys(amps, grid, medium=Medium()),
+    lambda amps, grid: ms.expect_H_field_one_sided(amps, grid, medium=Medium()),
+    lambda amps, grid: ms.expect_H_mirr_one_sided(amps, grid, medium=Medium()),
+    lambda amps, grid: ms.expect_E_mirr_one_sided(amps, grid, 0.5, medium=Medium()),
+    lambda amps, grid: ms.expect_E_mirr_via_xi(amps, grid, 0.5, medium=Medium()),
+    lambda amps, grid: ms.evolve_amplitudes(amps, grid, 1.0, medium=Medium()),
+    lambda amps, grid: oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193, medium=Medium()),
+    lambda amps, grid: ms.ModeGrid(k_max=10.0, n_half=4, area=1.0),
+    lambda amps, grid: ms.ModeGrid.for_packet(_PACKET, area=1.0),
 ], ids=["E", "B", "xi", "symmetric", "H-field", "H-mirror", "E-mirror", "E-xi",
-        "hfield-check", "for-packet"])
+        "hfield-check", "for-packet",
+        "to-amplitudes-hbar", "E-hbar", "B-hbar", "H-sys-hbar", "H-field-hbar",
+        "H-mirror-hbar", "E-mirror-hbar", "E-xi-hbar", "hfield-check-hbar",
+        "to-amplitudes-medium", "E-medium", "B-medium", "H-sys-medium", "H-field-medium",
+        "H-mirror-medium", "E-mirror-medium", "E-xi-medium", "evolve-medium",
+        "hfield-check-medium", "grid-area", "for-packet-area"])
 def test_observables_read_copy_a_and_take_no_side_or_mode_count(grid, amps, call):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
         call(amps, grid)
     assert not hasattr(amps, "side")
 
@@ -280,7 +290,7 @@ def test_observables_read_copy_a_and_take_no_side_or_mode_count(grid, amps, call
 
 def test_expect_e_free_vacuum_is_zero(grid):
     vac = ms.ModeAmplitudes.vacuum(grid)
-    assert ms.expect_E_free(vac, grid, MED, 0.7) == 0.0
+    assert ms.expect_E_free(vac, grid, 0.7) == 0.0
 
 
 def test_expect_e_free_single_mode_periodicity(grid):
@@ -290,8 +300,8 @@ def test_expect_e_free_single_mode_periodicity(grid):
     amps = ms.ModeAmplitudes(alpha_a=alpha, alpha_b=np.zeros_like(alpha))
     k_mode = grid.k[j]
     x0 = 0.3
-    v1 = ms.expect_E_free(amps, grid, MED, x0)
-    v2 = ms.expect_E_free(amps, grid, MED, x0 + 2.0 * math.pi / k_mode)
+    v1 = ms.expect_E_free(amps, grid, x0)
+    v2 = ms.expect_E_free(amps, grid, x0 + 2.0 * math.pi / k_mode)
     assert v1 == pytest.approx(v2, rel=1e-9)
 
 
@@ -330,53 +340,53 @@ def test_split_unitarity_for_random_amplitudes(rng, grid):
 # ------------------------------------------------------------- energies
 
 def test_h_sys_vacuum_and_quadratic_scaling(grid, amps):
-    assert ms.expect_H_sys(ms.ModeAmplitudes.vacuum(grid), grid, MED) == 0.0
-    base = ms.expect_H_sys(amps, grid, MED)
+    assert ms.expect_H_sys(ms.ModeAmplitudes.vacuum(grid), grid) == 0.0
+    base = ms.expect_H_sys(amps, grid)
     scaled = ms.ModeAmplitudes(alpha_a=3.0 * amps.alpha_a, alpha_b=amps.alpha_b)
-    assert ms.expect_H_sys(scaled, grid, MED) == pytest.approx(9.0 * base, rel=1e-12)
+    assert ms.expect_H_sys(scaled, grid) == pytest.approx(9.0 * base, rel=1e-12)
 
 
 def test_h_sys_narrowband_energy(packet, grid, amps):
-    energy = ms.expect_H_sys(amps, grid, MED)
-    omega_carrier = abs(packet.k0_carrier) * MED.c
+    energy = ms.expect_H_sys(amps, grid)
+    omega_carrier = abs(packet.k0_carrier)
     norm = np.sum(np.abs(amps.alpha_a) ** 2) * grid.dk
     bandwidth_over_carrier = (1.0 / packet.sigma) / abs(packet.k0_carrier)
     assert abs(energy - omega_carrier * norm) / energy < bandwidth_over_carrier
 
 
 def test_energy_split_half_for_one_sided_packet(grid, amps):
-    ratio = ms.expect_H_field_one_sided(amps, grid, MED) / ms.expect_H_sys(amps, grid, MED)
+    ratio = ms.expect_H_field_one_sided(amps, grid) / ms.expect_H_sys(amps, grid)
     assert ratio == pytest.approx(0.5, abs=1e-3)
 
 
 def test_energy_split_pure_parity_cases(grid):
     anti = bump_amplitudes(grid, antisymmetric=True)
-    ratio = ms.expect_H_field_one_sided(anti, grid, MED) / ms.expect_H_sys(anti, grid, MED)
+    ratio = ms.expect_H_field_one_sided(anti, grid) / ms.expect_H_sys(anti, grid)
     assert ratio == pytest.approx(1.0, abs=1e-12)
     sym = bump_amplitudes(grid, antisymmetric=False)
-    assert ms.expect_H_field_one_sided(sym, grid, MED) == 0.0
+    assert ms.expect_H_field_one_sided(sym, grid) == 0.0
 
 
 def test_field_energy_never_exceeds_system_energy(rng, grid):
     for _ in range(10):
         alpha = rng.normal(size=grid.k.size) + 1j * rng.normal(size=grid.k.size)
         amps = ms.ModeAmplitudes(alpha_a=alpha, alpha_b=np.zeros_like(alpha))
-        h_field = ms.expect_H_field_one_sided(amps, grid, MED)
-        h_sys = ms.expect_H_sys(amps, grid, MED)
+        h_field = ms.expect_H_field_one_sided(amps, grid)
+        h_sys = ms.expect_H_sys(amps, grid)
         assert h_field <= h_sys * (1.0 + 1e-12)
 
 
 def test_mirror_energy_is_difference(grid, amps):
-    h_sys = ms.expect_H_sys(amps, grid, MED)
-    h_field = ms.expect_H_field_one_sided(amps, grid, MED)
-    assert ms.expect_H_mirr_one_sided(amps, grid, MED) == pytest.approx(
+    h_sys = ms.expect_H_sys(amps, grid)
+    h_field = ms.expect_H_field_one_sided(amps, grid)
+    assert ms.expect_H_mirr_one_sided(amps, grid) == pytest.approx(
         h_sys - h_field, rel=1e-12)
 
 
 def test_one_sided_energy_rejects_two_sided_input(grid, amps):
     both = ms.ModeAmplitudes(alpha_a=amps.alpha_a, alpha_b=amps.alpha_a)
     with pytest.raises(ValueError, match="^one-sided energy requires empty side b$"):
-        ms.expect_H_field_one_sided(both, grid, MED)
+        ms.expect_H_field_one_sided(both, grid)
 
 
 def test_grid_refinement_convergence(packet):
@@ -384,48 +394,48 @@ def test_grid_refinement_convergence(packet):
     k_max = ms.ModeGrid.for_packet(packet).k_max
     for n_half in (2048, 4096):
         grid = ms.ModeGrid(k_max=k_max, n_half=n_half)
-        amps = ms.packet_to_amplitudes(packet, grid, MED)
-        energies.append(ms.expect_H_sys(amps, grid, MED))
+        amps = ms.packet_to_amplitudes(packet, grid)
+        energies.append(ms.expect_H_sys(amps, grid))
     assert abs(energies[1] - energies[0]) / abs(energies[1]) < 1e-6
 
 
 def test_free_evolution_preserves_energies(grid, amps):
-    h_sys_0 = ms.expect_H_sys(amps, grid, MED)
-    h_field_0 = ms.expect_H_field_one_sided(amps, grid, MED)
-    evolved = ms.evolve_amplitudes(amps, grid, MED, t=4.2)
-    assert ms.expect_H_sys(evolved, grid, MED) == pytest.approx(h_sys_0, rel=1e-12)
-    assert ms.expect_H_field_one_sided(evolved, grid, MED) == pytest.approx(
+    h_sys_0 = ms.expect_H_sys(amps, grid)
+    h_field_0 = ms.expect_H_field_one_sided(amps, grid)
+    evolved = ms.evolve_amplitudes(amps, grid, t=4.2)
+    assert ms.expect_H_sys(evolved, grid) == pytest.approx(h_sys_0, rel=1e-12)
+    assert ms.expect_H_field_one_sided(evolved, grid) == pytest.approx(
         h_field_0, rel=1e-12)
 
 
 def test_evolved_amplitudes_match_classical_propagation(packet, grid, amps):
     t = 1.9
     x = np.linspace(10.0, 50.0, 801)
-    evolved = ms.evolve_amplitudes(amps, grid, MED, t)
+    evolved = ms.evolve_amplitudes(amps, grid, t)
     reference, _ = free_field_1d(packet, x, t, MED)
-    assert np.abs(ms.expect_E_free(evolved, grid, MED, x) - reference).max() \
+    assert np.abs(ms.expect_E_free(evolved, grid, x) - reference).max() \
         < 1e-6 * packet.e0
 
 
 # ------------------------------------------------------------- boundary field
 
 def test_e_mirr_vanishes_at_surface_and_behind(grid, amps):
-    assert ms.expect_E_mirr_one_sided(amps, grid, MED, 0.0) == 0.0
-    behind = ms.expect_E_mirr_one_sided(amps, grid, MED, np.array([-3.0, -0.5]))
+    assert ms.expect_E_mirr_one_sided(amps, grid, 0.0) == 0.0
+    behind = ms.expect_E_mirr_one_sided(amps, grid, np.array([-3.0, -0.5]))
     assert np.all(behind == 0.0)
 
 
 def test_e_mirr_dual_route_identity(grid, amps):
     x = np.linspace(0.0, 50.0, 501)
-    difference_form = ms.expect_E_mirr_one_sided(amps, grid, MED, x)
-    xi_form = ms.expect_E_mirr_via_xi(amps, grid, MED, x)
+    difference_form = ms.expect_E_mirr_one_sided(amps, grid, x)
+    xi_form = ms.expect_E_mirr_via_xi(amps, grid, x)
     scale = np.abs(difference_form).max()
     assert np.abs(difference_form - xi_form).max() <= 1e-12 * scale
 
 
 def test_e_mirr_matches_classical_image_construction(packet, grid, amps):
     x = np.linspace(0.0, 50.0, 501)
-    mode_route = ms.expect_E_mirr_one_sided(amps, grid, MED, x)
+    mode_route = ms.expect_E_mirr_one_sided(amps, grid, x)
     classical_route, _ = mirror_field_1d_perfect([packet], x, 0.0, MED)
     assert np.abs(mode_route - classical_route / math.sqrt(2.0)).max() \
         < 1e-6 * packet.e0
@@ -554,11 +564,26 @@ def test_field_sum_near_the_largest_float_is_finite(rng):
 
 
 @pytest.mark.parametrize("call", [
-    lambda amps, grid: ms.expect_E_free(amps, grid, MED, np.array([0.5, np.nan])),
-    lambda amps, grid: ms.expect_B_free(amps, grid, MED, np.inf),
-    lambda amps, grid: ms.expect_E_mirr_one_sided(amps, grid, MED, [np.nan, 1.0]),
-    lambda amps, grid: ms.expect_E_mirr_via_xi(amps, grid, MED, np.array([-np.inf, 0.0])),
+    lambda amps, grid: ms.expect_E_free(amps, grid, np.array([0.5, np.nan])),
+    lambda amps, grid: ms.expect_B_free(amps, grid, np.inf),
+    lambda amps, grid: ms.expect_E_mirr_one_sided(amps, grid, [np.nan, 1.0]),
+    lambda amps, grid: ms.expect_E_mirr_via_xi(amps, grid, np.array([-np.inf, 0.0])),
 ], ids=["E-nan", "B-inf", "E-mirror-nan", "E-xi-minus-inf"])
 def test_field_sums_reject_x_that_is_not_finite(grid, amps, call):
     with pytest.raises(ValueError, match="^x must be finite$"):
         call(amps, grid)
+
+
+# ------------------------------------------------------------- Simpson's rule
+
+@pytest.mark.parametrize("y, dx, message", [
+    (np.full(5, np.nan), 1.0, "Simpson sum is not finite: nan"),
+    (np.array([0.0, 1.0, np.inf, 1.0, 0.0]), 1.0, "Simpson sum is not finite: inf"),
+    (np.ones(5), np.nan, "Simpson step must be positive and finite, got nan"),
+    (np.ones(5), np.inf, "Simpson step must be positive and finite, got inf"),
+    (np.ones(5), 0.0, "Simpson step must be positive and finite, got 0.0"),
+    (np.ones(5), -0.5, "Simpson step must be positive and finite, got -0.5"),
+], ids=["nan-samples", "inf-sample", "nan-step", "inf-step", "zero-step", "negative-step"])
+def test_simpson_refuses_a_step_or_sum_that_is_not_finite_and_positive(y, dx, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ms.simpson_with_check(y, dx)

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from mirrorfield import modespace as ms
 from mirrorfield import oracle, rates
-from mirrorfield.core import GaussianPacket, Medium, MirrorSpec
+from mirrorfield.core import GaussianPacket, MirrorSpec
 from mirrorfield.errors import QuadratureNotConverged, ZeroDistance
 
-MED = Medium()
 PERFECT = MirrorSpec.perfect()
 
 
@@ -219,8 +218,8 @@ def test_both_routes_match_closed_form_on_two_sided_mirrors(side_a, side_b, mu, 
 def test_hfield_check_gaussian_packet():
     packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
     grid = ms.ModeGrid.for_packet(packet)
-    amps = ms.packet_to_amplitudes(packet, grid, MED)
-    result = oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193, medium=MED)
+    amps = ms.packet_to_amplitudes(packet, grid)
+    result = oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193)
     assert result["rel_gap"] < 1e-3
 
 
@@ -229,14 +228,14 @@ def test_hfield_check_antisymmetric_amplitudes():
     g = np.exp(-0.5 * ((grid.k_pos - 9.0) / 0.4) ** 2).astype(complex)
     alpha = np.concatenate([-g[::-1], g])
     amps = ms.ModeAmplitudes(alpha_a=alpha, alpha_b=np.zeros_like(alpha))
-    result = oracle.hfield_mode_sum_check(amps, grid, 40.0, 8193, medium=MED)
+    result = oracle.hfield_mode_sum_check(amps, grid, 40.0, 8193)
     assert result["rel_gap"] < 1e-6
 
 
 def test_hfield_check_vacuum():
     grid = ms.ModeGrid(k_max=10.0, n_half=128)
     amps = ms.ModeAmplitudes.vacuum(grid)
-    result = oracle.hfield_mode_sum_check(amps, grid, 10.0, 257, medium=MED)
+    result = oracle.hfield_mode_sum_check(amps, grid, 10.0, 257)
     assert result["mode_sum"] == 0.0
     assert result["spatial"] == 0.0
     assert result["rel_gap"] == 0.0
@@ -475,17 +474,17 @@ def test_chunked_routes_equal_one_whole_grid_call(route, order, z):
         np.testing.assert_array_equal(value, expected)
 
 
-def _hfield_four_sums(amps, grid, x_grid, medium):
+def _hfield_four_sums(amps, grid, x_grid):
     """The energy check with the fields at x and at -x each summed."""
-    mode_sum = ms.expect_H_field_one_sided(amps, grid, medium)
-    e_plus = ms.expect_E_free(amps, grid, medium, x_grid)
-    e_minus = ms.expect_E_free(amps, grid, medium, -x_grid)
-    b_plus = ms.expect_B_free(amps, grid, medium, x_grid)
-    b_minus = ms.expect_B_free(amps, grid, medium, -x_grid)
+    mode_sum = ms.expect_H_field_one_sided(amps, grid)
+    e_plus = ms.expect_E_free(amps, grid, x_grid)
+    e_minus = ms.expect_E_free(amps, grid, -x_grid)
+    b_plus = ms.expect_B_free(amps, grid, x_grid)
+    b_minus = ms.expect_B_free(amps, grid, -x_grid)
     e_odd = (e_plus - e_minus) / math.sqrt(2.0)
     b_even = (b_plus + b_minus) / math.sqrt(2.0)
-    density = medium.epsilon * e_odd**2 + b_even**2 / medium.mu_p
-    spatial = 0.25 * grid.area * ms.simpson_with_check(density, x_grid[1] - x_grid[0])
+    density = e_odd**2 + b_even**2
+    spatial = 0.25 * ms.simpson_with_check(density, x_grid[1] - x_grid[0])
     scale = max(abs(mode_sum), abs(spatial))
     return {"mode_sum": mode_sum, "spatial": spatial,
             "rel_gap": abs(mode_sum - spatial) / scale if scale > 0.0 else 0.0}
@@ -494,9 +493,9 @@ def _hfield_four_sums(amps, grid, x_grid, medium):
 def test_hfield_check_equals_the_four_sum_form_on_the_suite_grid():
     packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
     grid = ms.ModeGrid.for_packet(packet)
-    amps = ms.packet_to_amplitudes(packet, grid, MED)
-    got = oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193, medium=MED)
-    assert got == _hfield_four_sums(amps, grid, np.linspace(-56.0, 56.0, 8193), MED)
+    amps = ms.packet_to_amplitudes(packet, grid)
+    got = oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193)
+    assert got == _hfield_four_sums(amps, grid, np.linspace(-56.0, 56.0, 8193))
     assert got["rel_gap"] < 1e-15
 
 
@@ -541,8 +540,8 @@ def _reference_default_checks():
                         "pass": bool(worst.max() < tolerance)})
     packet = GaussianPacket.moving(e0=1.0, x0=30.0, sigma=3.0, k0_carrier=-10.0)
     grid = ms.ModeGrid.for_packet(packet)
-    amps = ms.packet_to_amplitudes(packet, grid, MED)
-    energy = oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193, medium=MED)
+    amps = ms.packet_to_amplitudes(packet, grid)
+    energy = oracle.hfield_mode_sum_check(amps, grid, 56.0, 8193)
     return reports + [{"name": "field_energy_mode_sum",
                        "grid": {"n_modes": 4096, "n_x": 8193},
                        "max_rel_dev": energy["rel_gap"], "tolerance": 1e-3,
@@ -598,7 +597,7 @@ def test_hfield_check_rejects_unsuitable_grid(x_max, n_x, message):
     grid = ms.ModeGrid(k_max=10.0, n_half=128)
     amps = ms.ModeAmplitudes.vacuum(grid)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        oracle.hfield_mode_sum_check(amps, grid, x_max, n_x, medium=MED)
+        oracle.hfield_mode_sum_check(amps, grid, x_max, n_x)
 
 
 def test_hfield_check_takes_no_free_form_grid():
