@@ -424,10 +424,9 @@ def cmd_evolve(config: dict) -> int:
     else:
         result = mastereq.jump_unravel(rho0, channel, t_final, dt,
                                        n_traj=config["unravel"], seed=config["seed"])
-        rho = result.rho
         header = io.TRAJECTORY_HEADER + ["stderr_rho22"]
-        rows = io.table_rows(result.t, rho[:, 0, 0].real, rho[:, 1, 1].real,
-                             rho[:, 0, 1].real, rho[:, 0, 1].imag, result.stderr_rho22)
+        rows = io.table_rows(result.times, *result.columns)
+        del result
     io.write_table(config["out"], header, rows, _meta("evolve", parameters), config["format"])
     return 0
 

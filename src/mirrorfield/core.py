@@ -26,17 +26,17 @@ _RATE_TOL = 1e-9
 
 # Largest step count round(t_final / dt) that mastereq.evolve and
 # mastereq.jump_unravel take. On the way to a CSV file memory grows by about
-# 0.34 kB per step (0.42 kB for an unraveling, 1.0 kB as JSON), so a million
+# 0.34 kB per step (0.35 kB for an unraveling, 1.0 kB as JSON), so a million
 # steps peak near 0.4 GB (1 GB); a larger count is rejected before any
 # array is allocated.
 MAX_STEPS = 1_000_000
 
-# Largest trajectory count n_traj that mastereq.jump_unravel takes. Its
-# trajectories are drawn and counted 32,768 at a time, so memory does not
-# grow with their number, but run time does: evolve --unravel at the cap
-# takes about 0.65 s over the default 5,000 steps on a 2-core x86 host,
-# 11 s over MAX_STEPS steps; a larger count is rejected before any array
-# is allocated.
+# Largest trajectory count n_traj that mastereq.jump_unravel takes. Above
+# 32,768 its trajectories are drawn and counted 32,768 at a time, so memory
+# does not grow with their number, but run time does: evolve --unravel at
+# the cap takes about 1.2 s over the default 5,000 steps on a loaded 2-core
+# x86 host, 5.3 s over MAX_STEPS steps; a larger count is rejected before
+# any array is allocated.
 MAX_TRAJECTORIES = 10_000_000
 
 

@@ -5,9 +5,12 @@ Hamiltonian proportional to the excited-state projector; the emission part
 restores the trace through the reset term gamma * sm rho sp. Both the
 deterministic integrator and the quantum-jump unraveling live here, along
 with the composition that wires mirror-modified rates into a channel. The
-integrator steps Python floats and complex numbers; numpy is imported only
-where arrays are made: by the unraveling, analytic_solution and the array
-views of a state or a trajectory.
+integrator steps Python floats and complex numbers, and the unraveling
+builds its tables on floats and, up to one Philox block of trajectories,
+makes and counts its random words on Python integers. numpy is imported
+only where arrays are made: by the unraveling's count above one block,
+analytic_solution and the array views of a state, a trajectory or an
+unraveling.
 
 Sign convention, locked by a regression test: the coherence rho12 (ground
 row, excited column) rotates as exp(+i delta t).
@@ -16,8 +19,11 @@ row, excited column) rotates as exp(+i delta t).
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING
 
 from . import rates
@@ -270,71 +276,125 @@ def analytic_solution(rho0, channel: AtomChannel, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnravelResult:
-    """Trajectory average over quantum-jump realisations."""
+    """Trajectory average over quantum-jump realisations.
 
-    t: np.ndarray
-    rho: np.ndarray           # (n_times, 2, 2), averaged
-    stderr_rho22: np.ndarray  # Monte-Carlo standard error of rho22
+    ``times`` and the ``columns`` rho11, rho22, Re rho12, Im rho12 and the
+    Monte-Carlo standard error of rho22 are lists, one float per time. The
+    numpy arrays ``t``, ``rho`` (n_times, 2, 2) and ``stderr_rho22`` are
+    built on first read.
+    """
+
+    times: list
+    columns: tuple
     n_traj: int
 
+    @cached_property
+    def t(self) -> np.ndarray:
+        import numpy as np
 
-def _pure_state_from(rho0) -> np.ndarray:
-    """Extract (c1, c2) from a pure density matrix, checked as evolve checks
-    its initial state."""
-    import numpy as np
+        return np.array(self.times, dtype=float)
 
-    m = _state(rho0).matrix
-    purity = np.trace(m @ m).real
-    if abs(purity - 1.0) > 1e-10:
-        raise ValueError(f"unraveling needs a pure initial state, purity={purity}")
-    vals, vecs = np.linalg.eigh(m)
-    return vecs[:, int(np.argmax(vals))].astype(complex)
+    @cached_property
+    def rho(self) -> np.ndarray:
+        import numpy as np
+
+        rho11, rho22, re12, im12, _ = self.columns
+        rho = np.empty((len(self.times), 2, 2), dtype=complex)
+        rho[:, 0, 0] = rho11
+        rho[:, 1, 1] = rho22
+        rho[:, 0, 1].real = re12
+        rho[:, 0, 1].imag = im12
+        rho[:, 1, 0] = np.conj(rho[:, 0, 1])
+        return rho
+
+    @cached_property
+    def stderr_rho22(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.columns[4], dtype=float)
 
 
-def _no_jump_path(psi0: np.ndarray, gamma: float, delta: float, dt: float,
+def _no_jump_path(state: DensityMatrix, gamma: float, delta: float, dt: float,
                   n_steps: int):
-    """Amplitudes (c1, c2) of the renormalised no-emission evolution after
-    j = 0 .. n_steps steps, and the probability p_jumped[j] that a
-    trajectory has jumped within its first j steps.
+    """The renormalised no-emission state after j = 0 .. n_steps steps, as
+    its rho11, rho22, Re rho12 and Im rho12, and the probability p_jumped[j]
+    that a trajectory has jumped within its first j steps: five lists of
+    floats.
 
     Without a drive every trajectory follows this one path until it jumps,
-    and stays in the ground state after. The unnormalised no-jump state
-    after j steps is (c1(0), c2(0) exp(-(gamma/2 + i delta) dt j)), and its
-    squared norm is 1 - p_jumped[j]. p_jumped = |c2(0)|^2 (1 - exp(-gamma
-    dt j)) is computed with expm1, so it is exactly 0 for gamma = 0, keeps
-    its relative precision for small gamma dt j and never decreases. From
-    the excited state, where the path is c2 = c2(0) exp(-i delta dt j), a
-    step so large that the state underflows to 0 after one step raises
-    ValueError.
+    and stays in the ground state after. With e_j = exp(-gamma dt j), the
+    unnormalised no-jump state of a pure state r after j steps has entries
+    r11, r22 e_j and r12 sqrt(e_j) exp(+i delta dt j), and its trace is
+    n2_j = r11 + r22 e_j; at j = 0 the entries are r's own. p_jumped[j] =
+    r22 (1 - e_j) is computed with expm1, so it is exactly 0 for gamma = 0,
+    keeps its relative precision for small gamma dt j and never decreases. From
+    the excited state (r11 = 0) the renormalised state does not decay, so
+    e_j is 1 in it; a step so large that the state underflows to 0 after
+    one step raises ValueError.
     """
-    import numpy as np
-
-    steps = np.arange(n_steps + 1)
-    rate = gamma * dt * steps
-    phase = np.exp(-1j * delta * dt * steps)
-    c1_sq, c2_sq = abs(psi0[0]) ** 2, abs(psi0[1]) ** 2
-    p_jumped = c2_sq * -np.expm1(-rate)
-    if c1_sq == 0.0:
-        if n_steps and c2_sq * math.exp(-gamma * dt) == 0.0:
+    r11, r22 = state.rho11.real, state.rho22.real
+    a, b = state.rho12.real, state.rho12.imag
+    rate, omega = gamma * dt, delta * dt
+    exp, expm1, cos, sin, sqrt = math.exp, math.expm1, math.cos, math.sin, math.sqrt
+    p_jumped = [r22 * -expm1(-(rate * j)) for j in range(n_steps + 1)]
+    if r11 == 0.0:
+        if n_steps and r22 * exp(-rate) == 0.0:
             raise ValueError(
                 f"dt = {dt} is too large for the unraveling: the no-jump state "
                 f"underflows to 0 after one step (gamma * dt = {gamma * dt})")
-        # Renormalising c2(0) exp(-gamma dt j / 2) would give 0 / 0 once the
-        # decay underflows.
-        return np.zeros(n_steps + 1, dtype=complex), psi0[1] * phase, p_jumped
-    decay = np.exp(-rate)
-    norm = np.sqrt(c1_sq + c2_sq * decay)
-    return psi0[0] / norm, psi0[1] * np.sqrt(decay) * phase / norm, p_jumped
+        decay = [1.0] * (n_steps + 1)
+    else:
+        decay = [exp(-(rate * j)) for j in range(n_steps + 1)]
+    rho11, rho22, re12, im12 = [], [], [], []
+    for j, e in enumerate(decay):
+        n2 = r11 + r22 * e
+        scale = sqrt(e) / n2
+        c, s = cos(omega * j), sin(omega * j)
+        rho11.append(r11 / n2)
+        rho22.append(r22 * e / n2)
+        re12.append((a * c - b * s) * scale)
+        im12.append((a * s + b * c) * scale)
+    return rho11, rho22, re12, im12, p_jumped
 
 
 # Philox4x64-10 (Salmon et al., SC'11) with numpy's multipliers and key
 # increments, made in blocks of _PHILOX_BLOCK counters of four words each. Of
 # 4,096, 8,192, 16,384 and 32,768 counters, 8,192 was the fastest at 4e6 words
-# on a 2-core Xeon host.
+# on a 2-core Xeon host. Up to one block the words are made on Python
+# integers and numpy is not imported.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_BLOCK = 8192
 _MASK64 = 2 ** 64 - 1
+
+
+def _philox_words(seed: int, n_words: int) -> array:
+    """Words 0 .. n_words - 1 of the Philox4x64-10 stream keyed by (seed, 0),
+    as _philox_blocks gives them, in an array of unsigned 64-bit integers.
+
+    Every counter is computed at once: lane k of counter i sits in bits
+    128 i .. 128 i + 63 of one Python integer c_k, so the product of a
+    64-bit multiplier and c_k never carries into the next counter's slot,
+    and one shift, mask and XOR act on every counter together.
+    """
+    n_counters = (n_words + 3) // 4
+    slots = array("Q", bytes(16 * n_counters))
+    slots[::2] = array("Q", range(1, n_counters + 1))
+    c0, c1, c2, c3 = int.from_bytes(slots, "little"), 0, 0, 0
+    ones = ((1 << 128 * n_counters) - 1) // ((1 << 128) - 1)
+    low = ones * _MASK64
+    k0, k1 = seed, 0
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+        p0, p1 = _PHILOX_M[0] * c0, _PHILOX_M[1] * c2
+        c0, c1, c2, c3 = (((p1 >> 64) & low) ^ c1 ^ ones * k0, p1 & low,
+                          ((p0 >> 64) & low) ^ c3 ^ ones * k1, p0 & low)
+    words = array("Q", bytes(32 * n_counters))
+    for lane, c in enumerate((c0, c1, c2, c3)):
+        words[lane::4] = array("Q", c.to_bytes(16 * n_counters, "little"))[::2]
+    del words[n_words:]
+    return words
 
 
 def _mulhilo(m: int, x: np.ndarray):
@@ -384,7 +444,39 @@ def _philox_blocks(seed: int, n_words: int):
         yield np.stack((c0, c1, c2, c3), axis=1).ravel()[:n]
 
 
-def _jumped_counts(p_jumped: np.ndarray, n_traj: int, seed: int) -> np.ndarray:
+def _counts_of_words(p_jumped, n_traj: int, seed: int) -> list:
+    """_jumped_counts for at most one block of trajectories, on Python
+    numbers: the uniforms of _philox_words, sorted, and a binary search per
+    step that is still in play."""
+    u = sorted([(word >> 11) * 2.0 ** -53 for word in _philox_words(seed, n_traj)])
+    # A probability at or below the smallest uniform counts none of them, one
+    # above the largest counts all of them.
+    lo, hi = bisect_right(p_jumped, u[0]), bisect_right(p_jumped, u[-1])
+    return ([0] * lo + [bisect_left(u, p) for p in p_jumped[lo:hi]]
+            + [n_traj] * (len(p_jumped) - hi))
+
+
+def _counts_of_blocks(p_jumped, n_traj: int, seed: int) -> list:
+    """_jumped_counts in numpy, block by block of _philox_blocks' words, so
+    numpy.random is never imported and no array is n_traj long. Each block
+    searches only the steps whose probability lies between its smallest
+    and largest uniform; the steps above its largest count it whole, in one
+    cumulative sum at the end."""
+    import numpy as np
+
+    p_jumped = np.asarray(p_jumped, dtype=float)
+    counts = np.zeros(p_jumped.size, dtype=np.intp)
+    full = np.zeros(p_jumped.size + 1, dtype=np.intp)
+    for words in _philox_blocks(seed, n_traj):
+        u = (words >> np.uint64(11)) * 2.0 ** -53
+        u.sort()
+        lo, hi = np.searchsorted(p_jumped, (u[0], u[-1]), side="right")
+        counts[lo:hi] += np.searchsorted(u, p_jumped[lo:hi], side="left")
+        full[hi] += u.size
+    return (counts + np.cumsum(full[:-1])).tolist()
+
+
+def _jumped_counts(p_jumped, n_traj: int, seed: int) -> list:
     """How many of n_traj trajectories have jumped within j steps, for
     j = 0 .. len(p_jumped) - 1, given the probability p_jumped[j] of a jump
     within j steps, which never decreases.
@@ -394,19 +486,13 @@ def _jumped_counts(p_jumped: np.ndarray, n_traj: int, seed: int) -> np.ndarray:
     counter-based Philox stream keyed by (seed mod 2**64, 0). It jumps in the
     first step j with u_i < p_jumped[j + 1]: the waiting-time form of the
     quantum-jump method. So it has jumped within j steps exactly when
-    u_i < p_jumped[j], and a search in each block's sorted uniforms counts
-    those trajectories. The words come block by block from _philox_blocks,
-    in plain numpy, so numpy.random is never imported and no array is
-    n_traj long.
+    u_i < p_jumped[j], and a search in the sorted uniforms counts those
+    trajectories. Up to one block of 4 * _PHILOX_BLOCK trajectories this
+    runs on Python numbers; above it, in numpy, block by block. Both give
+    the same integers.
     """
-    import numpy as np
-
-    counts = np.zeros(p_jumped.size, dtype=np.intp)
-    for words in _philox_blocks(seed & _MASK64, n_traj):
-        u = (words >> np.uint64(11)) * 2.0 ** -53
-        u.sort()
-        counts += np.searchsorted(u, p_jumped, side="left")
-    return counts
+    count = _counts_of_words if n_traj <= 4 * _PHILOX_BLOCK else _counts_of_blocks
+    return count(p_jumped, n_traj, seed & _MASK64)
 
 
 def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
@@ -425,10 +511,8 @@ def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
 
     At most MAX_TRAJECTORIES trajectories, and a seed in [0, 2**64). A step
     so large that the no-jump state underflows to 0 raises ValueError. Fixed
-    seeds give bit-identical results.
+    seeds give bit-identical results, and the first row is rho0's own.
     """
-    import numpy as np
-
     for name, value in (("n_traj", n_traj), ("seed", seed)):
         if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -437,21 +521,26 @@ def jump_unravel(rho0, channel: AtomChannel, t_final: float, dt: float,
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     n_steps = _step_count(t_final, dt)
-    psi0 = _pure_state_from(rho0)
-    c1, c2, p_jumped = _no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
+    state = _state(rho0)
+    purity = (state.rho11 * state.rho11 + state.rho12 * state.rho21
+              + (state.rho21 * state.rho12 + state.rho22 * state.rho22)).real
+    if abs(purity - 1.0) > 1e-10:
+        raise ValueError(f"unraveling needs a pure initial state, purity={purity}")
+    rho11, rho22, re12, im12, p_jumped = _no_jump_path(state, channel.gamma, channel.delta,
+                                                       dt, n_steps)
     n = float(n_traj)
     # q: fraction of trajectories still on the no-jump path after each step.
-    q = (n - _jumped_counts(p_jumped, n_traj, seed)) / n
-    p2 = np.abs(c2) ** 2
-    rho = np.empty((n_steps + 1, 2, 2), dtype=complex)
-    rho[:, 0, 0] = q * np.abs(c1) ** 2 + (1.0 - q)
-    rho[:, 1, 1] = q * p2
-    rho[:, 0, 1] = q * c1 * np.conj(c2)
-    rho[:, 1, 0] = np.conj(rho[:, 0, 1])
-    # rho22 is p2 on a fraction q of the trajectories and 0 on the rest.
-    stderr = p2 * np.sqrt(q * (1.0 - q) / n)
-    return UnravelResult(t=dt * np.arange(n_steps + 1), rho=rho,
-                         stderr_rho22=stderr, n_traj=n_traj)
+    q = [(n - count) / n for count in _jumped_counts(p_jumped, n_traj, seed)]
+    del p_jumped
+    # rho22 is the no-jump value on a fraction q of the trajectories and 0 on
+    # the rest. Each table is replaced by its average as it is built.
+    stderr = [p2 * math.sqrt(f * (1.0 - f) / n) for f, p2 in zip(q, rho22)]
+    rho11 = [f * p1 + (1.0 - f) for f, p1 in zip(q, rho11)]
+    rho22 = list(map(mul, q, rho22))
+    re12 = list(map(mul, q, re12))
+    im12 = list(map(mul, q, im12))
+    return UnravelResult(times=[dt * j for j in range(n_steps + 1)],
+                         columns=(rho11, rho22, re12, im12, stderr), n_traj=n_traj)
 
 
 def channel_at(mirror: MirrorSpec, mu_orient: float, z, gamma_free: float,

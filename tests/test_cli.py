@@ -247,6 +247,25 @@ def test_evolve_unravel_json_rerun_is_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize("rho22, re12, im12, channel, n_traj", [
+    ("0.5", "0.5", "0", ["--gamma", "0", "--delta", "1"], "3"),
+    ("1e-320", "0", "0", ["--gamma", "1"], "3"),
+    ("1", "0", "0", ["--gamma", "1", "--delta", "0.3"], "3"),
+    ("0.2", "0.24", "-0.32", ["--gamma", "1.3", "--delta", "-0.7"], "40000"),
+], ids=["coherent-no-decay", "subnormal-excited", "excited", "two-blocks"])
+def test_evolve_unravel_first_row_is_the_initial_state(tmp_path, rho22, re12, im12, channel,
+                                                       n_traj):
+    from mirrorfield import cli
+
+    out = tmp_path / "u.csv"
+    argv = ["evolve", *channel, "--rho22", rho22, "--rho12-re", re12, "--rho12-im", im12,
+            "--unravel", n_traj, "--out", str(out)]
+    assert cli.main(argv) == 0
+    _, rows = read_csv(out)
+    first = [float(value) for value in rows[0]]
+    assert first == [0.0, 1.0 - float(rho22), float(rho22), float(re12), float(im12), 0.0]
+
+
 def test_evolve_rejects_too_large_step(tmp_path):
     result = run_cli("evolve", "--gamma", "10", "--dt", "0.1", "--t-final", "1",
                      "--out", str(tmp_path / "x.csv"))

@@ -421,6 +421,15 @@ def _counts_walk(p_jumped, n_traj, seed):
     return jumped
 
 
+def _no_jump_tables(psi0, gamma, delta, dt, n_steps):
+    """_no_jump_path of the pure state psi0, as arrays: rho11, rho22 and
+    rho12 of the renormalised no-jump state, and p_jumped."""
+    state = me.DensityMatrix.from_matrix(np.outer(psi0, np.conj(psi0)))
+    rho11, rho22, re12, im12, p_jumped = (np.array(column) for column in
+                                          me._no_jump_path(state, gamma, delta, dt, n_steps))
+    return rho11, rho22, re12 + 1j * im12, p_jumped
+
+
 def _no_jump_stepwise(psi0, gamma, delta, dt, n_steps):
     """Reference: the no-jump state renormalised step by step, with the
     probability of a jump within j steps accumulated per step."""
@@ -451,10 +460,11 @@ PATH_CASES = [
 @pytest.mark.parametrize("psi0, gamma, delta, dt", PATH_CASES,
                          ids=["coherent", "excited", "coherent-long", "small-gamma-dt"])
 def test_no_jump_path_matches_stepwise_path(psi0, gamma, delta, dt):
-    c1, c2, p_jumped = me._no_jump_path(psi0, gamma, delta, dt, 5000)
+    rho11, rho22, rho12, p_jumped = _no_jump_tables(psi0, gamma, delta, dt, 5000)
     ref_c1, ref_c2, ref_p = _no_jump_stepwise(psi0, gamma, delta, dt, 5000)
-    assert np.abs(c1 - ref_c1).max() <= 1e-12
-    assert np.abs(c2 - ref_c2).max() <= 1e-12
+    assert np.abs(rho11 - np.abs(ref_c1) ** 2).max() <= 1e-12
+    assert np.abs(rho22 - np.abs(ref_c2) ** 2).max() <= 1e-12
+    assert np.abs(rho12 - ref_c1 * np.conj(ref_c2)).max() <= 1e-12
     assert p_jumped[0] == 0.0
     assert np.all(np.abs(p_jumped[1:] - ref_p[1:]) <= 1e-12 * ref_p[1:])
     assert np.all(np.diff(p_jumped) >= 0.0)
@@ -462,13 +472,13 @@ def test_no_jump_path_matches_stepwise_path(psi0, gamma, delta, dt):
 
 def test_first_jump_steps_on_a_no_jump_path():
     psi0 = np.array([0.4, np.sqrt(0.84) * np.exp(0.3j)])
-    _, _, p_jumped = me._no_jump_path(psi0, 0.9, 0.4, 1e-3 / 0.9, 5000)
+    *_, p_jumped = _no_jump_tables(psi0, 0.9, 0.4, 1e-3 / 0.9, 5000)
     counts = me._jumped_counts(p_jumped, 300, 2127877499)
-    assert counts.dtype == np.intp
+    assert all(type(count) is int for count in counts)
     np.testing.assert_array_equal(counts, _counts_walk(p_jumped, 300, 2127877499))
     assert 0 < counts[-1] < 300
     for psi0, channel in UNRAVEL_CASES:
-        _, _, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, 0.005, 500)
+        *_, p_jumped = _no_jump_tables(psi0, channel.gamma, channel.delta, 0.005, 500)
         for seed in (2024, -5, 2 ** 64 - 1):
             counts = me._jumped_counts(p_jumped, 300, seed)
             np.testing.assert_array_equal(counts, _counts_walk(p_jumped, 300, seed))
@@ -581,6 +591,15 @@ def test_philox_words_match_numpy_random_raw(seed, n_words):
     np.testing.assert_array_equal(words, np.random.Philox(key=key).random_raw(n_words))
 
 
+@pytest.mark.parametrize("n_words", [1, 3, 5, _BLOCK_WORDS])
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_packed_philox_words_match_the_blocks(seed, n_words):
+    # Up to one block the words come from one packed Python integer per lane.
+    words = me._philox_words(seed, n_words)
+    assert words.typecode == "Q"
+    assert words.tolist() == np.concatenate(list(me._philox_blocks(seed, n_words))).tolist()
+
+
 def _counts_of_generator_random(p_jumped, n_traj, seed):
     """Reference: for each j, how many of numpy's Generator.random uniforms
     on the Philox stream keyed by (seed, 0) lie below p_jumped[j]."""
@@ -602,13 +621,42 @@ def test_unravel_counts_jumps_across_blocks():
     n_traj, n_steps, dt, seed = 2 * _BLOCK_WORDS + 3, 200, 0.01, 77
     psi0 = np.array([0.6, 0.8 * np.exp(2.1j)])
     channel = me.AtomChannel(1.3, 0.4)
-    c1, c2, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
+    _, rho22, _, p_jumped = _no_jump_tables(psi0, channel.gamma, channel.delta, dt, n_steps)
     result = me.jump_unravel(np.outer(psi0, psi0.conj()), channel, n_steps * dt, dt,
                              n_traj=n_traj, seed=seed)
     jumped = _counts_of_generator_random(p_jumped, n_traj, seed)
     q = (n_traj - jumped) / n_traj
     assert 0.0 < q[-1] < 1.0
-    np.testing.assert_array_equal(result.rho[:, 1, 1], q * np.abs(c2) ** 2)
+    np.testing.assert_array_equal(result.rho[:, 1, 1], q * rho22)
+
+
+@pytest.mark.parametrize("n_traj", [1, 5, 300, _BLOCK_WORDS])
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_both_count_paths_agree(n_traj, seed):
+    # Up to one block jump_unravel counts on Python numbers, above it in
+    # numpy; on the same probabilities both give the same integers.
+    *_, p_jumped = _no_jump_tables(np.array([0.6, 0.8 * np.exp(2.1j)]), 1.3, -0.7, 1e-3, 5000)
+    p_jumped = p_jumped.tolist()
+    words = me._counts_of_words(p_jumped, n_traj, seed)
+    assert words == me._counts_of_blocks(p_jumped, n_traj, seed)
+    if n_traj >= 300:
+        assert 0 < words[-1] < n_traj
+    assert all(type(count) is int for count in words)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_block_counts_where_a_uniform_equals_a_probability(block, monkeypatch):
+    # Each numpy block searches only the probabilities between its smallest
+    # and largest uniform. Every uniform, and the doubles on either side of
+    # it, is a probability here, so each block's ends fall on one exactly.
+    monkeypatch.setattr(me, "_PHILOX_BLOCK", block)
+    n_traj, seed = 30, 11
+    u = np.array(_uniforms(n_traj, seed))
+    p_jumped = sorted({0.0, 1.0, *u.tolist(), *np.nextafter(u, 0.0).tolist(),
+                       *np.nextafter(u, 1.0).tolist()})
+    expected = _counts_walk(p_jumped, n_traj, seed).tolist()
+    assert me._counts_of_blocks(p_jumped, n_traj, seed) == expected
+    assert me._counts_of_words(p_jumped, n_traj, seed) == expected
 
 
 @pytest.mark.parametrize("block", [1, 3, 8192])
@@ -650,7 +698,7 @@ def test_jump_step_histogram_matches_per_step_scheme(psi0, channel):
     # per-step scheme, (2025, 0) for the waiting-time sampler.
     n_traj, n_steps, dt = 4000, 400, 0.005
     _, ref_jumps, _ = _unravel_stepwise(psi0, channel, dt, n_steps, n_traj, 2024)
-    _, _, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
+    *_, p_jumped = _no_jump_tables(psi0, channel.gamma, channel.delta, dt, n_steps)
     counts = me._jumped_counts(p_jumped, n_traj, 2025)
     ref_hist = np.append(ref_jumps.reshape(20, 20).sum(axis=1), n_traj - ref_jumps.sum())
     # Jumps in steps 20 b .. 20 b + 19, then the never-jumped trajectories.
@@ -664,21 +712,22 @@ def test_jump_step_histogram_matches_per_step_scheme(psi0, channel):
                          ids=["delta-zero", "delta-nonzero", "coherent"])
 def test_first_jump_unravel_matches_stepwise_reference(psi0, channel):
     n_traj, n_steps, dt, seed = 300, 500, 0.005, 2024
-    c1, c2, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, dt, n_steps)
+    rho11, rho22, rho12, p_jumped = _no_jump_tables(psi0, channel.gamma, channel.delta, dt,
+                                                    n_steps)
     first = _jump_steps_walk(p_jumped, n_traj, seed)
     # A trajectory that jumps in step j is on the no-jump path after 0..j
     # steps and in the ground state after.
     on_path = np.arange(n_steps + 1)[:, None] <= first[None, :]
-    a1 = np.where(on_path, c1[:, None], 1.0)
-    a2 = np.where(on_path, c2[:, None], 0.0)
+    a11 = np.where(on_path, rho11[:, None], 1.0)
+    a22 = np.where(on_path, rho22[:, None], 0.0)
+    a12 = np.where(on_path, rho12[:, None], 0.0)
     result = me.jump_unravel(np.outer(psi0, psi0.conj()), channel, n_steps * dt, dt,
                              n_traj=n_traj, seed=seed)
-    assert np.abs(result.rho[:, 0, 0] - np.mean(np.abs(a1) ** 2, axis=1)).max() <= 1e-14
-    assert np.abs(result.rho[:, 1, 1] - np.mean(np.abs(a2) ** 2, axis=1)).max() <= 1e-14
-    assert np.abs(result.rho[:, 0, 1] - np.mean(a1 * np.conj(a2), axis=1)).max() <= 1e-14
+    assert np.abs(result.rho[:, 0, 0] - np.mean(a11, axis=1)).max() <= 1e-14
+    assert np.abs(result.rho[:, 1, 1] - np.mean(a22, axis=1)).max() <= 1e-14
+    assert np.abs(result.rho[:, 0, 1] - np.mean(a12, axis=1)).max() <= 1e-14
     np.testing.assert_array_equal(result.rho[:, 1, 0], np.conj(result.rho[:, 0, 1]))
-    np.testing.assert_allclose(result.stderr_rho22,
-                               np.std(np.abs(a2) ** 2, axis=1) / math.sqrt(n_traj),
+    np.testing.assert_allclose(result.stderr_rho22, np.std(a22, axis=1) / math.sqrt(n_traj),
                                rtol=1e-9, atol=1e-15)
 
 
@@ -686,7 +735,7 @@ def test_first_jump_unravel_matches_stepwise_reference(psi0, channel):
                                   np.array([0.0, 1.0], dtype=complex),
                                   np.array([1.0, 0.0], dtype=complex)])
 def test_zero_gamma_never_jumps(psi0):
-    _, _, p_jumped = me._no_jump_path(psi0, 0.0, 1.2, 0.01, 300)
+    *_, p_jumped = _no_jump_tables(psi0, 0.0, 1.2, 0.01, 300)
     np.testing.assert_array_equal(p_jumped, 0.0)
     np.testing.assert_array_equal(me._jumped_counts(p_jumped, 1000, 8), 0)
 
@@ -708,9 +757,10 @@ def test_unravel_certain_first_step_jump():
     # in step 0, while the renormalised no-jump path stays finite.
     psi0 = np.array([0.0, 1.0], dtype=complex)
     channel = me.AtomChannel(1.0, 0.0)
-    c1, c2, p_jumped = me._no_jump_path(psi0, channel.gamma, channel.delta, 40.0, 3)
+    rho11, rho22, rho12, p_jumped = _no_jump_tables(psi0, channel.gamma, channel.delta,
+                                                    40.0, 3)
     assert p_jumped[1] == 1.0
-    assert np.isfinite(c1).all() and np.isfinite(c2).all()
+    assert np.isfinite([rho11, rho22, rho12]).all()
     counts = me._jumped_counts(p_jumped, 50, 1)
     np.testing.assert_array_equal(counts[1:], 50)
     _, ref_jumps, _ = _unravel_stepwise(psi0, channel, 40.0, 3, 50, 1)

@@ -112,17 +112,28 @@ def test_evolve_runs_no_field_layer(tmp_path):
 ], ids=["channel", "perfect", "absorbing", "symmetric", "lossless"])
 def test_evolve_loads_no_numpy(tmp_path, argv, fmt):
     # The RK4 recurrence steps on floats and the columns are written as
-    # lists; only --unravel loads numpy.
+    # lists.
     result = probe(tmp_path, "evolve", *argv, "--format", fmt)
     assert "mastereq" in result["ran"]
     assert not [name for name in result["modules"] if name.split(".")[0] == "numpy"]
 
 
-def test_unravel_loads_no_numpy_random(tmp_path):
-    # The Philox words are made in plain numpy: numpy.random would also load
-    # hashlib (OpenSSL) and secrets.
-    result = probe(tmp_path, "evolve", "--gamma", "1", "--rho22", "1", "--unravel", "50")
+@pytest.mark.parametrize("n_traj", ["1", "10000", "32768"])
+def test_unravel_up_to_one_block_loads_no_numpy(tmp_path, n_traj):
+    # Up to one Philox block (4 * 8,192 words) the words, the counts and the
+    # tables are Python numbers.
+    result = probe(tmp_path, "evolve", "--gamma", "1.3", "--delta", "-0.7", "--rho22", "0.5",
+                   "--rho12-re", "0.5", "--unravel", n_traj)
     assert "mastereq" in result["ran"]
+    assert not [name for name in result["modules"] if name.split(".")[0] == "numpy"]
+
+
+def test_unravel_loads_no_numpy_random(tmp_path):
+    # Above one block the Philox words are made in plain numpy: numpy.random
+    # would also load hashlib (OpenSSL) and secrets.
+    result = probe(tmp_path, "evolve", "--gamma", "1", "--rho22", "1", "--unravel", "32769")
+    assert "mastereq" in result["ran"]
+    assert "numpy" in result["modules"]
     assert set(result["modules"]).isdisjoint({"numpy.random", "hashlib", "secrets"})
 
 
